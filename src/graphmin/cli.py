@@ -99,7 +99,7 @@ def _cmd_foliage(args) -> int:
 def _cmd_orbit(args) -> int:
     g = _load(args.graph, args.format)
     orbit = lc_orbit(g, args.budget)
-    ordered = sorted(orbit, key=Graph.key)
+    ordered = sorted(orbit, key=Graph.edges)
     human = [f"orbit size: {len(orbit)}"]
     result: dict = {"size": len(orbit)}
     if args.list:

@@ -87,27 +87,28 @@ def singletons(g: Graph) -> Partition:
     return Partition([{v} for v in g.vertices])
 
 
+def are_twins(g: Graph, v: int, w: int) -> bool:
+    """Whether ``v`` and ``w`` have equal, nonempty neighborhoods outside the pair."""
+    shared = g.neighbor_mask(v) & ~(1 << w)
+    return bool(shared) and shared == g.neighbor_mask(w) & ~(1 << v)
+
+
+def is_leaf_of(g: Graph, leaf: int, axil: int) -> bool:
+    """Whether ``axil`` is the only neighbor of ``leaf``."""
+    return g.neighbor_mask(leaf) == 1 << axil
+
+
 def leaves_axils(g: Graph) -> frozenset[tuple[int, int]]:
     """All (leaf, axil) pairs: degree-1 vertices with their unique neighbor."""
-    out = set()
-    for v in g.vertices:
-        mask = g.neighbor_mask(v)
-        if mask.bit_count() == 1:
-            out.add((v, mask.bit_length() - 1))
-    return frozenset(out)
+    return frozenset((v, w) for v in g.vertices for w in g.neighbors(v) if is_leaf_of(g, v, w))
 
 
 def twins(g: Graph) -> frozenset[frozenset[int]]:
     """All twin pairs {v, w}: equal neighborhoods outside the pair, nonempty."""
-    out = set()
     verts = g.vertices
-    for i, v in enumerate(verts):
-        row_v = g.neighbor_mask(v)
-        for w in verts[i + 1:]:
-            shared = row_v & ~(1 << w)
-            if shared and shared == g.neighbor_mask(w) & ~(1 << v):
-                out.add(frozenset((v, w)))
-    return frozenset(out)
+    return frozenset(
+        frozenset((v, w)) for i, v in enumerate(verts) for w in verts[i + 1:] if are_twins(g, v, w)
+    )
 
 
 def foliage_set(g: Graph) -> frozenset[int]:
@@ -124,14 +125,7 @@ def foliage_set(g: Graph) -> frozenset[int]:
 def foliage_equivalent(g: Graph, v: int, w: int) -> bool:
     g._require(v)
     g._require(w)
-    if v == w:
-        return True
-    if g.degree(v) == 1 and g.neighbor_mask(v) == 1 << w:
-        return True
-    if g.degree(w) == 1 and g.neighbor_mask(w) == 1 << v:
-        return True
-    shared = g.neighbor_mask(v) & ~(1 << w)
-    return bool(shared) and shared == g.neighbor_mask(w) & ~(1 << v)
+    return v == w or is_leaf_of(g, v, w) or is_leaf_of(g, w, v) or are_twins(g, v, w)
 
 
 def canonical_foliage_partition(g: Graph) -> Partition:
@@ -184,7 +178,7 @@ class BlockShape(enum.Enum):
 
 def _star_centers(g: Graph, members: list[int]) -> list[int]:
     """Members holding every other member as a degree-1 leaf of their own."""
-    return [a for a in members if all(v == a or g.neighbor_mask(v) == 1 << a for v in members)]
+    return [a for a in members if all(v == a or is_leaf_of(g, v, a) for v in members)]
 
 
 def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:

@@ -120,10 +120,6 @@ class Graph:
         if a not in self._rows:
             raise UnknownVertexError(f"unknown vertex label {a}")
 
-    def key(self) -> tuple:
-        """Canonical, label-sensitive serialization (equal graphs, equal keys)."""
-        return (self.vertices, self.edges())
-
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other) -> bool:

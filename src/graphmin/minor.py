@@ -24,10 +24,12 @@ from .foliage import (
     BlockShape,
     InvalidPartitionError,
     Partition,
+    are_twins,
     classify_block,
     foliage_equivalent,
     foliage_graph,
     is_foliage_partition,
+    is_leaf_of,
     star_axil,
     _star_centers,
 )
@@ -88,14 +90,14 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
 
     try:
         if h.n == 0:
-            orbit = {h.key(): (h, ())}
+            orbit = {h: (h, ())}
         else:
             orbit = lc_orbit_paths(h, node_budget)
     except BudgetExceededError:
         return Decision(UNKNOWN, "budget-exhausted")
 
     if not to_measure:
-        hit = orbit.get(g.key())
+        hit = orbit.get(g)
         if hit is None:
             return Decision(NO, "brute-force")
         back = tuple(Step(LC, v) for v in reversed(hit[1]))
@@ -103,7 +105,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
 
     for bases in itertools.product(("z", "y", "x"), repeat=len(to_measure)):
         image, steps = _measured(g, to_measure, bases)
-        hit = orbit.get(image.key())
+        hit = orbit.get(image)
         if hit is None:
             continue
         # each local complement is an involution, so the recorded path from
@@ -134,33 +136,25 @@ def source_reduce(g: Graph, protected: set[int] | frozenset[int]) -> tuple[Graph
         raise ValueError(f"protected labels {sorted(unknown)} not in graph")
     out = g
     ops: list[Step] = []
-    while True:
-        candidates = [v for v in out.vertices if v not in protected]
-        step_added = False
-        for v in candidates:
-            if _is_twin(out, v):
-                out = _apply(out, ops, Step(DELETE, v))
-                step_added = True
-                break
-        if step_added:
-            continue
-        for v in candidates:
-            if out.degree(v) == 1:
-                out = _apply(out, ops, Step(DELETE, v))
-                step_added = True
-                break
-        if step_added:
-            continue
-        for v in candidates:
-            leaf = _leaf_of(out, v)
-            if leaf is not None:
-                out = _apply(out, ops, Step(LC, v))
-                out = _apply(out, ops, Step(LC, leaf))
-                out = _apply(out, ops, Step(DELETE, v))
-                step_added = True
-                break
-        if not step_added:
-            return out, tuple(ops)
+    while steps := _reduction_steps(out, [v for v in out.vertices if v not in protected]):
+        ops.extend(steps)
+        out = replay(out, steps)
+    return out, tuple(ops)
+
+
+def _reduction_steps(g: Graph, candidates: list[int]) -> tuple[Step, ...]:
+    """Steps of the first source-reduction rule that applies, else none."""
+    for v in candidates:
+        if _is_twin(g, v):
+            return (Step(DELETE, v),)
+    for v in candidates:
+        if g.degree(v) == 1:
+            return (Step(DELETE, v),)
+    for v in candidates:
+        leaf = _leaf_of(g, v)
+        if leaf is not None:
+            return (Step(LC, v), Step(LC, leaf), Step(DELETE, v))
+    return ()
 
 
 def _apply(g: Graph, ops: list[Step], step: Step) -> Graph:
@@ -169,22 +163,12 @@ def _apply(g: Graph, ops: list[Step], step: Step) -> Graph:
 
 
 def _is_twin(g: Graph, v: int) -> bool:
-    row = g.neighbor_mask(v)
-    for w in g.vertices:
-        if w == v:
-            continue
-        shared = row & ~(1 << w)
-        if shared and shared == g.neighbor_mask(w) & ~(1 << v):
-            return True
-    return False
+    return any(w != v and are_twins(g, v, w) for w in g.vertices)
 
 
 def _leaf_of(g: Graph, v: int) -> int | None:
     """Smallest leaf whose axil is ``v``, if any."""
-    for w in sorted(g.neighbors(v)):
-        if g.neighbor_mask(w) == 1 << v:
-            return w
-    return None
+    return next((w for w in sorted(g.neighbors(v)) if is_leaf_of(g, w, v)), None)
 
 
 # -- foliage-graph extraction ---------------------------------------------------
@@ -280,16 +264,11 @@ def _reduce_at(g: Graph, v: int, w: int) -> Graph:
     A leaf or twin ``v`` is deleted outright; when ``v`` is the axil of
     leaf ``w``, the two are swapped first so ``w`` inherits the adjacency.
     """
-    if g.neighbor_mask(v) == 1 << w or _twin_pair(g, v, w):
+    if is_leaf_of(g, v, w) or are_twins(g, v, w):
         return delete_vertex(g, v)
-    if g.neighbor_mask(w) == 1 << v:
+    if is_leaf_of(g, w, v):
         return delete_vertex(local_complement(local_complement(g, v), w), v)
     raise ValueError(f"vertices {v} and {w} are not foliage-equivalent")
-
-
-def _twin_pair(g: Graph, v: int, w: int) -> bool:
-    shared = g.neighbor_mask(v) & ~(1 << w)
-    return bool(shared) and shared == g.neighbor_mask(w) & ~(1 << v)
 
 
 def target_reduce(g: Graph, h: Graph, v: int, w: int) -> tuple[Graph, Graph]:

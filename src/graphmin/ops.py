@@ -69,7 +69,17 @@ def steps_to_json(steps) -> list[dict]:
 
 
 def steps_from_json(objs) -> tuple[Step, ...]:
+    """Parse witness JSON: a list of step objects with integer labels."""
+    if not isinstance(objs, list):
+        raise ValueError(f"witness must be a list of step objects, got {type(objs).__name__}")
     steps = []
-    for obj in objs:
-        steps.append(Step(obj["op"], int(obj["vertex"]), obj.get("neighbor")))
+    for i, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise ValueError(f"witness step {i} must be an object, got {type(obj).__name__}")
+        fields = ["vertex"] + (["neighbor"] if "neighbor" in obj else [])
+        for field in fields:
+            value = obj.get(field)
+            if type(value) is not int:  # rejects bools, strings, floats and null
+                raise ValueError(f"witness step {i}: {field} must be an integer, got {value!r}")
+        steps.append(Step(obj.get("op"), obj["vertex"], obj.get("neighbor")))
     return tuple(steps)

@@ -1,8 +1,8 @@
 """Orbit of a labeled graph under local complementation.
 
 Reachability by local complementations decides local-Clifford equivalence of
-the corresponding graph states, so a breadth-first closure with a canonical
-dedup key is a complete (if exponential) equivalence decider at desk scale.
+the corresponding graph states, so a breadth-first closure, deduplicated by
+graph value, is a complete (if exponential) equivalence decider at desk scale.
 Expansion order is ascending vertex label, which makes orbits, paths, and
 therefore witnesses reproducible.
 """
@@ -34,40 +34,54 @@ def default_budget() -> int:
     return value
 
 
-def lc_orbit_paths(g: Graph, node_budget: int | None = None) -> dict[tuple, tuple[Graph, tuple[int, ...]]]:
-    """Breadth-first closure of ``g`` under local complementation.
+def _closure(g: Graph, node_budget: int | None):
+    """Yield ``(member, path)`` for the orbit of ``g`` in discovery order.
 
-    Returns a map from canonical key to (member graph, generating vertex
-    sequence). Replaying the sequence of local complements on ``g`` yields
-    the member; every sequence is shortest and lexicographically first at
-    its depth.
+    ``g`` comes first with the empty path. Members are discovered breadth
+    first, expanding vertices in ascending label order, so every path is
+    shortest and lexicographically first at its depth. Once the orbit holds
+    ``node_budget`` members, the next newly discovered member is still
+    yielded, and then ``BudgetExceededError`` is raised.
     """
-    if g.n == 0:
-        raise ValueError("orbit of the empty graph is undefined")
+    yield g, ()
     budget = default_budget() if node_budget is None else node_budget
-    seen: dict[tuple, tuple[Graph, tuple[int, ...]]] = {g.key(): (g, ())}
+    seen = {g}
     frontier = [(g, ())]
     while frontier:
         nxt = []
         for graph, path in frontier:
             for v in graph.vertices:
                 image = local_complement(graph, v)
-                k = image.key()
-                if k in seen:
+                if image in seen:
                     continue
-                if len(seen) >= budget:
+                over_budget = len(seen) >= budget
+                seen.add(image)
+                found = (image, path + (v,))
+                yield found
+                if over_budget:
                     raise BudgetExceededError(
                         f"orbit exceeds node budget {budget}; refusing to answer"
                     )
-                seen[k] = (image, path + (v,))
-                nxt.append((image, path + (v,)))
+                nxt.append(found)
         frontier = nxt
-    return seen
+
+
+def lc_orbit_paths(g: Graph, node_budget: int | None = None) -> dict[Graph, tuple[Graph, tuple[int, ...]]]:
+    """Breadth-first closure of ``g`` under local complementation.
+
+    Returns a map from each member graph to (member graph, generating vertex
+    sequence), in discovery order. Replaying the sequence of local
+    complements on ``g`` yields the member; every sequence is shortest and
+    lexicographically first at its depth.
+    """
+    if g.n == 0:
+        raise ValueError("orbit of the empty graph is undefined")
+    return {member: (member, path) for member, path in _closure(g, node_budget)}
 
 
 def lc_orbit(g: Graph, node_budget: int | None = None) -> set[Graph]:
     """All graphs reachable from ``g`` by local complementations."""
-    return {graph for graph, _ in lc_orbit_paths(g, node_budget).values()}
+    return set(lc_orbit_paths(g, node_budget))
 
 
 def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ...] | None:
@@ -78,31 +92,9 @@ def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ..
     """
     if g.vertices != h.vertices:
         return None
-    if g == h:
-        return ()
-    if g.n == 0:
-        return None  # unreachable: equal empty graphs already matched
-    budget = default_budget() if node_budget is None else node_budget
-    target = h.key()
-    seen: dict[tuple, tuple[int, ...]] = {g.key(): ()}
-    frontier = [(g, ())]
-    while frontier:
-        nxt = []
-        for graph, path in frontier:
-            for v in graph.vertices:
-                image = local_complement(graph, v)
-                k = image.key()
-                if k in seen:
-                    continue
-                if k == target:
-                    return path + (v,)
-                if len(seen) >= budget:
-                    raise BudgetExceededError(
-                        f"orbit exceeds node budget {budget}; refusing to answer"
-                    )
-                seen[k] = path + (v,)
-                nxt.append((image, path + (v,)))
-        frontier = nxt
+    for member, path in _closure(g, node_budget):
+        if member == h:
+            return path
     return None
 
 

@@ -122,8 +122,10 @@ def find_measurement_correction(
     Returns a {vertex: clifford-word} map (empty when none is needed), or
     None when the outcome has probability zero. Candidates are tried in
     order: identity, the frozen closed forms, then an exhaustive product
-    search over the old neighborhood ordered by weight, so the reported
-    correction is minimal.
+    search ordered by weight over the old neighborhood (for x, also the
+    routing neighbor's other neighbors). The first match wins, so a closed
+    form is reported even when a lighter correction exists: path 1-2-3 at
+    vertex 2 with x+1 gives {1: "SSH", 3: "SS"}, although {1: "H"} matches.
     """
     if basis not in ("x", "y", "z"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -166,10 +168,11 @@ def find_measurement_correction(
     ):
         if matches(candidate):
             return {v: _clifford_name(gate) for v, gate in candidate.items()}
-    if len(neighbors) <= SEARCH_NEIGHBOR_CAP:
-        non_identity = cliffords.CLIFFORD_1[1:]
-        for weight in range(1, len(neighbors) + 1):
-            for support in itertools.combinations(neighbors, weight):
+    pool = tuple(sorted(set(neighbors) | set(special_nbrs)))
+    if len(pool) <= SEARCH_NEIGHBOR_CAP:
+        non_identity = [(name, gate) for name, gate in cliffords.CLIFFORD_1 if name != "I"]
+        for weight in range(1, len(pool) + 1):
+            for support in itertools.combinations(pool, weight):
                 for gates in itertools.product(non_identity, repeat=weight):
                     candidate = {v: gate for v, (_, gate) in zip(support, gates)}
                     if matches(candidate):
@@ -177,17 +180,16 @@ def find_measurement_correction(
                             v: name for v, (name, _) in zip(support, gates)
                         }
     raise CorrectionSearchExhausted(
-        f"no local byproduct on {neighbors} matches the {basis}{'+' if outcome > 0 else '-'} "
+        f"no local byproduct on {pool} matches the {basis}{'+' if outcome > 0 else '-'} "
         f"outcome at vertex {a}"
     )
 
 
+_CLIFFORD_NAMES = {cliffords._phase_free_key(gate): name for name, gate in cliffords.CLIFFORD_1}
+
+
 def _clifford_name(gate: np.ndarray) -> str:
-    key = cliffords._phase_free_key(gate)
-    for name, member in cliffords.CLIFFORD_1:
-        if cliffords._phase_free_key(member) == key:
-            return name
-    return "?"
+    return _CLIFFORD_NAMES.get(cliffords._phase_free_key(gate), "?")
 
 
 def verify_measurement(

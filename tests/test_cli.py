@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from graphmin.cli import main
 
@@ -170,6 +171,20 @@ class TestReduceCommand:
         code, out, _ = run(capsys, "reduce", FIXTURES / "fig2.edges", "--replay", witness_file)
         assert code == 0
         assert out == "vertices 1 3 4\n1 3\n"
+
+    @pytest.mark.parametrize("witness", [
+        "[5]",
+        '[{"op": "measure_x", "vertex": 2, "neighbor": "1"}]',
+        '[{"op": "lc", "vertex": true}]',
+        '[{"op": "lc", "vertex": "2"}]',
+        '{"witness": 5}',
+    ])
+    def test_replay_rejects_malformed_witness(self, capsys, tmp_path, witness):
+        witness_file = tmp_path / "bad.json"
+        witness_file.write_text(witness)
+        code, out, err = run(capsys, "reduce", FIXTURES / "fig2.edges", "--replay", witness_file)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_decide_witness_round_trip_is_byte_identical(self, capsys, tmp_path):
         code, doc, _ = run_json(

@@ -54,6 +54,18 @@ def test_budget_exhaustion_raises():
         lc_orbit(path_graph(6), node_budget=3)
 
 
+def test_budget_boundary_on_path4():
+    g = path_graph(4)
+    members = [member for member, _ in lc_orbit_paths(g, 11).values()]
+    assert len(members) == 11
+    with pytest.raises(BudgetExceededError):
+        lc_orbit_paths(g, 10)
+    # the member discovered past the budget is still found by lc_path
+    assert lc_path(g, members[-1], 10) == (2, 1, 3, 4)
+    with pytest.raises(BudgetExceededError):
+        lc_path(g, members[-1], 9)
+
+
 def test_equivalence_needs_same_labels():
     assert not lc_equivalent(Graph(2, [(1, 2)]), Graph(3, [(1, 2)]))
 
@@ -69,7 +81,7 @@ def test_relabeled_paths_are_equivalent():
 def test_paths_replay_to_their_members():
     g = random_graph(random.Random(3), 6)
     for key, (member, path) in lc_orbit_paths(g).items():
-        assert member.key() == key
+        assert member == key
         assert replay(g, [Step("lc", v) for v in path]) == member
 
 

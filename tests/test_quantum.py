@@ -3,9 +3,11 @@ import pytest
 
 from graphmin import (
     Graph,
+    cliffords,
     complete_graph,
     delete_vertex,
     graph_state,
+    path_graph,
     verify_lc_unitary,
     verify_measurement,
 )
@@ -143,6 +145,22 @@ class TestMeasurements:
             for a in g.vertices:
                 for basis in ("x", "y", "z"):
                     assert verify_measurement(g, a, basis)
+
+
+class TestExhaustiveCorrectionSearch:
+    @pytest.fixture(autouse=True)
+    def no_closed_forms(self, monkeypatch):
+        monkeypatch.setattr(cliffords, "measurement_correction_candidates", lambda *args: iter(()))
+
+    @pytest.mark.parametrize("g", [path_graph(3), complete_graph(3)])
+    def test_finds_every_correction(self, g):
+        for a in g.vertices:
+            for basis in "xyz":
+                for outcome in (+1, -1):
+                    assert find_measurement_correction(g, a, basis, outcome) is not None
+
+    def test_tries_hadamard(self):
+        assert find_measurement_correction(path_graph(3), 2, "x", +1) == {1: "H"}
 
 
 class TestApplySingle:

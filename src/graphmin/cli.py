@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from .bell import BellQuery, NotATreeError, decide_bell
@@ -58,7 +59,17 @@ def _emit(args, command: str, digest: str, result: dict, witness=None, rule: str
             print(line)
 
 
-def _decision_exit(decision: Decision) -> int:
+def _emit_decision(args, command: str, digest: str, decision: Decision, target: Graph) -> int:
+    """Print a yes/no/unknown decision; a yes's witness replays to ``target``."""
+    result = {"answer": decision.answer}
+    human = [f"answer: {decision.answer}", f"rule: {decision.rule}"]
+    witness = None
+    if decision.answer == YES:
+        result["result_graph"] = write_edge_list(target)
+        if args.witness:
+            witness = decision.witness
+            human += ["witness: " + json.dumps(steps_to_json(witness))]
+    _emit(args, command, digest, result, witness=witness, rule=decision.rule, human=human)
     return 2 if decision.answer == UNKNOWN else 0
 
 
@@ -114,17 +125,8 @@ def _cmd_decide(args) -> int:
     source = _load(args.source, args.format)
     target = _load(args.target, args.format)
     decision = decide_vertex_minor(source, target, args.budget)
-    result = {"answer": decision.answer}
-    human = [f"answer: {decision.answer}", f"rule: {decision.rule}"]
-    witness = None
-    if decision.answer == YES:
-        result["result_graph"] = write_edge_list(replay(source, decision.witness))
-        if args.witness:
-            witness = decision.witness
-            human += ["witness: " + json.dumps(steps_to_json(decision.witness))]
-    _emit(args, "decide", _digest(write_edge_list(source), write_edge_list(target)),
-          result, witness=witness, rule=decision.rule, human=human)
-    return _decision_exit(decision)
+    digest = _digest(write_edge_list(source), write_edge_list(target))
+    return _emit_decision(args, "decide", digest, decision, target)
 
 
 def _cmd_bell(args) -> int:
@@ -137,36 +139,26 @@ def _cmd_bell(args) -> int:
         if not args.n:
             raise ValueError(f"--topology {args.topology} needs --n")
         query = BellQuery(args.topology, pair_a, pair_b, size=args.n)
-    decision = decide_bell(query)
-    result = {"answer": decision.answer}
-    human = [f"answer: {decision.answer}", f"rule: {decision.rule}"]
-    witness = None
-    if decision.answer == YES:
-        result["result_graph"] = write_edge_list(query.target())
-        if args.witness:
-            witness = decision.witness
-            human += ["witness: " + json.dumps(steps_to_json(decision.witness))]
     digest = _digest(write_edge_list(query.graph()), repr(sorted(pair_a)), repr(sorted(pair_b)))
-    _emit(args, "bell", digest, result, witness=witness, rule=decision.rule, human=human)
-    return _decision_exit(decision)
+    return _emit_decision(args, "bell", digest, decide_bell(query), query.target())
 
 
 def _cmd_reduce(args) -> int:
     source = _load(args.source, args.format)
+    digest = _digest(write_edge_list(source))
     if args.replay:
         with open(args.replay, encoding="utf-8") as handle:
             doc = json.load(handle)
+        if isinstance(doc, dict) and "witness" not in doc:
+            raise ValueError(f"{args.replay} is a JSON object without a 'witness' key")
         steps = steps_from_json(doc["witness"] if isinstance(doc, dict) else doc)
-        reduced = replay(source, steps)
-        text = write_edge_list(reduced)
-        _emit(args, "reduce", _digest(write_edge_list(source)), {"graph": text},
-              human=[text.rstrip("\n")])
+        text = write_edge_list(replay(source, steps))
+        _emit(args, "reduce", digest, {"graph": text}, human=[text.rstrip("\n")])
         return 0
     reduced, ops = source_reduce(source, set(args.protect))
     text = write_edge_list(reduced)
     human = text.rstrip("\n").split("\n") + ["ops: " + json.dumps(steps_to_json(ops))]
-    _emit(args, "reduce", _digest(write_edge_list(source)), {"graph": text},
-          witness=ops, human=human)
+    _emit(args, "reduce", digest, {"graph": text}, witness=ops, human=human)
     return 0
 
 
@@ -267,10 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Reject numeric options outside their domain as input errors."""
+    for option in ("budget", "level"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{option} must be positive, got {value}")
+    if not 0 <= getattr(args, "tolerance", 0) < math.inf:  # false for nan too
+        raise ValueError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -233,11 +233,16 @@ def local_complement(g: Graph, a: int) -> Graph:
     Involutive: applying twice at the same vertex restores the graph.
     """
     g._require(a)
-    nbrs = g._rows[a]
     rows = dict(g._rows)
+    _complement_rows(rows, a)
+    return Graph._from_rows(rows)
+
+
+def _complement_rows(rows: dict[int, int], a: int) -> None:
+    # local complementation at ``a``, in place on a private rows dict
+    nbrs = rows[a]
     for v in _bits(nbrs):
         rows[v] ^= nbrs & ~(1 << v)
-    return Graph._from_rows(rows)
 
 
 def delete_vertex(g: Graph, a: int) -> Graph:
@@ -282,5 +287,7 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     elif not nbrs >> b & 1:
         g._require(b)
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
-    h = local_complement(local_complement(g, b), a)
-    return delete_vertex(local_complement(h, b), a)
+    rows = dict(g._rows)
+    for c in (b, a, b):  # three local complements on one private copy
+        _complement_rows(rows, c)
+    return delete_vertex(Graph._from_rows(rows), a)

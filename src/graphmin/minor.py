@@ -3,7 +3,7 @@
 A target H is a vertex-minor of a source G when some sequence of local
 complementations and deletions sends G to H; equivalently, some assignment
 of x/y/z measurement rewrites to the surplus vertices lands in the target's
-LC-orbit. The brute-force decider enumerates those assignments in canonical
+LC-orbit. The brute-force decider searches those assignments in canonical
 order, so answers and witnesses are deterministic; every yes carries a step
 sequence that replays to the target exactly.
 
@@ -17,7 +17,6 @@ one-directional).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from .foliage import (
@@ -35,7 +34,7 @@ from .foliage import (
 )
 from .graph import Graph, delete_vertex, local_complement
 from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, Step, apply_step, replay
-from .orbit import BudgetExceededError, lc_orbit_paths
+from .orbit import BudgetExceededError, default_budget, lc_orbit_paths
 
 YES = "yes"
 NO = "no"
@@ -55,67 +54,66 @@ class Decision:
             raise ValueError("witness present iff the answer is yes")
 
 
-def _measured(g: Graph, order: tuple[int, ...], bases: tuple[str, ...]) -> tuple[Graph, list[Step]]:
-    steps: list[Step] = []
-    out = g
-    for v, basis in zip(order, bases):
-        if basis == "z":
-            step = Step(MEASURE_Z, v)
-        elif basis == "y":
-            step = Step(MEASURE_Y, v)
-        else:
-            mask = out.neighbor_mask(v)
-            nbr = (mask & -mask).bit_length() - 1 if mask else None
-            step = Step(MEASURE_X, v, nbr)
-        steps.append(step)
-        out = apply_step(out, step)
-    return out, steps
-
-
 def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> Decision:
     """Decide whether ``h`` is a vertex-minor of ``g``, constructively.
 
-    Surplus vertices are measured in ascending label order; the basis
-    assignment is enumerated in canonical (z, y, x) order, and the first
-    assignment whose result lies in the target's LC-orbit wins. The witness
-    is that measurement sequence followed by the local complements back to
-    ``h``; it replays to ``h`` exactly. A blown orbit budget yields
-    "unknown", never a wrong no.
+    A depth-first search measures the surplus vertices in ascending label
+    order, each in bases z, y, x (x through its smallest neighbor); the first
+    measured graph in the target's LC-orbit wins, and the witness is those
+    measurements plus the local complements back to ``h``. Assignments that
+    share a prefix share its rewrites. What the rest of a search reaches
+    depends only on the current graph (its vertex set fixes the depth, and
+    the x-neighbor is read from it), so a graph whose three measurements all
+    failed is remembered for the call and skipped when reached again. Only
+    failures are remembered: the first hit, and the witness, are those of
+    enumerating all 3^k assignments in order.
+
+    ``node_budget`` (default ``GRAPHMIN_BUDGET``) bounds the target's orbit
+    closure and, separately, the number of distinct graphs the search
+    measures. Running out of either yields "unknown", never a wrong no.
     """
     g_labels = set(g.vertices)
     h_labels = set(h.vertices)
     if not h_labels <= g_labels:
         raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
     to_measure = tuple(sorted(g_labels - h_labels))
+    budget = default_budget() if node_budget is None else node_budget
+    failed: set[Graph] = set()
+    steps: list[Step] = []
+
+    def search(graph: Graph, depth: int):
+        """Orbit entry of the first hit below ``graph``; ``steps`` leads to it."""
+        if depth == len(to_measure):
+            return orbit.get(graph)
+        if graph in failed:
+            return None
+        if len(failed) + depth >= budget:  # measured: every failed graph, ``depth`` above this
+            raise BudgetExceededError(f"search exceeds node budget {budget}; refusing to answer")
+        v = to_measure[depth]
+        mask = graph.neighbor_mask(v)
+        nbr = (mask & -mask).bit_length() - 1 if mask else None
+        for step in (Step(MEASURE_Z, v), Step(MEASURE_Y, v), Step(MEASURE_X, v, nbr)):
+            steps.append(step)
+            hit = search(apply_step(graph, step), depth + 1)
+            if hit is not None:
+                return hit
+            steps.pop()
+        failed.add(graph)
+        return None
 
     try:
-        if h.n == 0:
-            orbit = {h: (h, ())}
-        else:
-            orbit = lc_orbit_paths(h, node_budget)
+        orbit = lc_orbit_paths(h, node_budget) if h.n else {h: (h, ())}
+        hit = search(g, 0)
     except BudgetExceededError:
         return Decision(UNKNOWN, "budget-exhausted")
-
-    if not to_measure:
-        hit = orbit.get(g)
-        if hit is None:
-            return Decision(NO, "brute-force")
-        back = tuple(Step(LC, v) for v in reversed(hit[1]))
-        return Decision(YES, "lc-equivalence", back)
-
-    for bases in itertools.product(("z", "y", "x"), repeat=len(to_measure)):
-        image, steps = _measured(g, to_measure, bases)
-        hit = orbit.get(image)
-        if hit is None:
-            continue
-        # each local complement is an involution, so the recorded path from
-        # the target reverses into a path back to it
-        steps.extend(Step(LC, v) for v in reversed(hit[1]))
-        witness = tuple(steps)
-        if replay(g, witness) != h:
-            raise RuntimeError("witness replay mismatch; this is a bug")
-        return Decision(YES, "brute-force", witness)
-    return Decision(NO, "brute-force")
+    if hit is None:
+        return Decision(NO, "brute-force")
+    # each local complement is an involution, so the recorded path from the
+    # target reverses into a path back to it
+    witness = tuple(steps) + tuple(Step(LC, v) for v in reversed(hit[1]))
+    if replay(g, witness) != h:
+        raise RuntimeError("witness replay mismatch; this is a bug")
+    return Decision(YES, "brute-force" if to_measure else "lc-equivalence", witness)
 
 
 # -- source reduction ---------------------------------------------------------
@@ -157,11 +155,6 @@ def _reduction_steps(g: Graph, candidates: list[int]) -> tuple[Step, ...]:
     return ()
 
 
-def _apply(g: Graph, ops: list[Step], step: Step) -> Graph:
-    ops.append(step)
-    return apply_step(g, step)
-
-
 def _is_twin(g: Graph, v: int) -> bool:
     return any(w != v and are_twins(g, v, w) for w in g.vertices)
 
@@ -189,16 +182,13 @@ def extract_foliage_graph(
     out = g
     ops: list[Step] = []
     for block, rep in zip(fg.partition.blocks, fg.representatives):
-        if len(block) == 1:
-            continue
+        steps = []
         shape = classify_block(out, block)
         if shape is BlockShape.STAR and rep not in _star_centers(out, sorted(block)):
-            axil = star_axil(out, block)
-            out = _apply(out, ops, Step(LC, axil))
-            out = _apply(out, ops, Step(LC, rep))
-        for v in sorted(block):
-            if v != rep:
-                out = _apply(out, ops, Step(DELETE, v))
+            steps = [Step(LC, star_axil(out, block)), Step(LC, rep)]
+        steps += [Step(DELETE, v) for v in sorted(block) if v != rep]
+        out = replay(out, steps)
+        ops += steps
     if out != fg.graph:
         raise RuntimeError("block collapse does not match the quotient graph; this is a bug")
     return out, tuple(ops)

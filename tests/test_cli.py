@@ -13,6 +13,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_input_error(code, out, err, *words):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(word in err for word in words)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
@@ -37,6 +43,11 @@ class TestFoliageCommand:
         code, doc, _ = run_json(capsys, "foliage", FIXTURES / "fig4a.edges", "--level", "2")
         assert doc["result"]["blocks"] == [[1, 2, 3, 4, 5, 6], [7, 8]]
 
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_level_below_one_exits_1(self, capsys, level):
+        code, out, err = run(capsys, "foliage", FIXTURES / "fig4a.edges", "--level", level)
+        assert_input_error(code, out, err, "--level")
+
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "foliage", FIXTURES / "fig4a.edges", "--dot")
         assert code == 0
@@ -56,6 +67,11 @@ class TestOrbitCommand:
     def test_budget_exhaustion_exits_2(self, capsys):
         code, _, err = run(capsys, "orbit", FIXTURES / "fig9.edges", "--budget", "3")
         assert code == 2 and "unknown" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exits_1(self, capsys, budget):
+        code, out, err = run(capsys, "orbit", FIXTURES / "fig9.edges", "--budget", budget)
+        assert_input_error(code, out, err, "--budget")
 
     def test_list_members(self, capsys):
         code, doc, _ = run_json(capsys, "orbit", FIXTURES / "fig2.edges", "--list")
@@ -85,6 +101,21 @@ class TestDecideCommand:
         )
         assert code == 2
         assert doc["result"]["answer"] == "unknown"
+
+    def test_budget_below_one_exits_1(self, capsys):
+        code, out, err = run(capsys, "decide", FIXTURES / "fig9.edges", FIXTURES / "fig8.edges",
+                             "--budget", "0")
+        assert_input_error(code, out, err, "--budget")
+
+    def test_search_budget_from_env_exits_2(self, capsys, monkeypatch, tmp_path):
+        # a one-member target orbit: only the measurement search spends budget
+        source, target = tmp_path / "path.edges", tmp_path / "ends.edges"
+        source.write_text("12\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 12)))
+        target.write_text("vertices 1 12\n")
+        monkeypatch.setenv("GRAPHMIN_BUDGET", "3")
+        code, doc, _ = run_json(capsys, "decide", source, target)
+        assert code == 2
+        assert doc["result"]["answer"] == "unknown" and doc["rule"] == "budget-exhausted"
 
     def test_trivial_empty_pair(self, capsys, tmp_path):
         f = tmp_path / "point.edges"
@@ -186,6 +217,12 @@ class TestReduceCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_replay_names_a_missing_witness_key(self, capsys, tmp_path):
+        witness_file = tmp_path / "doc.json"
+        witness_file.write_text('{"schema": 1, "result": {}}')
+        code, out, err = run(capsys, "reduce", FIXTURES / "fig2.edges", "--replay", witness_file)
+        assert_input_error(code, out, err, "'witness' key")
+
     def test_decide_witness_round_trip_is_byte_identical(self, capsys, tmp_path):
         code, doc, _ = run_json(
             capsys, "decide", FIXTURES / "fig7b.edges", FIXTURES / "fig7b_target.edges", "--witness"
@@ -211,6 +248,12 @@ class TestVerifyQuantumCommand:
         assert code == 0
         assert doc["result"]["ok"] is True
         assert set(doc["result"]["corrections"]) == {"y+", "y-"}
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tolerance):
+        code, out, err = run(capsys, "verify-quantum", FIXTURES / "fig3.edges",
+                             "--op", "x", "--vertex", "2", "--tolerance", tolerance)
+        assert_input_error(code, out, err, "--tolerance")
 
     def test_vertex_out_of_range_exits_1(self, capsys):
         code, _, err = run(

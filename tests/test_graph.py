@@ -142,6 +142,13 @@ class TestMeasurements:
         with pytest.raises(ValueError, match="isolated"):
             measure_x(Graph(2), 1, 2)
 
+    @given(graphs())
+    def test_x_equals_three_local_complements_then_delete(self, g):
+        for a in g.vertices:
+            for b in sorted(g.neighbors(a)):
+                three = local_complement(local_complement(local_complement(g, b), a), b)
+                assert measure_x(g, a, b) == delete_vertex(three, a)
+
     def test_x_neighbor_choices_agree_up_to_lc(self, rng):
         # every routing choice lands in one LC class
         for _ in range(40):

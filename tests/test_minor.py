@@ -26,7 +26,9 @@ from graphmin import (
     source_reduce,
     target_reduce,
 )
-from graphmin.minor import NO, UNKNOWN, YES
+from graphmin.minor import NO, UNKNOWN, YES, Decision
+from graphmin.ops import apply_step
+from graphmin.orbit import lc_orbit_paths
 
 
 from conftest import fig4a, fig6, random_graph, random_refinement
@@ -112,6 +114,80 @@ class TestDecide:
             d21 = decide_vertex_minor(g2, g1)
             assert d32.answer == YES and d21.answer == YES
             assert replay(g3, d32.witness + d21.witness) == g1
+
+
+def _reference_decide(g, h):
+    """The decider as a plain enumeration: every (z, y, x) assignment to the
+    surplus vertices, replayed from the source, first hit wins."""
+    surplus = sorted(set(g.vertices) - set(h.vertices))
+    orbit = lc_orbit_paths(h)
+    for bases in itertools.product("zyx", repeat=len(surplus)):
+        image, steps = g, []
+        for v, basis in zip(surplus, bases):
+            if basis == "x":
+                mask = image.neighbor_mask(v)
+                step = Step("measure_x", v, (mask & -mask).bit_length() - 1 if mask else None)
+            else:
+                step = Step("measure_" + basis, v)
+            steps.append(step)
+            image = apply_step(image, step)
+        hit = orbit.get(image)
+        if hit is not None:
+            back = tuple(Step("lc", v) for v in reversed(hit[1]))
+            return Decision(YES, "brute-force", tuple(steps) + back)
+    return Decision(NO, "brute-force")
+
+
+def nested_pairs_on_path(n):
+    return Graph([1, 2, n - 1, n], [(1, n), (2, n - 1)])
+
+
+class TestMemoizedSearch:
+    def test_matches_plain_enumeration_on_random_instances(self):
+        rng = random.Random(3)
+        answers = set()
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(2, 9))
+            keep = sorted(rng.sample(g.vertices, g.n - rng.randint(1, min(5, g.n - 1))))
+            h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep)).edges()
+                             if a in keep and b in keep])
+            d = decide_vertex_minor(g, h)
+            assert d == _reference_decide(g, h)
+            answers.add(d.answer)
+        assert answers == {YES, NO}
+
+    @pytest.mark.parametrize("n", range(9, 14))
+    def test_matches_plain_enumeration_on_nested_path_no(self, n):
+        d = decide_vertex_minor(path_graph(n), nested_pairs_on_path(n))
+        assert d.answer == NO
+        assert d == _reference_decide(path_graph(n), nested_pairs_on_path(n))
+
+    def test_path_eleven_no_rewrites_each_distinct_graph_once(self, monkeypatch):
+        # the plain enumeration performs about 15k rewrites here; the search
+        # measures each distinct graph it meets once (43 graphs, 129 rewrites)
+        calls = []
+
+        def counting(g, step):
+            calls.append(step)
+            return apply_step(g, step)
+
+        monkeypatch.setattr("graphmin.minor.apply_step", counting)
+        assert decide_vertex_minor(path_graph(11), nested_pairs_on_path(11)).answer == NO
+        assert 0 < len(calls) <= 3 * 89
+
+    def test_search_budget_answers_unknown(self):
+        # the edgeless target's orbit has one member, so only the search
+        # spends budget; the first hit measures ten graphs (z on 2..11)
+        g, h = path_graph(12), Graph([1, 12])
+        assert decide_vertex_minor(g, h, node_budget=10).answer == YES
+        d = decide_vertex_minor(g, h, node_budget=9)
+        assert d == Decision(UNKNOWN, "budget-exhausted")
+
+    def test_budget_never_turns_into_a_wrong_no(self):
+        g, h = path_graph(11), nested_pairs_on_path(11)
+        answers = [decide_vertex_minor(g, h, node_budget=b).answer for b in range(1, 60)]
+        first_no = answers.index(NO)
+        assert set(answers[:first_no]) == {UNKNOWN} and set(answers[first_no:]) == {NO}
 
 
 def _random_minor(rng, g, drop):

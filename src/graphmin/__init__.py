@@ -69,13 +69,22 @@ from .bell import (
     ring_query,
     tree_query,
 )
-from .quantum import (
-    StateCapError,
-    find_measurement_correction,
-    graph_state,
-    verify_lc_unitary,
-    verify_measurement,
-)
 from .io import FormatError, parse_edge_list, parse_graph6, read_graph, write_edge_list
 
 __version__ = "0.1.0"
+
+# The dense oracle needs NumPy, which costs more than all the rest of the
+# import; its names are resolved from ``quantum`` on first use (PEP 562).
+_QUANTUM_NAMES = ("StateCapError", "find_measurement_correction", "graph_state",
+                  "verify_lc_unitary", "verify_measurement")
+
+
+def __getattr__(name: str):
+    if name in _QUANTUM_NAMES:
+        from . import quantum
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_QUANTUM_NAMES})

@@ -4,7 +4,7 @@ Subcommands parse graphs and queries, dispatch to the library, and print
 either human-readable text or a JSON document with a stable schema
 (``{"schema": 1, "command", "input_digest", "result", "witness"?, "rule"?}``).
 Exit status: 0 for any decided query (yes or no), 2 when a budget ran out
-("unknown"), 1 for input errors.
+("unknown"), 1 for input errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from .io import FormatError, read_graph, write_edge_list
 from .minor import UNKNOWN, YES, Decision, decide_vertex_minor, source_reduce
 from .ops import replay, steps_from_json, steps_to_json
 from .orbit import BudgetExceededError, lc_orbit
-from .quantum import (
-    CorrectionSearchExhausted,
-    StateCapError,
-    find_measurement_correction,
-    verify_lc_unitary,
-)
 
 SCHEMA = 1
 
@@ -163,6 +157,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify_quantum(args) -> int:
+    # the dense oracle loads NumPy, which no other command needs
+    from .quantum import CorrectionSearchExhausted, find_measurement_correction, verify_lc_unitary
+
     g = _load(args.graph, args.format)
     digest = _digest(write_edge_list(g))
     if args.op == "lc":
@@ -173,7 +170,10 @@ def _cmd_verify_quantum(args) -> int:
     corrections = {}
     ok = True
     for outcome in (+1, -1):
-        found = find_measurement_correction(g, args.vertex, args.op, outcome, args.tolerance)
+        try:
+            found = find_measurement_correction(g, args.vertex, args.op, outcome, args.tolerance)
+        except CorrectionSearchExhausted as exc:
+            raise ValueError(str(exc)) from exc
         tag = f"{args.op}{'+' if outcome > 0 else '-'}"
         if found is None:
             corrections[tag] = None
@@ -195,8 +195,14 @@ def _cmd_verify_quantum(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error (exit 1); 2 means "unknown"
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphmin",
         description="graph-state rewriting, foliage partitions, and vertex-minor decisions",
     )
@@ -281,8 +287,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, UnknownVertexError, NotATreeError, StateCapError,
-            CorrectionSearchExhausted, ValueError, KeyError) as exc:
+    except (FormatError, UnknownVertexError, NotATreeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

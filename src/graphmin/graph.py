@@ -174,10 +174,9 @@ def symmetric_difference(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """Toggle the given edges (addition mod 2 on the edge set)."""
     rows = dict(g._rows)
     for a, b in edge_set(edges):
-        if a not in rows:
-            raise UnknownVertexError(f"unknown vertex label {a}")
-        if b not in rows:
-            raise UnknownVertexError(f"unknown vertex label {b}")
+        for v in (a, b):
+            if v not in rows:
+                raise UnknownVertexError(f"unknown vertex label {v}")
         rows[a] ^= 1 << b
         rows[b] ^= 1 << a
     return Graph._from_rows(rows)
@@ -185,9 +184,7 @@ def symmetric_difference(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Complement over the alive label set."""
-    alive = 0
-    for v in g._rows:
-        alive |= 1 << v
+    alive = sum(1 << v for v in g._rows)
     rows = {v: alive & ~(1 << v) & ~g._rows[v] for v in g._rows}
     return Graph._from_rows(rows)
 
@@ -195,10 +192,9 @@ def complement(g: Graph) -> Graph:
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph on ``keep`` (labels preserved)."""
     keep_set = set(keep)
-    for v in keep_set:
-        g._require(v)
     mask = 0
     for v in keep_set:
+        g._require(v)
         mask |= 1 << v
     rows = {v: g._rows[v] & mask for v in sorted(keep_set)}
     return Graph._from_rows(rows)

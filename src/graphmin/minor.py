@@ -271,8 +271,6 @@ def target_reduce(g: Graph, h: Graph, v: int, w: int) -> tuple[Graph, Graph]:
     if v == w:
         raise ValueError("target reduction needs two distinct vertices")
     for graph, name in ((g, "source"), (h, "target")):
-        graph._require(v)
-        graph._require(w)
         if not foliage_equivalent(graph, v, w):
             raise ValueError(f"vertices {v} and {w} are not foliage-equivalent in the {name}")
     return _reduce_at(g, v, w), _reduce_at(h, v, w)

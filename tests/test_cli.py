@@ -261,6 +261,41 @@ class TestVerifyQuantumCommand:
         )
         assert code == 1
 
+    def test_state_cap_exits_1_with_one_error_line(self, capsys, tmp_path):
+        f = tmp_path / "path13.edges"
+        f.write_text("13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 13)))
+        code, out, err = run(capsys, "verify-quantum", f, "--op", "z", "--vertex", "1")
+        assert (code, out, err) == (1, "", "error: 13 qubits exceeds the dense-state cap of 12\n")
+
+    def test_exhausted_correction_search_exits_1(self, capsys, monkeypatch):
+        import graphmin.quantum as quantum
+
+        def exhausted(*args):
+            raise quantum.CorrectionSearchExhausted("no local byproduct matches")
+
+        monkeypatch.setattr(quantum, "find_measurement_correction", exhausted)
+        code, out, err = run(capsys, "verify-quantum", FIXTURES / "fig3.edges",
+                             "--op", "x", "--vertex", "2")
+        assert (code, out, err) == (1, "", "error: no local byproduct matches\n")
+
+
+class TestUsageErrors:
+    """Malformed command lines exit 1 like other input errors; 2 means unknown."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", FIXTURES / "fig9.edges"],
+        [],
+        ["verify-quantum", FIXTURES / "fig3.edges", "--op", "x", "--vertex", "2",
+         "--tolerance", "-1e-9"],
+    ], ids=["decide-without-target", "no-command", "negative-tolerance-read-as-option"])
+    def test_exit_1_with_usage_on_stderr(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("usage: graphmin")
+        assert "error: " in captured.err.splitlines()[-1]
+
 
 class TestFormats:
     def test_g6_input(self, capsys, tmp_path):

@@ -246,10 +246,14 @@ class TestTransitivityCases:
                     assert not ((w, v) in la and (w, u) in la)
 
     def test_relation_transitive_on_random_corpus(self):
+        # the partition joins chains of related pairs; transitivity means
+        # every pair inside a block is related directly
         rng = random.Random(4242)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(3, 8))
-            canonical_foliage_partition(g)  # raises if the relation misbehaves
+        corpus = [random_graph(rng, rng.randint(3, 8)) for _ in range(60)]
+        for g in corpus + list(all_graphs(5)):
+            for block in canonical_foliage_partition(g):
+                for v, w in combinations(sorted(block), 2):
+                    assert foliage_equivalent(g, v, w), (g, sorted(block), v, w)
 
 
 def _distinct_triples(vertices):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, path_graph, ring_graph
+from .graph import Graph, connected_components, path_graph, ring_graph
 from .minor import NO, YES, Decision
 from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, Step, replay
 
@@ -90,8 +90,6 @@ def _require_tree(g: Graph) -> None:
     n = g.n
     if n == 0 or len(g.edges()) != n - 1:
         raise NotATreeError("graph is not a tree (wrong edge count)")
-    from .graph import connected_components
-
     if len(connected_components(g)) != 1:
         raise NotATreeError("graph is not a tree (disconnected)")
 
@@ -103,6 +101,15 @@ def _checked(query: BellQuery, steps: list[Step], rule: str) -> Decision:
     return Decision(YES, rule, witness)
 
 
+def _extraction(query: BellQuery, interior: list[int], rule: str) -> Decision:
+    """Measure z off both pair paths (ascending), then y along ``interior``
+    in the order given, which contracts each path onto its pair."""
+    kept = {*query.pair_a, *query.pair_b, *interior}
+    steps = [Step(MEASURE_Z, v) for v in query.graph().vertices if v not in kept]
+    steps += [Step(MEASURE_Y, v) for v in interior]
+    return _checked(query, steps, rule)
+
+
 # -- line ---------------------------------------------------------------------
 
 
@@ -110,21 +117,13 @@ def decide_bell_line(query: BellQuery) -> Decision:
     """Two Bell pairs from a line: side-by-side with a gap, or impossible."""
     if query.topology != "line":
         raise ValueError(f"expected a line query, got {query.topology}")
-    n = query.size
     a1, a2 = sorted(query.pair_a)
     b1, b2 = sorted(query.pair_b)
     if b1 < a1:
         (a1, a2), (b1, b2) = (b1, b2), (a1, a2)
     if a2 < b1:  # side by side
         if b1 - a2 >= 2:
-            steps = [
-                Step(MEASURE_Z, v)
-                for v in range(1, n + 1)
-                if v < a1 or a2 < v < b1 or v > b2
-            ]
-            steps += [Step(MEASURE_Y, v) for v in range(a1 + 1, a2)]
-            steps += [Step(MEASURE_Y, v) for v in range(b1 + 1, b2)]
-            return _checked(query, steps, "line-extraction")
+            return _extraction(query, [*range(a1 + 1, a2), *range(b1 + 1, b2)], "line-extraction")
         return Decision(NO, "line-adjacent")
     if a2 > b2:  # one pair strictly inside the other
         return Decision(NO, "line-nested")
@@ -159,15 +158,10 @@ def decide_bell_tree(query: BellQuery) -> Decision:
     g = query.tree
     path_a = _tree_path(g, *query.pair_a)
     path_b = _tree_path(g, *query.pair_b)
-    set_a, set_b = set(path_a), set(path_b)
-    if set_a & set_b:
+    set_b = set(path_b)
+    if any(v in set_b or g.neighbors(v) & set_b for v in path_a):
         return Decision(NO, "tree-adjacent-paths")
-    if any(g.neighbors(v) & set_b for v in path_a):
-        return Decision(NO, "tree-adjacent-paths")
-    steps = [Step(MEASURE_Z, v) for v in g.vertices if v not in set_a | set_b]
-    steps += [Step(MEASURE_Y, v) for v in sorted(set_a - set(query.pair_a))]
-    steps += [Step(MEASURE_Y, v) for v in sorted(set_b - set(query.pair_b))]
-    return _checked(query, steps, "tree-extraction")
+    return _extraction(query, sorted(path_a[1:-1]) + sorted(path_b[1:-1]), "tree-extraction")
 
 
 # -- ring ---------------------------------------------------------------------
@@ -178,25 +172,10 @@ def decide_bell_tree(query: BellQuery) -> Decision:
 SIX_CYCLE_FINISH = (Step(MEASURE_X, 2, 1), Step(MEASURE_X, 5, 4))
 
 
-def _arc(n: int, start: int, stop: int) -> list[int]:
-    """Interior ring positions walking forward from start to stop."""
-    out = []
-    v = start % n + 1
-    while v != stop:
-        out.append(v)
-        v = v % n + 1
-    return out
-
-
 def _three_consecutive(n: int, marked: set[int]) -> bool:
     return any(
         all((p + k - 1) % n + 1 in marked for k in range(3)) for p in range(1, n + 1)
     )
-
-
-def _crossing(n: int, pair_a, pair_b) -> bool:
-    inside = set(_arc(n, pair_a[0], pair_a[1]))
-    return len(inside & set(pair_b)) == 1
 
 
 def decide_bell_ring(query: BellQuery) -> Decision:
@@ -204,62 +183,40 @@ def decide_bell_ring(query: BellQuery) -> Decision:
     if query.topology != "ring":
         raise ValueError(f"expected a ring query, got {query.topology}")
     n = query.size
-    if _crossing(n, query.pair_a, query.pair_b):
+    p1, p2 = query.pair_a
+    tour = [(p1 - 1 + k) % n + 1 for k in range(n)]
+    before = sum(tour.index(v) < tour.index(p2) for v in query.pair_b)
+    if before == 1:
         return Decision(NO, "ring-crossing")
-    if _three_consecutive(n, set(query.pair_a) | set(query.pair_b)):
+    if _three_consecutive(n, {p1, p2, *query.pair_b}):
         return Decision(NO, "ring-three-consecutive")
 
-    # Normalize to a cyclic tour (p1, p2, q1, q2): one pair, then the other,
-    # in one of the two ring orientations. Prefer a normalization whose wrap
-    # arc (q2 back to p1) is empty, matching the six-cycle finish below.
-    candidates = []
-    for first, second in ((query.pair_a, query.pair_b), (query.pair_b, query.pair_a)):
-        for p1, p2 in (first, first[::-1]):
-            for orient in (1, -1):
-                tour = _tour(n, p1, orient)
-                pos = {v: i for i, v in enumerate(tour)}
-                q1, q2 = sorted(second, key=lambda v: pos[v])
-                if pos[p2] < pos[q1] < pos[q2]:
-                    candidates.append((p1, p2, q1, q2, orient))
-    def wrap_arc(c):
-        p1, _, _, q2, orient = c
-        return _oriented_arc(n, q2, p1, orient)
+    # Walk from p1 in the direction that meets p2 before the other pair, so
+    # the tour reads p1, arc_p, p2, mid, q1, arc_q, q2, wrap.
+    if before == 2:
+        tour = tour[:1] + tour[:0:-1]
+    i, j, k = sorted(tour.index(v) for v in (p2, *query.pair_b))
+    q1, q2 = tour[j], tour[k]
+    arc_p, mid, arc_q, wrap = tour[1:i], tour[i + 1:j], tour[j + 1:k], tour[k + 1:]
 
-    empty_wrap = [c for c in candidates if not wrap_arc(c)]
-    p1, p2, q1, q2, orient = (empty_wrap or candidates)[0]
-    arc_p = _oriented_arc(n, p1, p2, orient)
-    arc_mid = _oriented_arc(n, p2, q1, orient)
-    arc_q = _oriented_arc(n, q1, q2, orient)
-    arc_wrap = _oriented_arc(n, q2, p1, orient)
-
-    if arc_mid and arc_wrap:
+    if mid and wrap:
         # both separating arcs have interior vertices: cut them out, then
         # contract each pair's own arc
-        steps = [Step(MEASURE_Z, v) for v in sorted(arc_mid + arc_wrap)]
-        steps += [Step(MEASURE_Y, v) for v in sorted(arc_p + arc_q)]
-        return _checked(query, steps, "ring-extraction")
+        return _extraction(query, sorted(arc_p + arc_q), "ring-extraction")
 
-    # one separating arc is empty (the wrap, after normalization); contract
-    # the other separating arc completely and each pair arc down to one
-    # survivor, leaving the six-cycle instance
+    # one separating arc is empty; read the tour from the end that makes it
+    # the wrap, contract the other separating arc completely and each pair
+    # arc down to one survivor, leaving the six-cycle instance
+    if wrap:
+        p1, p2, q1, q2, mid = p2, p1, q2, q1, wrap
     keep_p = min(arc_p)
     keep_q = min(arc_q)
-    steps = [Step(MEASURE_Y, v) for v in sorted(arc_mid)]
+    steps = [Step(MEASURE_Y, v) for v in sorted(mid)]
     steps += [Step(MEASURE_Y, v) for v in sorted(set(arc_p) - {keep_p})]
     steps += [Step(MEASURE_Y, v) for v in sorted(set(arc_q) - {keep_q})]
     relabel = dict(zip(range(1, 7), (p1, keep_p, p2, q1, keep_q, q2)))
     steps += [Step(s.op, relabel[s.vertex], relabel[s.neighbor]) for s in SIX_CYCLE_FINISH]
     return _checked(query, steps, "ring-extraction")
-
-
-def _tour(n: int, start: int, orient: int) -> list[int]:
-    return [(start - 1 + orient * k) % n + 1 for k in range(n)]
-
-
-def _oriented_arc(n: int, start: int, stop: int, orient: int) -> list[int]:
-    if orient == 1:
-        return _arc(n, start, stop)
-    return _arc(n, stop, start)[::-1]
 
 
 def decide_bell(query: BellQuery) -> Decision:

@@ -15,10 +15,10 @@ import json
 import math
 import sys
 
-from .bell import BellQuery, NotATreeError, decide_bell
-from .foliage import classify_block, foliage_graph, nth_foliage_graph
-from .graph import Graph, UnknownVertexError
-from .io import FormatError, read_graph, write_edge_list
+from .bell import BellQuery, decide_bell
+from .foliage import classify_block, nth_foliage_graph
+from .graph import Graph
+from .io import read_graph, write_edge_list
 from .minor import UNKNOWN, YES, Decision, decide_vertex_minor, source_reduce
 from .ops import replay, steps_from_json, steps_to_json
 from .orbit import BudgetExceededError, lc_orbit
@@ -72,7 +72,7 @@ def _emit_decision(args, command: str, digest: str, decision: Decision, target: 
 
 def _cmd_foliage(args) -> int:
     g = _load(args.graph, args.format)
-    fg = nth_foliage_graph(g, args.level) if args.level > 1 else foliage_graph(g)
+    fg = nth_foliage_graph(g, args.level)
     blocks = [sorted(b) for b in fg.partition.blocks]
     shapes = [classify_block(g, b).value for b in fg.partition.blocks] if args.level == 1 else None
     quotient = write_edge_list(fg.graph)
@@ -281,13 +281,10 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, UnknownVertexError, NotATreeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

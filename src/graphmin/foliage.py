@@ -281,6 +281,8 @@ def nth_foliage_graph(g: Graph, depth: int) -> FoliageGraph:
             rep: frozenset().union(*(members[v] for v in block))
             for rep, block in zip(fg.representatives, fg.partition.blocks)
         }
+        if fg.graph.n == current.n:
+            break  # every block a singleton: each later round returns this quotient
         current = fg.graph
     flattened = Partition(members.values())
     reps = tuple(min(members[r]) for r in sorted(members, key=lambda r: min(members[r])))

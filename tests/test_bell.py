@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from graphmin import (
 )
 from graphmin.bell import SIX_CYCLE_FINISH
 from graphmin.minor import NO, YES
+from graphmin.ops import steps_to_json
 
 from conftest import prufer_tree
 
@@ -225,3 +228,37 @@ class TestLemmaBlockers:
         escape = decide_vertex_minor(ring_graph(5), Graph([1, 2, 3], [(1, 2)]))
         assert escape.answer == YES
         assert replay(ring_graph(5), escape.witness) == Graph([1, 2, 3], [(1, 2)])
+
+
+# SHA-256 of every decision in ``_decision_corpus``: any change to an
+# answer, a rule or a witness changes it. Update it only with a change that
+# means to alter decisions and says which.
+PINNED_DECISIONS_DIGEST = "6eeb97045cf996344ddfff86f2e37cdda768d51cc4297df7db676b14e37e857e"
+
+
+def _decision_corpus():
+    for topology, query in (("line", line_query), ("ring", ring_query)):
+        for n in range(4, 11):
+            for a1, a2, b1, b2 in itertools.permutations(range(1, n + 1), 4):
+                yield topology, n, query(n, (a1, a2), (b1, b2))
+    rng = random.Random(20240817)
+    for _ in range(300):
+        n = rng.randint(4, 11)
+        g = prufer_tree(tuple(rng.randint(1, n) for _ in range(n - 2)), n)
+        for _ in range(8):
+            a1, a2, b1, b2 = rng.sample(range(1, n + 1), 4)
+            yield "tree", n, tree_query(g, (a1, a2), (b1, b2))
+
+
+def _decisions_digest():
+    h = hashlib.sha256()
+    for topology, n, query in _decision_corpus():
+        d = decide_bell(query)
+        row = [topology, n, query.pair_a, query.pair_b, d.answer, d.rule,
+               steps_to_json(d.witness or ())]
+        h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_decisions_match_pinned_digest():
+    assert _decisions_digest() == PINNED_DECISIONS_DIGEST

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -43,6 +44,14 @@ class TestFoliageCommand:
         code, doc, _ = run_json(capsys, "foliage", FIXTURES / "fig4a.edges", "--level", "2")
         assert doc["result"]["blocks"] == [[1, 2, 3, 4, 5, 6], [7, 8]]
 
+    def test_huge_level_stops_at_the_fixed_point(self, capsys):
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "foliage", FIXTURES / "fig4a.edges", "--level", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert doc["result"]["level"] == 1000000000
+        assert doc["result"]["blocks"] == [[1, 2, 3, 4, 5, 6], [7, 8]]
+
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_level_below_one_exits_1(self, capsys, level):
         code, out, err = run(capsys, "foliage", FIXTURES / "fig4a.edges", "--level", level)
@@ -57,6 +66,10 @@ class TestFoliageCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "foliage", FIXTURES / "nope.edges")
         assert code == 1 and "error" in err
+
+    def test_directory_input_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "foliage", tmp_path)
+        assert_input_error(code, out, err)
 
 
 class TestOrbitCommand:
@@ -222,6 +235,10 @@ class TestReduceCommand:
         witness_file.write_text('{"schema": 1, "result": {}}')
         code, out, err = run(capsys, "reduce", FIXTURES / "fig2.edges", "--replay", witness_file)
         assert_input_error(code, out, err, "'witness' key")
+
+    def test_replay_from_a_directory_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "reduce", FIXTURES / "fig3.edges", "--replay", tmp_path)
+        assert_input_error(code, out, err)
 
     def test_decide_witness_round_trip_is_byte_identical(self, capsys, tmp_path):
         code, doc, _ = run_json(

@@ -133,6 +133,11 @@ class TestFoliageGraph:
         assert fg.partition == Partition([{1, 2, 3, 4, 5, 6}, {7, 8}])
         assert fg.graph.edges() == ()
 
+    def test_first_level_is_the_quotient(self, rng):
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.5, 0.8]))
+            assert nth_foliage_graph(g, 1) == foliage_graph(g)
+
     def test_all_singleton_partition_is_identity(self):
         g = fig4a()
         fg = foliage_graph(g, singletons(g))

@@ -8,7 +8,6 @@ from .graph import (
     complete_graph,
     connected_components,
     delete_vertex,
-    delete_vertices,
     edge_set,
     induced_subgraph,
     local_complement,
@@ -37,7 +36,6 @@ from .foliage import (
     classify_block,
     foliage_equivalent,
     foliage_graph,
-    foliage_set,
     is_foliage_partition,
     leaves_axils,
     lifted_local_complement,

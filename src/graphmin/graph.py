@@ -249,13 +249,6 @@ def delete_vertex(g: Graph, a: int) -> Graph:
     return Graph._from_rows(rows)
 
 
-def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
-    out = g
-    for v in sorted(set(vertices)):
-        out = delete_vertex(out, v)
-    return out
-
-
 def measure_z(g: Graph, a: int) -> Graph:
     """z-basis measurement rewrite: plain deletion of ``a``."""
     return delete_vertex(g, a)
@@ -280,9 +273,14 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
         return delete_vertex(g, a)
     if b is None:
         b = (nbrs & -nbrs).bit_length() - 1
-    elif not nbrs >> b & 1:
-        g._require(b)
-        raise ValueError(f"vertex {b} is not a neighbor of {a}")
+    else:
+        try:
+            adjacent = nbrs >> b & 1
+        except ValueError:  # a negative shift: ``b`` is no label at all
+            adjacent = 0
+        if not adjacent:
+            g._require(b)
+            raise ValueError(f"vertex {b} is not a neighbor of {a}")
     rows = dict(g._rows)
     for c in (b, a, b):  # three local complements on one private copy
         _complement_rows(rows, c)

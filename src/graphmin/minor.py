@@ -20,16 +20,14 @@ import enum
 from dataclasses import dataclass
 
 from .foliage import (
-    BlockShape,
     InvalidPartitionError,
     Partition,
     are_twins,
-    classify_block,
+    canonical_foliage_partition,
     foliage_equivalent,
     foliage_graph,
     is_foliage_partition,
     is_leaf_of,
-    star_axil,
     _star_centers,
 )
 from .graph import Graph, delete_vertex, local_complement
@@ -182,11 +180,10 @@ def extract_foliage_graph(
     out = g
     ops: list[Step] = []
     for block, rep in zip(fg.partition.blocks, fg.representatives):
-        steps = []
-        shape = classify_block(out, block)
-        if shape is BlockShape.STAR and rep not in _star_centers(out, sorted(block)):
-            steps = [Step(LC, star_axil(out, block)), Step(LC, rep)]
-        steps += [Step(DELETE, v) for v in sorted(block) if v != rep]
+        members = sorted(block)
+        centers = _star_centers(out, members)  # empty for twins; a singleton is its own center
+        steps = [Step(LC, centers[0]), Step(LC, rep)] if centers and rep not in centers else []
+        steps += [Step(DELETE, v) for v in members if v != rep]
         out = replay(out, steps)
         ops += steps
     if out != fg.graph:
@@ -224,25 +221,28 @@ class ClassFate(enum.Enum):
 
 
 def class_persistence_check(g: Graph, h: Graph, group: set[int] | frozenset[int]) -> ClassFate:
-    """Classify what a pairwise-equivalent vertex set became in a minor.
+    """Classify what a foliage-equivalent vertex set became in a minor.
 
-    For a valid minor the survivors are pairwise foliage-equivalent, all
-    isolated, or gone; VIOLATION is the test-oracle outcome that valid
+    ``group`` must fit inside one canonical block of ``g``. For a valid
+    minor the survivors fit inside one canonical block of ``h``, are all
+    isolated, or are gone; VIOLATION is the test-oracle outcome that valid
     inputs never produce.
     """
-    members = sorted(group)
-    for i, v in enumerate(members):
-        for u in members[i + 1:]:
-            if not foliage_equivalent(g, v, u):
-                raise ValueError(f"vertices {v} and {u} are not foliage-equivalent in the source")
-    alive = [v for v in members if h.has_vertex(v)]
+    group = frozenset(group)
+    if not _inside_one_block(g, group):
+        raise ValueError(f"vertices {sorted(group)} are not foliage-equivalent in the source")
+    alive = frozenset(v for v in group if h.has_vertex(v))
     if not alive:
         return ClassFate.EMPTY
-    if all(foliage_equivalent(h, v, u) for i, v in enumerate(alive) for u in alive[i + 1:]):
+    if _inside_one_block(h, alive):
         return ClassFate.EQUIVALENT
     if all(h.degree(v) == 0 for v in alive):
         return ClassFate.ALL_ISOLATED
     return ClassFate.VIOLATION
+
+
+def _inside_one_block(g: Graph, vertices: frozenset[int]) -> bool:
+    return any(vertices <= block for block in canonical_foliage_partition(g))
 
 
 # -- target reduction -----------------------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from . import cliffords
-from .graph import Graph, measure_x, measure_y, measure_z
+from .graph import Graph, local_complement, measure_x, measure_y, measure_z
 
 STATE_CAP = 12
 DEFAULT_TOLERANCE = 1e-10
@@ -70,8 +70,7 @@ def verify_lc_unitary(g: Graph, a: int, tol: float = DEFAULT_TOLERANCE, cap: int
     neighbor) to the state of ``g`` and compares with the state of the
     complemented graph, up to global phase.
     """
-    from .graph import local_complement
-
+    g._require(a)
     n = g.n
     _check_cap(n, cap)
     pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}

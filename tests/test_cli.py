@@ -219,6 +219,7 @@ class TestReduceCommand:
     @pytest.mark.parametrize("witness", [
         "[5]",
         '[{"op": "measure_x", "vertex": 2, "neighbor": "1"}]',
+        '[{"op": "measure_x", "vertex": 2, "neighbor": -1}]',
         '[{"op": "lc", "vertex": true}]',
         '[{"op": "lc", "vertex": "2"}]',
         '{"witness": 5}',
@@ -229,6 +230,12 @@ class TestReduceCommand:
         code, out, err = run(capsys, "reduce", FIXTURES / "fig2.edges", "--replay", witness_file)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_replay_names_a_negative_neighbor_label(self, capsys, tmp_path):
+        witness_file = tmp_path / "bad.json"
+        witness_file.write_text('[{"op": "measure_x", "vertex": 2, "neighbor": -1}]')
+        code, out, err = run(capsys, "reduce", FIXTURES / "fig9.edges", "--replay", witness_file)
+        assert (code, out, err) == (1, "", "error: unknown vertex label -1\n")
 
     def test_replay_names_a_missing_witness_key(self, capsys, tmp_path):
         witness_file = tmp_path / "doc.json"
@@ -277,6 +284,12 @@ class TestVerifyQuantumCommand:
             capsys, "verify-quantum", FIXTURES / "fig3.edges", "--op", "z", "--vertex", "7"
         )
         assert code == 1
+
+    def test_unknown_lc_vertex_names_the_label(self, capsys):
+        code, out, err = run(
+            capsys, "verify-quantum", FIXTURES / "fig3.edges", "--op", "lc", "--vertex", "99"
+        )
+        assert (code, out, err) == (1, "", "error: unknown vertex label 99\n")
 
     def test_state_cap_exits_1_with_one_error_line(self, capsys, tmp_path):
         f = tmp_path / "path13.edges"

@@ -13,7 +13,6 @@ from graphmin import (
     complete_graph,
     foliage_equivalent,
     foliage_graph,
-    foliage_set,
     is_foliage_partition,
     leaves_axils,
     lifted_local_complement,
@@ -36,8 +35,10 @@ def star(center, leaves):
 
 class TestLeavesTwinsFoliage:
     def test_eight_vertex_example_foliage(self):
-        # every vertex but 6 is a leaf, an axil, or a twin
-        assert foliage_set(fig4a()) == frozenset({1, 2, 3, 4, 5, 7, 8})
+        # every vertex but 6 is a leaf, an axil, or a twin, so it shares a
+        # canonical block with another vertex
+        blocks = canonical_foliage_partition(fig4a())
+        assert {v for block in blocks if len(block) > 1 for v in block} == {1, 2, 3, 4, 5, 7, 8}
 
     def test_mutual_pair_is_leaf_axil_not_twin(self):
         g = Graph(2, [(1, 2)])
@@ -93,6 +94,43 @@ class TestCanonicalPartition:
             part = canonical_foliage_partition(g)
             for a in g.vertices:
                 assert canonical_foliage_partition(local_complement(g, a)) == part
+
+
+def _pairwise_partition(g):
+    """Reference partition: close the pairwise relation with a union-find."""
+    parent = {v: v for v in g.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v, w in combinations(g.vertices, 2):
+        if foliage_equivalent(g, v, w):
+            parent[find(w)] = find(v)
+    classes = {}
+    for v in g.vertices:
+        classes.setdefault(find(v), set()).add(v)
+    return Partition(classes.values())
+
+
+class TestAgainstPairwiseOracle:
+    def test_every_labelled_graph_up_to_six_vertices(self):
+        count = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                assert canonical_foliage_partition(g) == _pairwise_partition(g), g
+                count += 1
+        assert count == 33_868
+
+    def test_random_graphs_on_scattered_labels(self):
+        rng = random.Random(6161)
+        for _ in range(2_000):
+            labels = rng.sample(range(1, 65), rng.randint(1, 16))
+            p = rng.choice([0.1, 0.2, 0.4, 0.6, 0.9])
+            g = Graph(labels, [pair for pair in combinations(labels, 2) if rng.random() < p])
+            assert canonical_foliage_partition(g) == _pairwise_partition(g), g
 
 
 class TestIsFoliagePartition:
@@ -210,7 +248,10 @@ class TestLiftedLocalComplement:
             verts = [v for v in g.vertices if g.degree(v) > 1]
             if not verts:
                 continue
-            lifted_local_complement(g, w, rng.choice(verts))  # asserts internally
+            a = rng.choice(verts)
+            lifted = lifted_local_complement(g, w, a)
+            rep = lifted.representatives[w.blocks.index(w.block_of(a))]
+            assert lifted.graph == local_complement(foliage_graph(g, w).graph, rep)
             done += 1
 
 

@@ -41,7 +41,6 @@ from .foliage import (
     lifted_local_complement,
     nth_foliage_graph,
     singletons,
-    star_axil,
     twins,
 )
 from .minor import (

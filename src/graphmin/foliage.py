@@ -196,14 +196,6 @@ def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
     raise ValueError(f"block {members} is not a valid foliage class shape")
 
 
-def star_axil(g: Graph, block: Iterable[int]) -> int:
-    """The axil of a star-shaped block (smallest center for a mutual pair)."""
-    centers = _star_centers(g, sorted(set(block)))
-    if not centers:
-        raise ValueError(f"block {sorted(set(block))} is not star-shaped")
-    return centers[0]
-
-
 @dataclass(frozen=True)
 class FoliageGraph:
     """A quotient graph together with its blocks and their representatives.

@@ -62,18 +62,31 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     share a prefix share its rewrites. What the rest of a search reaches
     depends only on the current graph (its vertex set fixes the depth, and
     the x-neighbor is read from it), so a graph whose three measurements all
-    failed is remembered for the call and skipped when reached again. Only
-    failures are remembered: the first hit, and the witness, are those of
-    enumerating all 3^k assignments in order.
+    failed is remembered for the call and skipped when reached again.
+
+    Foliage persistence prunes the search: if ``h`` is a vertex-minor of a
+    graph, each of that graph's foliage classes, cut down to the labels of
+    ``h``, lies inside one class of ``h``, is all isolated in ``h``, or is
+    gone. So a graph in which two target labels are foliage-equivalent,
+    while ``h`` puts them in different classes and does not isolate both,
+    has no hit below it. Such a ``g`` is a "no" before the target's orbit is
+    closed; such a graph inside the search is remembered as failed without
+    being measured (graphs of the last depth go straight to the orbit).
+    Only failures are remembered or pruned, so the first hit, and the
+    witness, are those of enumerating all 3^k assignments in order.
 
     ``node_budget`` (default ``GRAPHMIN_BUDGET``) bounds the target's orbit
     closure and, separately, the number of distinct graphs the search
-    measures. Running out of either yields "unknown", never a wrong no.
+    measures or prunes. Running out of either yields "unknown", never a
+    wrong no.
     """
     g_labels = set(g.vertices)
     h_labels = set(h.vertices)
     if not h_labels <= g_labels:
         raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
+    conflicts = _conflict_pairs(h)
+    if _violates_persistence(g, conflicts):
+        return Decision(NO, "brute-force")
     to_measure = tuple(sorted(g_labels - h_labels))
     budget = default_budget() if node_budget is None else node_budget
     failed: set[Graph] = set()
@@ -85,7 +98,10 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
             return orbit.get(graph)
         if graph in failed:
             return None
-        if len(failed) + depth >= budget:  # measured: every failed graph, ``depth`` above this
+        if depth and _violates_persistence(graph, conflicts):  # the root was checked above
+            failed.add(graph)
+            return None
+        if len(failed) + depth >= budget:  # every failed or pruned graph, ``depth`` above this
             raise BudgetExceededError(f"search exceeds node budget {budget}; refusing to answer")
         v = to_measure[depth]
         mask = graph.neighbor_mask(v)
@@ -112,6 +128,38 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     if replay(g, witness) != h:
         raise RuntimeError("witness replay mismatch; this is a bug")
     return Decision(YES, "brute-force" if to_measure else "lc-equivalence", witness)
+
+
+def _conflict_pairs(h: Graph) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Target label pairs that foliage persistence keeps apart.
+
+    These are the pairs u < v in different canonical blocks of ``h`` that
+    are not both isolated in ``h``, each as (u, v, 1 << u, 1 << v, both
+    bits), so a search node tests them on its rows without building a
+    partition.
+    """
+    block_of = {v: i for i, block in enumerate(canonical_foliage_partition(h)) for v in block}
+    labels = h.vertices
+    return tuple(
+        (u, v, 1 << u, 1 << v, 1 << u | 1 << v)
+        for i, u in enumerate(labels) for v in labels[i + 1:]
+        if block_of[u] != block_of[v] and (h.neighbor_mask(u) or h.neighbor_mask(v))
+    )
+
+
+def _violates_persistence(graph: Graph, conflicts) -> bool:
+    """Whether some conflict pair is foliage-equivalent in ``graph``.
+
+    A pair is equivalent when one row is the other's bit (leaf and axil,
+    either way) or the rows agree outside the pair and are not empty there
+    (twins). ``class_persistence_check`` is the reference this agrees with.
+    """
+    row = graph.neighbor_mask
+    for u, v, bit_u, bit_v, pair in conflicts:
+        row_u, row_v = row(u), row(v)
+        if row_u == bit_v or row_v == bit_u or row_u | pair == row_v | pair != pair:
+            return True
+    return False
 
 
 # -- source reduction ---------------------------------------------------------
@@ -225,8 +273,10 @@ def class_persistence_check(g: Graph, h: Graph, group: set[int] | frozenset[int]
 
     ``group`` must fit inside one canonical block of ``g``. For a valid
     minor the survivors fit inside one canonical block of ``h``, are all
-    isolated, or are gone; VIOLATION is the test-oracle outcome that valid
-    inputs never produce.
+    isolated, or are gone; VIOLATION is the outcome that valid inputs never
+    produce. This is the reference for the decider's pruning check, which
+    tests the target's conflict pairs on the rows instead (the tests
+    compare the two).
     """
     group = frozenset(group)
     if not _inside_one_block(g, group):

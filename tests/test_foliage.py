@@ -21,9 +21,9 @@ from graphmin import (
     path_graph,
     ring_graph,
     singletons,
-    star_axil,
     twins,
 )
+from graphmin.foliage import _star_centers
 
 from conftest import all_graphs, fig4a, random_graph, random_refinement
 
@@ -201,7 +201,7 @@ class TestFoliageGraph:
 class TestClassifyBlock:
     def test_star_block(self):
         assert classify_block(fig4a(), {1, 2, 3}) is BlockShape.STAR
-        assert star_axil(fig4a(), {1, 2, 3}) == 3
+        assert _star_centers(fig4a(), [1, 2, 3]) == [3]
 
     def test_singleton_block(self):
         assert classify_block(fig4a(), {6}) is BlockShape.SINGLETON

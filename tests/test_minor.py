@@ -26,12 +26,12 @@ from graphmin import (
     source_reduce,
     target_reduce,
 )
-from graphmin.minor import NO, UNKNOWN, YES, Decision
+from graphmin.minor import NO, UNKNOWN, YES, Decision, _conflict_pairs, _violates_persistence
 from graphmin.ops import apply_step
 from graphmin.orbit import lc_orbit_paths
 
 
-from conftest import fig4a, fig6, random_graph, random_refinement
+from conftest import fig4a, fig6, prufer_tree, random_graph, random_refinement
 
 BELL_TARGET = Graph([1, 2, 4, 5], [(1, 2), (4, 5)])
 
@@ -142,6 +142,21 @@ def nested_pairs_on_path(n):
     return Graph([1, 2, n - 1, n], [(1, n), (2, n - 1)])
 
 
+CROSSED_PAIRS_ON_RING_9 = Graph([1, 3, 5, 7], [(1, 5), (3, 7)])
+
+
+def _count_rewrites(monkeypatch):
+    """Record every step the decider applies; returns the live list."""
+    calls = []
+
+    def counting(g, step):
+        calls.append(step)
+        return apply_step(g, step)
+
+    monkeypatch.setattr("graphmin.minor.apply_step", counting)
+    return calls
+
+
 class TestMemoizedSearch:
     def test_matches_plain_enumeration_on_random_instances(self):
         rng = random.Random(3)
@@ -157,23 +172,23 @@ class TestMemoizedSearch:
         assert answers == {YES, NO}
 
     @pytest.mark.parametrize("n", range(9, 14))
-    def test_matches_plain_enumeration_on_nested_path_no(self, n):
+    def test_matches_plain_enumeration_on_nested_path_no(self, n, monkeypatch):
+        # leaf 1 and its axil 2 are both target labels, in different target
+        # blocks: foliage persistence refutes the source before any rewrite
+        calls = _count_rewrites(monkeypatch)
         d = decide_vertex_minor(path_graph(n), nested_pairs_on_path(n))
         assert d.answer == NO
+        assert calls == []
         assert d == _reference_decide(path_graph(n), nested_pairs_on_path(n))
 
     def test_path_eleven_no_rewrites_each_distinct_graph_once(self, monkeypatch):
-        # the plain enumeration performs about 15k rewrites here; the search
-        # measures each distinct graph it meets once (43 graphs, 129 rewrites)
-        calls = []
-
-        def counting(g, step):
-            calls.append(step)
-            return apply_step(g, step)
-
-        monkeypatch.setattr("graphmin.minor.apply_step", counting)
-        assert decide_vertex_minor(path_graph(11), nested_pairs_on_path(11)).answer == NO
-        assert 0 < len(calls) <= 3 * 89
+        # now on ring 9, which no root check refutes (path 11 makes no
+        # rewrite at all); the plain enumeration performs 1,215 rewrites
+        # here, and the search measures once each distinct graph it meets
+        # and does not prune (10 graphs, 30 rewrites; 87 graphs unpruned)
+        calls = _count_rewrites(monkeypatch)
+        assert decide_vertex_minor(ring_graph(9), CROSSED_PAIRS_ON_RING_9).answer == NO
+        assert 0 < len(calls) <= 3 * 10
 
     def test_search_budget_answers_unknown(self):
         # the edgeless target's orbit has one member, so only the search
@@ -184,10 +199,49 @@ class TestMemoizedSearch:
         assert d == Decision(UNKNOWN, "budget-exhausted")
 
     def test_budget_never_turns_into_a_wrong_no(self):
-        g, h = path_graph(11), nested_pairs_on_path(11)
+        g, h = ring_graph(9), CROSSED_PAIRS_ON_RING_9  # the first "no" needs budget 16
         answers = [decide_vertex_minor(g, h, node_budget=b).answer for b in range(1, 60)]
         first_no = answers.index(NO)
         assert set(answers[:first_no]) == {UNKNOWN} and set(answers[first_no:]) == {NO}
+
+
+def _two_pair_targets(labels):
+    """Every placement of two pairs on ``labels``, with and without the
+    second pair's edge (its ends then isolated in the target)."""
+    for a, b, c, d in itertools.combinations(labels, 4):
+        for pair_a, pair_b in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            yield Graph([a, b, c, d], [pair_a, pair_b])
+            yield Graph([a, b, c, d], [pair_a])
+
+
+class TestPersistencePruning:
+    def test_conflict_check_agrees_with_class_persistence(self):
+        rng = random.Random(23)
+        fates = set()
+        for _ in range(800):
+            g = random_graph(rng, rng.randint(2, 8), p=rng.choice((0.2, 0.35, 0.5)))
+            keep = sorted(rng.sample(g.vertices, rng.randint(1, g.n)))
+            h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep), p=0.3).edges()
+                             if a in keep and b in keep])
+            block_fates = {class_persistence_check(g, h, block) for block in canonical_foliage_partition(g)}
+            assert _violates_persistence(g, _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
+            fates |= block_fates
+        assert fates == set(ClassFate)
+
+    @pytest.mark.parametrize("source", [path_graph(8), ring_graph(8)], ids=["line", "ring"])
+    def test_decider_matches_plain_enumeration_on_two_pair_placements(self, source):
+        for h in _two_pair_targets(source.vertices):
+            assert decide_vertex_minor(source, h) == _reference_decide(source, h)
+
+    def test_decider_matches_plain_enumeration_on_tree_placements(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            n = rng.randint(6, 9)
+            tree = prufer_tree(tuple(rng.randint(1, n) for _ in range(n - 2)), n)
+            for _ in range(3):
+                a, b, c, d = rng.sample(tree.vertices, 4)
+                for h in (Graph([a, b, c, d], [(a, b), (c, d)]), Graph([a, b, c, d], [(a, b)])):
+                    assert decide_vertex_minor(tree, h) == _reference_decide(tree, h)
 
 
 def _random_minor(rng, g, drop):

@@ -31,16 +31,15 @@ def test_every_fixture_is_exercised():
 
 def test_readme_commands_run(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
+    moved = {}  # files that README commands write, moved under tmp_path
     for command in readme_commands():
-        redirect = None
-        if " > " in command:
-            command, redirect = command.split(" > ", 1)
-        argv = command.split()[1:]
-        code = main(argv)
+        command, _, redirect = command.partition(" > ")
+        code = main([moved.get(a, a) for a in command.split()[1:]])
         out = capsys.readouterr().out
         assert code == 0, (command, code)
         if redirect:
-            Path(redirect.strip()).write_text(out)
+            moved[redirect.strip()] = str(tmp_path / Path(redirect.strip()).name)
+            Path(moved[redirect.strip()]).write_text(out)
 
 
 # sha256 over the stdout and exit code of every README command, each in text

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 
 from .bell import BellQuery, decide_bell
@@ -271,8 +270,8 @@ def _check_ranges(args) -> None:
         value = getattr(args, option, None)
         if value is not None and value < 1:
             raise ValueError(f"--{option} must be positive, got {value}")
-    if not 0 <= getattr(args, "tolerance", 0) < math.inf:  # false for nan too
-        raise ValueError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    if not 0 <= getattr(args, "tolerance", 0) < 1 - 2 ** -0.5:  # quantum.MAX_TOLERANCE; nan fails too
+        raise ValueError(f"--tolerance must be >= 0 and below 1 - 1/sqrt(2), got {args.tolerance}")
 
 
 def main(argv=None) -> int:

@@ -70,32 +70,40 @@ def _clifford_group() -> tuple[tuple[str, np.ndarray], ...]:
 CLIFFORD_1 = _clifford_group()
 
 
+# the closed-form byproducts as (word, matrix), each word looked up once in CLIFFORD_1
+_WORDS = {_phase_free_key(m): word for word, m in CLIFFORD_1}
+_Z, _ROOT_MINUS_IZ, _ROOT_PLUS_IZ, _ROOT_MINUS_IY, _ROOT_PLUS_IY = (
+    (_WORDS[_phase_free_key(m)], m) for m in (Z, SQRT_MINUS_IZ, SQRT_PLUS_IZ, SQRT_MINUS_IY, SQRT_PLUS_IY)
+)
+
+
 def measurement_correction_candidates(basis: str, outcome: int, neighbors: tuple[int, ...],
                                       special: int | None, special_nbrs: tuple[int, ...]):
     """Closed-form byproduct candidates per basis and outcome.
 
-    Yields {vertex: 2x2 matrix} maps. ``special`` is the routing neighbor of
-    an x measurement; ``special_nbrs`` are its neighbors in the pre-measurement
+    Yields {vertex: (word, 2x2 matrix)} maps, the word being the matrix's
+    name in CLIFFORD_1. ``special`` is the routing neighbor of an x
+    measurement; ``special_nbrs`` are its neighbors in the pre-measurement
     graph. Identity is always tried first by the caller.
     """
     if basis == "z":
         if outcome == -1:
-            yield {b: Z for b in neighbors}
+            yield {b: _Z for b in neighbors}
         return
     if basis == "y":
-        root = SQRT_MINUS_IZ if outcome == +1 else SQRT_PLUS_IZ
+        root = _ROOT_MINUS_IZ if outcome == +1 else _ROOT_PLUS_IZ
         yield {b: root for b in neighbors}
         return
     if basis == "x" and special is not None:
         if outcome == +1:
-            corr = {special: SQRT_PLUS_IY}
+            corr = {special: _ROOT_PLUS_IY}
             for b in neighbors:
                 if b != special and b not in special_nbrs:
-                    corr[b] = Z
+                    corr[b] = _Z
             yield corr
         else:
-            corr = {special: SQRT_MINUS_IY}
+            corr = {special: _ROOT_MINUS_IY}
             for b in special_nbrs:
                 if b not in neighbors:
-                    corr[b] = Z
+                    corr[b] = _Z
             yield corr

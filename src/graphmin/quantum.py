@@ -23,8 +23,7 @@ from .graph import Graph, local_complement, measure_x, measure_y, measure_z
 
 STATE_CAP = 12
 DEFAULT_TOLERANCE = 1e-10
-
-_PAULI = {"x": cliffords.X, "y": cliffords.Y, "z": cliffords.Z}
+MAX_TOLERANCE = 1 - 2 ** -0.5  # distinct stabilizer states overlap by at most 1/sqrt(2)
 
 
 class StateCapError(ValueError):
@@ -36,21 +35,37 @@ def _check_cap(n: int, cap: int) -> None:
         raise StateCapError(f"{n} qubits exceeds the dense-state cap of {cap}")
 
 
+def _check_tolerance(tol: float) -> None:
+    if not 0 <= tol < MAX_TOLERANCE:  # false for nan too
+        raise ValueError(f"tolerance must be >= 0 and below 1 - 1/sqrt(2), got {tol}")
+
+
 def graph_state(g: Graph, cap: int = STATE_CAP) -> np.ndarray:
     """State vector of ``g``: CZ per edge applied to the uniform plus state.
 
     Every amplitude has magnitude 2^(-n/2); the sign at index ``x`` is the
-    parity of edges whose two endpoint bits are both set in ``x``.
+    parity of edges whose two endpoint bits are both set in ``x``. The signs
+    are built one qubit at a time, largest label first, each new qubit
+    becoming the most significant bit: with it set, the sign at ``x`` is the
+    sign with it clear XOR the parity of ``x & m``, where ``m`` holds the
+    bits of its neighbors already placed. That is O(n) NumPy calls, none
+    per edge.
     """
     n = g.n
     _check_cap(n, cap)
-    pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}  # label -> bit position
-    idx = np.arange(1 << n)
-    signs = np.zeros(1 << n, dtype=np.int64)
-    for a, b in g.edges():
-        signs += (idx >> pos[a] & 1) & (idx >> pos[b] & 1)
-    psi = np.where(signs & 1, -1.0, 1.0).astype(complex)
-    return psi / np.sqrt(1 << n)
+    labels = g.vertices[::-1]  # labels[k] is the qubit at bit k
+    idx = np.arange(1 << n >> 1)
+    parity = np.zeros(1 << n, dtype=np.int8)  # popcount parity of the index, filled as it grows
+    signs = np.zeros(1 << n, dtype=np.int8)
+    for k, v in enumerate(labels):
+        row, m = g.neighbor_mask(v), 0
+        for j in range(k):
+            m |= (row >> labels[j] & 1) << j
+        h = 1 << k
+        signs[h:2 * h] = signs[:h] ^ parity[idx[:h] & m] if m else signs[:h]
+        parity[h:2 * h] = parity[:h] ^ 1
+    amp = 1 / np.sqrt(1 << n)
+    return np.array([amp, -amp], dtype=complex).take(signs)
 
 
 def apply_single(psi: np.ndarray, n: int, bit: int, gate: np.ndarray) -> np.ndarray:
@@ -71,6 +86,7 @@ def verify_lc_unitary(g: Graph, a: int, tol: float = DEFAULT_TOLERANCE, cap: int
     complemented graph, up to global phase.
     """
     g._require(a)
+    _check_tolerance(tol)
     n = g.n
     _check_cap(n, cap)
     pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
@@ -130,6 +146,7 @@ def find_measurement_correction(
         raise ValueError(f"unknown basis {basis!r}")
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    _check_tolerance(tol)
     n = g.n
     _check_cap(n, cap)
     pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
@@ -154,41 +171,31 @@ def find_measurement_correction(
     m = image.n
     pos_rest = {v: m - 1 - i for i, v in enumerate(image.vertices)}
 
-    def matches(correction: dict[int, np.ndarray]) -> bool:
+    def matches(correction: dict[int, tuple[str, np.ndarray]]) -> bool:
         phi = target
-        for v, gate in correction.items():
+        for v, (_, gate) in correction.items():
             phi = apply_single(phi, m, pos_rest[v], gate)
         return _overlap_is_unit(post, phi, tol)
 
-    if matches({}):
-        return {}
-    for candidate in cliffords.measurement_correction_candidates(
+    closed_forms = cliffords.measurement_correction_candidates(
         basis, outcome, neighbors, special, special_nbrs
-    ):
-        if matches(candidate):
-            return {v: _clifford_name(gate) for v, gate in candidate.items()}
+    )
     pool = tuple(sorted(set(neighbors) | set(special_nbrs)))
-    if len(pool) <= SEARCH_NEIGHBOR_CAP:
-        non_identity = [(name, gate) for name, gate in cliffords.CLIFFORD_1 if name != "I"]
-        for weight in range(1, len(pool) + 1):
-            for support in itertools.combinations(pool, weight):
-                for gates in itertools.product(non_identity, repeat=weight):
-                    candidate = {v: gate for v, (_, gate) in zip(support, gates)}
-                    if matches(candidate):
-                        return {
-                            v: name for v, (name, _) in zip(support, gates)
-                        }
+    non_identity = [named for named in cliffords.CLIFFORD_1 if named[0] != "I"]
+    weights = range(1, len(pool) + 1) if len(pool) <= SEARCH_NEIGHBOR_CAP else ()
+    searched = (
+        dict(zip(support, gates))
+        for weight in weights
+        for support in itertools.combinations(pool, weight)
+        for gates in itertools.product(non_identity, repeat=weight)
+    )
+    for candidate in itertools.chain([{}], closed_forms, searched):
+        if matches(candidate):
+            return {v: word for v, (word, _) in candidate.items()}
     raise CorrectionSearchExhausted(
         f"no local byproduct on {pool} matches the {basis}{'+' if outcome > 0 else '-'} "
         f"outcome at vertex {a}"
     )
-
-
-_CLIFFORD_NAMES = {cliffords._phase_free_key(gate): name for name, gate in cliffords.CLIFFORD_1}
-
-
-def _clifford_name(gate: np.ndarray) -> str:
-    return _CLIFFORD_NAMES.get(cliffords._phase_free_key(gate), "?")
 
 
 def verify_measurement(

@@ -273,11 +273,22 @@ class TestVerifyQuantumCommand:
         assert doc["result"]["ok"] is True
         assert set(doc["result"]["corrections"]) == {"y+", "y-"}
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "0.5"])
     def test_tolerance_must_be_finite_and_non_negative(self, capsys, tolerance):
         code, out, err = run(capsys, "verify-quantum", FIXTURES / "fig3.edges",
                              "--op", "x", "--vertex", "2", "--tolerance", tolerance)
         assert_input_error(code, out, err, "--tolerance")
+
+    def test_tolerance_bound_is_the_library_bound(self, capsys):
+        import numpy as np
+
+        from graphmin.quantum import MAX_TOLERANCE
+
+        argv = ("verify-quantum", FIXTURES / "fig3.edges", "--op", "z", "--vertex", "2", "--tolerance")
+        code, out, err = run(capsys, *argv, repr(MAX_TOLERANCE))
+        assert_input_error(code, out, err, "--tolerance")
+        code, out, _ = run(capsys, *argv, repr(float(np.nextafter(MAX_TOLERANCE, 0))))
+        assert code == 0 and "z-: correction SS@1 SS@3 SS@4" in out
 
     def test_vertex_out_of_range_exits_1(self, capsys):
         code, _, err = run(

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from graphmin import (
     Graph,
     cliffords,
     complete_graph,
+    connected_components,
     delete_vertex,
     graph_state,
     path_graph,
@@ -12,12 +17,30 @@ from graphmin import (
     verify_measurement,
 )
 from graphmin.quantum import (
+    MAX_TOLERANCE,
     StateCapError,
     apply_single,
     find_measurement_correction,
 )
 
 from conftest import all_graphs, fig2, random_graph
+
+
+def per_edge_graph_state(g):
+    """Reference builder: four passes over all 2^n amplitudes per edge."""
+    n = g.n
+    pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}  # label -> bit position
+    idx = np.arange(1 << n)
+    signs = np.zeros(1 << n, dtype=np.int64)
+    for a, b in g.edges():
+        signs += (idx >> pos[a] & 1) & (idx >> pos[b] & 1)
+    psi = np.where(signs & 1, -1.0, 1.0).astype(complex)
+    return psi / np.sqrt(1 << n)
+
+
+def assert_bit_identical(g, cap=12):
+    psi, ref = graph_state(g, cap), per_edge_graph_state(g)
+    assert psi.dtype == ref.dtype and np.array_equal(psi, ref), g.edges()
 
 
 def kron_oracle(g):
@@ -77,6 +100,22 @@ class TestGraphState:
     def test_cap_enforced(self):
         with pytest.raises(StateCapError):
             graph_state(complete_graph(5), cap=4)
+
+    def test_bit_identical_to_per_edge_reference_on_all_small_graphs(self):
+        for n in range(6):  # n = 0 is Graph(0), the one-amplitude state
+            for g in all_graphs(n):
+                assert_bit_identical(g)
+
+    def test_bit_identical_on_scattered_labels(self):
+        rng = random.Random(8)
+        for _ in range(500):
+            labels = rng.sample(range(1, 65), rng.randint(1, 12))
+            g = random_graph(rng, len(labels), rng.uniform(0.1, 0.9))
+            g = Graph(labels, [(labels[a - 1], labels[b - 1]) for a, b in g.edges()])
+            assert_bit_identical(g)
+
+    def test_bit_identical_above_the_default_cap(self):
+        assert_bit_identical(random_graph(random.Random(13), 13), cap=13)
 
     def test_normalized(self, rng):
         for _ in range(10):
@@ -170,3 +209,72 @@ class TestApplySingle:
         np.testing.assert_allclose(flipped, [0, 1, 0, 0])  # LSB qubit flipped
         flipped = apply_single(psi, 2, 1, np.array([[0, 1], [1, 0]], dtype=complex))
         np.testing.assert_allclose(flipped, [0, 0, 1, 0])  # MSB qubit flipped
+
+
+class TestClosedFormNames:
+    def test_carried_word_is_the_phase_free_name_of_the_matrix(self):
+        by_key = {cliffords._phase_free_key(m): word for word, m in cliffords.CLIFFORD_1}
+        seen = set()
+        for basis in "xyz":
+            for outcome in (+1, -1):
+                for candidate in cliffords.measurement_correction_candidates(
+                    basis, outcome, (1, 2, 3), 1, (4,)
+                ):
+                    for word, m in candidate.values():
+                        assert word == by_key[cliffords._phase_free_key(m)]
+                        seen.add(word)
+        assert len(seen) == 5  # Z, both roots of iZ and both roots of iY
+
+
+def _correction_corpus():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            if len(connected_components(g)) == 1:
+                yield g
+    rng = random.Random(806)
+    for _ in range(200):
+        yield random_graph(rng, rng.randint(6, 9), rng.uniform(0.3, 0.7))
+
+
+def _corrections_digest():
+    h = hashlib.sha256()
+    for g in _correction_corpus():
+        for a in g.vertices:
+            for basis in "xyz":
+                for outcome in (+1, -1):
+                    found = find_measurement_correction(g, a, basis, outcome)
+                    correction = None if found is None else list(found.items())
+                    row = [g.vertices, g.edges(), a, basis, outcome, correction]
+                    h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+# SHA-256 of every correction over ``_correction_corpus``, in the order the
+# entries are reported: any change to a byproduct, its word or its order
+# changes it. Update it only with a change that means to alter corrections.
+PINNED_CORRECTIONS_DIGEST = "0471e991ffdc68df4ec8521338d245c4f63281b608de26314cb7d784449533f3"
+
+
+def test_corrections_match_pinned_digest():
+    assert _corrections_digest() == PINNED_CORRECTIONS_DIGEST
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1e-9, MAX_TOLERANCE, 0.5, 1.0, float("inf"), float("nan")])
+    def test_out_of_range_is_a_value_error(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_lc_unitary(fig2(), 2, tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            find_measurement_correction(fig2(), 2, "z", -1, tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_measurement(fig2(), 2, "x", tol)
+
+    def test_largest_accepted_tolerance_gives_the_default_answers(self, rng):
+        tol = float(np.nextafter(MAX_TOLERANCE, 0))
+        for g in [fig2()] + [random_graph(rng, rng.randint(2, 7)) for _ in range(20)]:
+            for a in g.vertices:
+                assert verify_lc_unitary(g, a, tol)
+                for basis in "xyz":
+                    for outcome in (+1, -1):
+                        assert find_measurement_correction(g, a, basis, outcome, tol) == \
+                            find_measurement_correction(g, a, basis, outcome)

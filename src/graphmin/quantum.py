@@ -4,17 +4,16 @@ Builds actual graph states (plus state with a controlled-Z per edge) and
 checks that local complementation and the measurement rewrites track the
 real quantum operations: the complemented graph's state equals a local
 Clifford applied to the original, and each Pauli measurement outcome leaves
-the measured graph's state up to single-qubit byproducts on the old
-neighborhood. Dense vectors keep the oracle maximally trustworthy; the cap
-on qubit count keeps it affordable.
+the measured graph's state up to the identity or the closed-form byproduct
+of ``cliffords``, nothing else. A check builds the state of the graph and
+that of its rewrite once each. Dense vectors keep the oracle maximally
+trustworthy; the cap on qubit count keeps it affordable.
 
 Qubit order is ascending vertex label; the smallest label is the most
 significant bit of the amplitude index.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -106,11 +105,13 @@ _EIGENVECTORS = {
     ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
 }
 
-SEARCH_NEIGHBOR_CAP = 4  # exhaustive fallback is 24^k; closed forms carry bigger cases
-
 
 class CorrectionSearchExhausted(RuntimeError):
-    """No local byproduct matched; the pinned conventions are inconsistent."""
+    """Neither the identity nor the closed-form byproduct matched an outcome.
+
+    The rule covers every realizable outcome, so this means the pinned
+    conventions are inconsistent.
+    """
 
 
 def _project_out(psi: np.ndarray, n: int, bit: int, basis: str, outcome: int) -> np.ndarray | None:
@@ -124,28 +125,19 @@ def _project_out(psi: np.ndarray, n: int, bit: int, basis: str, outcome: int) ->
     return reduced / norm
 
 
-def find_measurement_correction(
-    g: Graph,
-    a: int,
-    basis: str,
-    outcome: int,
-    tol: float = DEFAULT_TOLERANCE,
-    cap: int = STATE_CAP,
-) -> dict[int, str] | None:
-    """Byproduct correction making the measured state match the rewrite.
+def _corrections(
+    g: Graph, a: int, basis: str, outcomes: tuple[int, ...], tol: float, cap: int = STATE_CAP
+) -> list[dict[int, str] | None]:
+    """Byproduct per outcome, from one state of ``g`` and one of its image.
 
-    Returns a {vertex: clifford-word} map (empty when none is needed), or
-    None when the outcome has probability zero. Candidates are tried in
-    order: identity, the frozen closed forms, then an exhaustive product
-    search ordered by weight over the old neighborhood (for x, also the
-    routing neighbor's other neighbors). The first match wins, so a closed
-    form is reported even when a lighter correction exists: path 1-2-3 at
-    vertex 2 with x+1 gives {1: "SSH", 3: "SS"}, although {1: "H"} matches.
+    The measured graph's state is built only when some outcome asked for
+    has nonzero probability.
     """
     if basis not in ("x", "y", "z"):
         raise ValueError(f"unknown basis {basis!r}")
-    if outcome not in (+1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    for outcome in outcomes:
+        if outcome not in (+1, -1):
+            raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     _check_tolerance(tol)
     n = g.n
     _check_cap(n, cap)
@@ -157,9 +149,10 @@ def find_measurement_correction(
         special = neighbors[0]
         special_nbrs = tuple(sorted(g.neighbors(special) - {a}))
 
-    post = _project_out(graph_state(g, cap), n, pos[a], basis, outcome)
-    if post is None:
-        return None
+    psi = graph_state(g, cap)
+    posts = [_project_out(psi, n, pos[a], basis, outcome) for outcome in outcomes]
+    if all(post is None for post in posts):
+        return posts
 
     if basis == "z":
         image = measure_z(g, a)
@@ -171,31 +164,41 @@ def find_measurement_correction(
     m = image.n
     pos_rest = {v: m - 1 - i for i, v in enumerate(image.vertices)}
 
-    def matches(correction: dict[int, tuple[str, np.ndarray]]) -> bool:
-        phi = target
-        for v, (_, gate) in correction.items():
-            phi = apply_single(phi, m, pos_rest[v], gate)
-        return _overlap_is_unit(post, phi, tol)
+    def correction(post: np.ndarray, outcome: int) -> dict[int, str]:
+        for candidate in cliffords.measurement_correction_candidates(
+            basis, outcome, neighbors, special, special_nbrs
+        ):
+            phi = target
+            for v, (_, gate) in candidate.items():
+                phi = apply_single(phi, m, pos_rest[v], gate)
+            if _overlap_is_unit(post, phi, tol):
+                return {v: word for v, (word, _) in candidate.items()}
+        raise CorrectionSearchExhausted(
+            f"neither the identity nor the closed-form byproduct matches the "
+            f"{basis}{'+' if outcome > 0 else '-'} outcome at vertex {a}"
+        )
 
-    closed_forms = cliffords.measurement_correction_candidates(
-        basis, outcome, neighbors, special, special_nbrs
-    )
-    pool = tuple(sorted(set(neighbors) | set(special_nbrs)))
-    non_identity = [named for named in cliffords.CLIFFORD_1 if named[0] != "I"]
-    weights = range(1, len(pool) + 1) if len(pool) <= SEARCH_NEIGHBOR_CAP else ()
-    searched = (
-        dict(zip(support, gates))
-        for weight in weights
-        for support in itertools.combinations(pool, weight)
-        for gates in itertools.product(non_identity, repeat=weight)
-    )
-    for candidate in itertools.chain([{}], closed_forms, searched):
-        if matches(candidate):
-            return {v: word for v, (word, _) in candidate.items()}
-    raise CorrectionSearchExhausted(
-        f"no local byproduct on {pool} matches the {basis}{'+' if outcome > 0 else '-'} "
-        f"outcome at vertex {a}"
-    )
+    return [None if post is None else correction(post, outcome) for post, outcome in zip(posts, outcomes)]
+
+
+def find_measurement_correction(
+    g: Graph,
+    a: int,
+    basis: str,
+    outcome: int,
+    tol: float = DEFAULT_TOLERANCE,
+    cap: int = STATE_CAP,
+) -> dict[int, str] | None:
+    """Byproduct correction making the measured state match the rewrite.
+
+    Returns a {vertex: clifford-word} map (empty when none is needed), or
+    None when the outcome has probability zero. The identity is tried
+    first, then the closed form for the basis and outcome (see
+    ``cliffords``), so a closed form is reported even when a lighter
+    correction exists. Raises CorrectionSearchExhausted when neither
+    matches.
+    """
+    return _corrections(g, a, basis, (outcome,), tol, cap)[0]
 
 
 def verify_measurement(
@@ -203,14 +206,9 @@ def verify_measurement(
 ) -> bool:
     """Check both outcomes of a Pauli measurement against the graph rewrite.
 
-    The + outcome of z must match exactly (no correction); every other
-    realizable outcome must match up to a local byproduct on the old
-    neighborhood. Zero-probability outcomes are vacuous.
+    Every realizable outcome must match the measured graph's state up to
+    the identity or the closed-form byproduct; zero-probability outcomes
+    are vacuous. Returns True, or raises CorrectionSearchExhausted.
     """
-    for outcome in (+1, -1):
-        correction = find_measurement_correction(g, a, basis, outcome, tol, cap)
-        if correction is None:
-            continue
-        if basis == "z" and outcome == +1 and correction != {}:
-            return False
+    _corrections(g, a, basis, (+1, -1), tol, cap)
     return True

@@ -314,7 +314,7 @@ class TestVerifyQuantumCommand:
         def exhausted(*args):
             raise quantum.CorrectionSearchExhausted("no local byproduct matches")
 
-        monkeypatch.setattr(quantum, "find_measurement_correction", exhausted)
+        monkeypatch.setattr(quantum, "_corrections", exhausted)
         code, out, err = run(capsys, "verify-quantum", FIXTURES / "fig3.edges",
                              "--op", "x", "--vertex", "2")
         assert (code, out, err) == (1, "", "error: no local byproduct matches\n")

@@ -12,13 +12,17 @@ from graphmin import (
     connected_components,
     delete_vertex,
     graph_state,
+    measure_x,
     path_graph,
     verify_lc_unitary,
     verify_measurement,
 )
+from graphmin import quantum
 from graphmin.quantum import (
     MAX_TOLERANCE,
+    CorrectionSearchExhausted,
     StateCapError,
+    _project_out,
     apply_single,
     find_measurement_correction,
 )
@@ -186,22 +190,6 @@ class TestMeasurements:
                     assert verify_measurement(g, a, basis)
 
 
-class TestExhaustiveCorrectionSearch:
-    @pytest.fixture(autouse=True)
-    def no_closed_forms(self, monkeypatch):
-        monkeypatch.setattr(cliffords, "measurement_correction_candidates", lambda *args: iter(()))
-
-    @pytest.mark.parametrize("g", [path_graph(3), complete_graph(3)])
-    def test_finds_every_correction(self, g):
-        for a in g.vertices:
-            for basis in "xyz":
-                for outcome in (+1, -1):
-                    assert find_measurement_correction(g, a, basis, outcome) is not None
-
-    def test_tries_hadamard(self):
-        assert find_measurement_correction(path_graph(3), 2, "x", +1) == {1: "H"}
-
-
 class TestApplySingle:
     def test_single_qubit_gate_on_known_position(self):
         psi = np.array([1, 0, 0, 0], dtype=complex)  # |00>
@@ -211,9 +199,42 @@ class TestApplySingle:
         np.testing.assert_allclose(flipped, [0, 0, 1, 0])  # MSB qubit flipped
 
 
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+
+
+def _phase_free_key(m):
+    """Canonical entries of a 2x2 unitary with global phase stripped."""
+    flat = m.ravel()
+    pivot = flat[np.argmax(np.abs(flat) > 1e-9)]
+    return tuple(np.round(flat / pivot, 9).tolist())
+
+
+def clifford_group():
+    """The 24 single-qubit Cliffords (phase-free) by breadth-first search over
+    <H, S>, keyed by matrix; each named by the first word that reaches it,
+    H tried before S, the leftmost letter applied last."""
+    found = {_phase_free_key(np.eye(2)): ("I", np.eye(2, dtype=complex))}
+    frontier = [("I", np.eye(2, dtype=complex))]
+    while frontier:
+        nxt = []
+        for word, m in frontier:
+            for letter, gate in (("H", _H), ("S", _S)):
+                prod = gate @ m
+                key = _phase_free_key(prod)
+                if key not in found:
+                    found[key] = (letter if word == "I" else letter + word, prod)
+                    nxt.append(found[key])
+        frontier = nxt
+    return {key: word for key, (word, _) in found.items()}
+
+
 class TestClosedFormNames:
+    def test_group_has_24_members(self):
+        assert len(clifford_group()) == 24
+
     def test_carried_word_is_the_phase_free_name_of_the_matrix(self):
-        by_key = {cliffords._phase_free_key(m): word for word, m in cliffords.CLIFFORD_1}
+        by_key = clifford_group()
         seen = set()
         for basis in "xyz":
             for outcome in (+1, -1):
@@ -221,9 +242,51 @@ class TestClosedFormNames:
                     basis, outcome, (1, 2, 3), 1, (4,)
                 ):
                     for word, m in candidate.values():
-                        assert word == by_key[cliffords._phase_free_key(m)]
+                        assert word == by_key[_phase_free_key(m)]
                         seen.add(word)
         assert len(seen) == 5  # Z, both roots of iZ and both roots of iY
+
+
+class TestByproductRule:
+    def test_closed_form_is_reported_though_a_lighter_correction_matches(self):
+        g = path_graph(3)
+        assert find_measurement_correction(g, 2, "x", +1) == {1: "SSH", 3: "SS"}
+        # H on vertex 1 alone also maps the measured graph's state to the projection
+        post = _project_out(graph_state(g), 3, 1, "x", +1)
+        image = graph_state(measure_x(g, 2, 1))
+        assert abs(abs(np.vdot(post, apply_single(image, 2, 1, _H))) - 1) < 1e-10
+
+    def test_no_match_raises(self, monkeypatch):
+        monkeypatch.setattr(cliffords, "measurement_correction_candidates", lambda *args: iter([{}]))
+        assert find_measurement_correction(fig2(), 2, "z", +1) == {}
+        with pytest.raises(CorrectionSearchExhausted, match="z- outcome at vertex 2"):
+            find_measurement_correction(fig2(), 2, "z", -1)
+        with pytest.raises(CorrectionSearchExhausted):
+            verify_measurement(fig2(), 2, "z")
+
+
+class TestStatesPerCheck:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+
+        def counting(g, cap=quantum.STATE_CAP):
+            calls.append(g)
+            return graph_state(g, cap)
+
+        monkeypatch.setattr(quantum, "graph_state", counting)
+        return calls
+
+    @pytest.mark.parametrize("basis", "xyz")
+    def test_verify_measurement_builds_two_states(self, built, basis):
+        assert verify_measurement(fig2(), 2, basis)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("basis", "xyz")
+    @pytest.mark.parametrize("outcome", (+1, -1))
+    def test_find_measurement_correction_builds_two_states(self, built, basis, outcome):
+        assert find_measurement_correction(fig2(), 2, basis, outcome) is not None
+        assert len(built) == 2
 
 
 def _correction_corpus():

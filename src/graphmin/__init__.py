@@ -4,19 +4,15 @@ from .graph import (
     MAX_LABEL,
     Graph,
     UnknownVertexError,
-    complement,
     complete_graph,
     connected_components,
     delete_vertex,
-    edge_set,
-    induced_subgraph,
     local_complement,
     measure_x,
     measure_y,
     measure_z,
     path_graph,
     ring_graph,
-    symmetric_difference,
 )
 from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, Step, apply_step, replay
 from .orbit import (

@@ -129,7 +129,7 @@ def _cmd_bell(args) -> int:
             raise ValueError("--topology tree needs --graph FILE")
         query = BellQuery("tree", pair_a, pair_b, tree=_load(args.graph, args.format))
     else:
-        if not args.n:
+        if args.n is None:
             raise ValueError(f"--topology {args.topology} needs --n")
         query = BellQuery(args.topology, pair_a, pair_b, size=args.n)
     digest = _digest(write_edge_list(query.graph()), repr(sorted(pair_a)), repr(sorted(pair_b)))
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_ranges(args) -> None:
     """Reject numeric options outside their domain as input errors."""
-    for option in ("budget", "level"):
+    for option in ("budget", "level", "n"):
         value = getattr(args, option, None)
         if value is not None and value < 1:
             raise ValueError(f"--{option} must be positive, got {value}")

@@ -138,7 +138,7 @@ class Graph:
         return f"Graph({list(self.vertices)}, {list(self.edges())})"
 
 
-# -- builders ----------------------------------------------------------------
+# -- builders and components -------------------------------------------------
 
 
 def path_graph(n: int) -> Graph:
@@ -155,49 +155,6 @@ def ring_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)])
-
-
-# -- edge-set algebra ---------------------------------------------------------
-
-
-def edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Normalize pairs to a frozenset of (min, max) edges, rejecting loops."""
-    out = set()
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"self-loop on vertex {a}")
-        out.add((min(a, b), max(a, b)))
-    return frozenset(out)
-
-
-def symmetric_difference(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Toggle the given edges (addition mod 2 on the edge set)."""
-    rows = dict(g._rows)
-    for a, b in edge_set(edges):
-        for v in (a, b):
-            if v not in rows:
-                raise UnknownVertexError(f"unknown vertex label {v}")
-        rows[a] ^= 1 << b
-        rows[b] ^= 1 << a
-    return Graph._from_rows(rows)
-
-
-def complement(g: Graph) -> Graph:
-    """Complement over the alive label set."""
-    alive = sum(1 << v for v in g._rows)
-    rows = {v: alive & ~(1 << v) & ~g._rows[v] for v in g._rows}
-    return Graph._from_rows(rows)
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Subgraph on ``keep`` (labels preserved)."""
-    keep_set = set(keep)
-    mask = 0
-    for v in keep_set:
-        g._require(v)
-        mask |= 1 << v
-    rows = {v: g._rows[v] & mask for v in sorted(keep_set)}
-    return Graph._from_rows(rows)
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

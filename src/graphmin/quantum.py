@@ -29,17 +29,12 @@ class StateCapError(ValueError):
     """Too many qubits for the dense oracle."""
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise StateCapError(f"{n} qubits exceeds the dense-state cap of {cap}")
-
-
 def _check_tolerance(tol: float) -> None:
     if not 0 <= tol < MAX_TOLERANCE:  # false for nan too
         raise ValueError(f"tolerance must be >= 0 and below 1 - 1/sqrt(2), got {tol}")
 
 
-def graph_state(g: Graph, cap: int = STATE_CAP) -> np.ndarray:
+def graph_state(g: Graph) -> np.ndarray:
     """State vector of ``g``: CZ per edge applied to the uniform plus state.
 
     Every amplitude has magnitude 2^(-n/2); the sign at index ``x`` is the
@@ -51,7 +46,8 @@ def graph_state(g: Graph, cap: int = STATE_CAP) -> np.ndarray:
     per edge.
     """
     n = g.n
-    _check_cap(n, cap)
+    if n > STATE_CAP:
+        raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")
     labels = g.vertices[::-1]  # labels[k] is the qubit at bit k
     idx = np.arange(1 << n >> 1)
     parity = np.zeros(1 << n, dtype=np.int8)  # popcount parity of the index, filled as it grows
@@ -77,7 +73,7 @@ def _overlap_is_unit(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return bool(abs(abs(np.vdot(a, b)) - 1.0) <= tol)
 
 
-def verify_lc_unitary(g: Graph, a: int, tol: float = DEFAULT_TOLERANCE, cap: int = STATE_CAP) -> bool:
+def verify_lc_unitary(g: Graph, a: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Check that complementing at ``a`` is a local Clifford on the state.
 
     Applies the pinned convention (root of -iX at ``a``, root of +iZ on each
@@ -87,13 +83,12 @@ def verify_lc_unitary(g: Graph, a: int, tol: float = DEFAULT_TOLERANCE, cap: int
     g._require(a)
     _check_tolerance(tol)
     n = g.n
-    _check_cap(n, cap)
     pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
-    psi = graph_state(g, cap)
+    psi = graph_state(g)
     psi = apply_single(psi, n, pos[a], cliffords.LC_AT_VERTEX)
     for b in sorted(g.neighbors(a)):
         psi = apply_single(psi, n, pos[b], cliffords.LC_AT_NEIGHBOR)
-    return _overlap_is_unit(psi, graph_state(local_complement(g, a), cap), tol)
+    return _overlap_is_unit(psi, graph_state(local_complement(g, a)), tol)
 
 
 _EIGENVECTORS = {
@@ -126,7 +121,7 @@ def _project_out(psi: np.ndarray, n: int, bit: int, basis: str, outcome: int) ->
 
 
 def _corrections(
-    g: Graph, a: int, basis: str, outcomes: tuple[int, ...], tol: float, cap: int = STATE_CAP
+    g: Graph, a: int, basis: str, outcomes: tuple[int, ...], tol: float
 ) -> list[dict[int, str] | None]:
     """Byproduct per outcome, from one state of ``g`` and one of its image.
 
@@ -140,7 +135,6 @@ def _corrections(
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     _check_tolerance(tol)
     n = g.n
-    _check_cap(n, cap)
     pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
     neighbors = tuple(sorted(g.neighbors(a)))
     special = None
@@ -149,7 +143,7 @@ def _corrections(
         special = neighbors[0]
         special_nbrs = tuple(sorted(g.neighbors(special) - {a}))
 
-    psi = graph_state(g, cap)
+    psi = graph_state(g)
     posts = [_project_out(psi, n, pos[a], basis, outcome) for outcome in outcomes]
     if all(post is None for post in posts):
         return posts
@@ -160,7 +154,7 @@ def _corrections(
         image = measure_y(g, a)
     else:
         image = measure_x(g, a, special)
-    target = graph_state(image, cap)
+    target = graph_state(image)
     m = image.n
     pos_rest = {v: m - 1 - i for i, v in enumerate(image.vertices)}
 
@@ -182,12 +176,7 @@ def _corrections(
 
 
 def find_measurement_correction(
-    g: Graph,
-    a: int,
-    basis: str,
-    outcome: int,
-    tol: float = DEFAULT_TOLERANCE,
-    cap: int = STATE_CAP,
+    g: Graph, a: int, basis: str, outcome: int, tol: float = DEFAULT_TOLERANCE
 ) -> dict[int, str] | None:
     """Byproduct correction making the measured state match the rewrite.
 
@@ -198,17 +187,18 @@ def find_measurement_correction(
     correction exists. Raises CorrectionSearchExhausted when neither
     matches.
     """
-    return _corrections(g, a, basis, (outcome,), tol, cap)[0]
+    return _corrections(g, a, basis, (outcome,), tol)[0]
 
 
-def verify_measurement(
-    g: Graph, a: int, basis: str, tol: float = DEFAULT_TOLERANCE, cap: int = STATE_CAP
-) -> bool:
+def verify_measurement(g: Graph, a: int, basis: str, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Check both outcomes of a Pauli measurement against the graph rewrite.
 
     Every realizable outcome must match the measured graph's state up to
     the identity or the closed-form byproduct; zero-probability outcomes
-    are vacuous. Returns True, or raises CorrectionSearchExhausted.
+    are vacuous. Returns False when an outcome matches neither candidate.
     """
-    _corrections(g, a, basis, (+1, -1), tol, cap)
+    try:
+        _corrections(g, a, basis, (+1, -1), tol)
+    except CorrectionSearchExhausted:
+        return False
     return True

@@ -188,6 +188,14 @@ class TestBellCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_size_below_one_exits_1(self, capsys, n):
+        code, out, err = run(
+            capsys, "bell", "--topology", "line", "--n", n,
+            "--pairA", "1", "2", "--pairB", "4", "5",
+        )
+        assert_input_error(code, out, err, f"--n must be positive, got {n}")
+
 
 class TestReduceCommand:
     def test_source_reduction(self, capsys):

@@ -6,22 +6,18 @@ from hypothesis import given, strategies as st
 from graphmin import (
     Graph,
     UnknownVertexError,
-    complement,
     complete_graph,
     connected_components,
     delete_vertex,
-    edge_set,
-    induced_subgraph,
     local_complement,
     measure_x,
     measure_y,
     measure_z,
     path_graph,
-    symmetric_difference,
 )
 from graphmin.orbit import lc_equivalent
 
-from conftest import fig2, fig4a, random_graph
+from conftest import fig2, random_graph
 
 
 @st.composite
@@ -162,33 +158,6 @@ class TestMeasurements:
 
 
 class TestSetOperations:
-    def test_complement_of_triangle_is_empty(self):
-        assert complement(complete_graph(3)).edges() == ()
-
-    def test_complement_respects_labels(self):
-        g = Graph([2, 5, 9])
-        assert complement(g).edges() == ((2, 5), (2, 9), (5, 9))
-
-    def test_induced_subgraph_keeps_labels(self):
-        sub = induced_subgraph(fig4a(), {4, 5, 6})
-        assert sub.vertices == (4, 5, 6)
-        assert sub.edges() == ((4, 5), (4, 6), (5, 6))
-
-    def test_induced_subgraph_rejects_foreign_labels(self):
-        with pytest.raises(UnknownVertexError):
-            induced_subgraph(Graph(3), {2, 9})
-
-    def test_symmetric_difference_toggles(self):
-        g = Graph(3, [(1, 2)])
-        assert symmetric_difference(g, [(1, 2), (1, 3)]).edges() == ((1, 3),)
-
-    def test_edge_set_normalizes(self):
-        assert edge_set([(3, 1), (1, 3)]) == frozenset({(1, 3)})
-
-    def test_symmetric_difference_rejects_foreign_labels(self):
-        with pytest.raises(UnknownVertexError):
-            symmetric_difference(Graph(3), [(1, 9)])
-
     def test_components(self):
         g = Graph(5, [(1, 2), (4, 5)])
         assert connected_components(g) == [frozenset({1, 2}), frozenset({3}), frozenset({4, 5})]

@@ -1,5 +1,6 @@
-"""Run every CLI command shown in the README against the shipped fixtures."""
+"""Run every CLI command and the Python quick start shown in the README."""
 
+import ast
 import hashlib
 import re
 from pathlib import Path
@@ -71,3 +72,17 @@ def _output_digest(capsys, tmp_path):
 def test_readme_outputs_match_pinned_digest(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert _output_digest(capsys, tmp_path) == PINNED_OUTPUT_DIGEST
+
+
+def test_readme_python_quick_start():
+    """Run the README's Python block; each bare expression's repr is the comment below it."""
+    source = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = source.splitlines()
+    namespace, shown = {}, []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            shown.append(("# " + repr(value), lines[node.end_lineno]))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert shown == [("# Partition({1,2}, {3,4})",) * 2, ("# 'yes'",) * 2]

@@ -57,7 +57,6 @@ from .bell import (
     decide_bell_line,
     decide_bell_ring,
     decide_bell_tree,
-    lemma_blockers,
     line_query,
     ring_query,
     tree_query,

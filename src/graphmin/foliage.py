@@ -50,10 +50,7 @@ class Partition:
         return self._blocks
 
     def labels(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self._blocks:
-            out |= b
-        return frozenset(out)
+        return frozenset().union(*self._blocks)
 
     def block_of(self, v: int) -> frozenset[int]:
         for b in self._blocks:
@@ -235,12 +232,7 @@ def foliage_graph(g: Graph, w: Partition | None = None, reps: Iterable[int] | No
     elif not is_foliage_partition(g, w):
         raise InvalidPartitionError("not a foliage partition of this graph")
     chosen = _check_representatives(w, reps)
-    masks = []
-    for block in w.blocks:
-        m = 0
-        for v in block:
-            m |= 1 << v
-        masks.append(m)
+    masks = [sum(1 << v for v in block) for block in w.blocks]
     edges = []
     for i, bi in enumerate(w.blocks):
         hit = 0

@@ -5,10 +5,11 @@ removes its label from the alive set; surviving labels are never renumbered,
 so a vertex keeps its identity across arbitrary rewrite sequences.
 
 Adjacency is stored as one bitmask row per alive label (bit ``v`` of row ``a``
-set iff ``{a, v}`` is an edge). Local complementation is then a row-masked
-XOR over the neighborhood, which keeps orbit enumeration cheap. Graphs are
-immutable values: every rewrite returns a new graph, so results can be
-shared, hashed, and memoized freely.
+set iff ``{a, v}`` is an edge), so local complementation is a masked XOR over
+the neighborhood. Graphs are immutable values: every rewrite returns a new
+graph, so results can be shared, hashed, and memoized freely. Orbit closure
+and the vertex-minor search skip graphs altogether: they rewrite tuples of
+rows through the private kernel at the end of this module.
 """
 
 from __future__ import annotations
@@ -89,11 +90,7 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (min, max) pairs, sorted."""
-        out = []
-        for a in sorted(self._rows):
-            higher = self._rows[a] >> (a + 1) << (a + 1)
-            out.extend((a, b) for b in _bits(higher))
-        return tuple(out)
+        return tuple([(a, b) for a in sorted(self._rows) for b in _bits(self._rows[a] >> a + 1 << a + 1)])
 
     def has_vertex(self, a: int) -> bool:
         return a in self._rows
@@ -186,16 +183,10 @@ def local_complement(g: Graph, a: int) -> Graph:
     Involutive: applying twice at the same vertex restores the graph.
     """
     g._require(a)
-    rows = dict(g._rows)
-    _complement_rows(rows, a)
-    return Graph._from_rows(rows)
-
-
-def _complement_rows(rows: dict[int, int], a: int) -> None:
-    # local complementation at ``a``, in place on a private rows dict
-    nbrs = rows[a]
+    rows, nbrs = dict(g._rows), g._rows[a]
     for v in _bits(nbrs):
         rows[v] ^= nbrs & ~(1 << v)
+    return Graph._from_rows(rows)
 
 
 def delete_vertex(g: Graph, a: int) -> Graph:
@@ -230,15 +221,56 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
         return delete_vertex(g, a)
     if b is None:
         b = (nbrs & -nbrs).bit_length() - 1
-    else:
-        try:
-            adjacent = nbrs >> b & 1
-        except ValueError:  # a negative shift: ``b`` is no label at all
-            adjacent = 0
-        if not adjacent:
-            g._require(b)
-            raise ValueError(f"vertex {b} is not a neighbor of {a}")
-    rows = dict(g._rows)
-    for c in (b, a, b):  # three local complements on one private copy
-        _complement_rows(rows, c)
-    return delete_vertex(Graph._from_rows(rows), a)
+    elif not (b > 0 and nbrs >> b & 1):  # a label is positive; a negative shift would raise
+        g._require(b)
+        raise ValueError(f"vertex {b} is not a neighbor of {a}")
+    return _graph_of(_x_rows(*_rows_of(g), a, b), [v for v in g.vertices if v != a])
+
+
+# -- the rows kernel: row ``i`` of a tuple is that of the ``i``-th smallest label,
+# with ``Graph``'s label bits, and ``at`` maps labels to positions. On one label
+# set, equal tuples are equal graphs. A deletion aligns to the labels left.
+
+
+def _rows_of(g: Graph) -> tuple[tuple[int, ...], dict[int, int]]:
+    labels = g.vertices
+    return tuple([g._rows[v] for v in labels]), {v: i for i, v in enumerate(labels)}
+
+
+def _graph_of(rows: tuple[int, ...], labels) -> Graph:
+    return Graph._from_rows(dict(zip(labels, rows)))
+
+
+def _lc_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ...]:
+    nbrs = mask = rows[at[a]]
+    out = list(rows)
+    while mask:
+        low = mask & -mask
+        out[at[low.bit_length() - 1]] ^= nbrs ^ low
+        mask ^= low
+    return tuple(out)
+
+
+def _delete_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ...]:
+    out = [r & ~(1 << a) for r in rows]
+    del out[at[a]]
+    return tuple(out)
+
+
+def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[int, ...]:
+    """x-measurement of ``a`` through its neighbor ``b``, in one pass over the rows.
+
+    With Na = N(a) - {b} and Nb = N(b) - {a}, edges between two different sets
+    of Na - Nb, Nb - Na and Na & Nb toggle; then each other vertex is adjacent
+    to ``b`` iff it was adjacent to ``a``, ``b``'s row becomes Na, ``a`` goes.
+    """
+    bit_a, bit_b = 1 << a, 1 << b
+    na, nb = rows[at[a]] ^ bit_b, rows[at[b]] ^ bit_a
+    out = list(rows)
+    out[at[b]] = na
+    for w in _bits(na | nb):
+        r = rows[at[w]]
+        toggled = r ^ (nb if r & bit_a else 0) ^ (na if r & bit_b else 0)
+        out[at[w]] = toggled & ~(bit_a | bit_b) | (bit_b if r & bit_a else 0)
+    del out[at[a]]
+    return tuple(out)

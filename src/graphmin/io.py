@@ -97,17 +97,9 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"expected {need} body bytes for order {n}, got {len(body)}", 1)
-    bits = []
-    for value in body:
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i + 1, j + 1))
-            k += 1
-    return Graph(n, edges)
+    bits = [(value >> shift) & 1 for value in body for shift in range(5, -1, -1)]
+    pairs = [(i + 1, j + 1) for j in range(1, n) for i in range(j)]  # graph6's column-major order
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def read_graph(text: str, fmt: str = "edges") -> Graph:

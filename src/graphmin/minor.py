@@ -30,8 +30,8 @@ from .foliage import (
     is_leaf_of,
     _star_centers,
 )
-from .graph import Graph, delete_vertex, local_complement
-from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, Step, apply_step, replay
+from .graph import Graph, _rows_of, delete_vertex, local_complement
+from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, Step, _apply_rows, replay
 from .orbit import BudgetExceededError, default_budget, lc_orbit_paths
 
 YES = "yes"
@@ -58,73 +58,77 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     A depth-first search measures the surplus vertices in ascending label
     order, each in bases z, y, x (x through its smallest neighbor); the first
     measured graph in the target's LC-orbit wins, and the witness is those
-    measurements plus the local complements back to ``h``. Assignments that
-    share a prefix share its rewrites. What the rest of a search reaches
-    depends only on the current graph (its vertex set fixes the depth, and
-    the x-neighbor is read from it), so a graph whose three measurements all
-    failed is remembered for the call and skipped when reached again.
+    measurements plus the local complements back to ``h``. The search runs
+    on rows tuples (``graph.py``'s kernel), looks leaves up in a rows-keyed
+    copy of the orbit, and builds steps only for the witness. What lies below
+    a graph depends on it alone, so one whose three measurements all failed
+    is remembered and skipped when reached again.
 
-    Foliage persistence prunes the search: if ``h`` is a vertex-minor of a
-    graph, each of that graph's foliage classes, cut down to the labels of
-    ``h``, lies inside one class of ``h``, is all isolated in ``h``, or is
-    gone. So a graph in which two target labels are foliage-equivalent,
-    while ``h`` puts them in different classes and does not isolate both,
-    has no hit below it. Such a ``g`` is a "no" before the target's orbit is
-    closed; such a graph inside the search is remembered as failed without
-    being measured (graphs of the last depth go straight to the orbit).
-    Only failures are remembered or pruned, so the first hit, and the
-    witness, are those of enumerating all 3^k assignments in order.
+    Foliage persistence prunes: if ``h`` is a vertex-minor of a graph, each
+    foliage class of that graph, cut down to the labels of ``h``, lies inside
+    one class of ``h``, is all isolated in ``h``, or is gone. A graph in which
+    two target labels are foliage-equivalent, while ``h`` puts them in
+    different classes and does not isolate both, has no hit below it: ``g``
+    is then a "no" before the orbit is closed, and a graph in the search is
+    remembered as failed. Only failures are remembered or pruned, so the
+    first hit, and the witness, are those of enumerating all 3^k assignments.
 
     ``node_budget`` (default ``GRAPHMIN_BUDGET``) bounds the target's orbit
     closure and, separately, the number of distinct graphs the search
     measures or prunes. Running out of either yields "unknown", never a
     wrong no.
     """
-    g_labels = set(g.vertices)
-    h_labels = set(h.vertices)
+    g_labels, h_labels = set(g.vertices), set(h.vertices)
     if not h_labels <= g_labels:
         raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
     conflicts = _conflict_pairs(h)
-    if _violates_persistence(g, conflicts):
+    rows, at = _rows_of(g)
+    if _violates_persistence(rows, at, conflicts):
         return Decision(NO, "brute-force")
     to_measure = tuple(sorted(g_labels - h_labels))
     budget = default_budget() if node_budget is None else node_budget
-    failed: set[Graph] = set()
-    steps: list[Step] = []
+    # label positions at each depth, where ``to_measure[:depth]`` are gone
+    ats = [{u: i for i, u in enumerate(sorted(h_labels.union(to_measure[d:])))}
+           for d in range(len(to_measure) + 1)]
+    failed: set[tuple[int, ...]] = set()  # one length per depth, so one set serves all
+    choices: list[tuple[str, int | None]] = []
 
-    def search(graph: Graph, depth: int):
-        """Orbit entry of the first hit below ``graph``; ``steps`` leads to it."""
+    def search(rows: tuple[int, ...], depth: int):
+        """Orbit path of the first hit below ``rows``; ``choices`` leads to it."""
         if depth == len(to_measure):
-            return orbit.get(graph)
-        if graph in failed:
+            return orbit.get(rows)
+        if rows in failed:
             return None
-        if depth and _violates_persistence(graph, conflicts):  # the root was checked above
-            failed.add(graph)
+        at = ats[depth]
+        if depth and _violates_persistence(rows, at, conflicts):  # the root was checked above
+            failed.add(rows)
             return None
         if len(failed) + depth >= budget:  # every failed or pruned graph, ``depth`` above this
             raise BudgetExceededError(f"search exceeds node budget {budget}; refusing to answer")
         v = to_measure[depth]
-        mask = graph.neighbor_mask(v)
+        mask = rows[at[v]]
         nbr = (mask & -mask).bit_length() - 1 if mask else None
-        for step in (Step(MEASURE_Z, v), Step(MEASURE_Y, v), Step(MEASURE_X, v, nbr)):
-            steps.append(step)
-            hit = search(apply_step(graph, step), depth + 1)
+        for choice in ((MEASURE_Z, None), (MEASURE_Y, None), (MEASURE_X, nbr)):
+            choices.append(choice)
+            hit = search(_apply_rows(rows, at, choice[0], v, choice[1]), depth + 1)
             if hit is not None:
                 return hit
-            steps.pop()
-        failed.add(graph)
+            choices.pop()
+        failed.add(rows)
         return None
 
     try:
-        orbit = lc_orbit_paths(h, node_budget) if h.n else {h: (h, ())}
-        hit = search(g, 0)
+        orbit = {_rows_of(m)[0]: path for m, path in lc_orbit_paths(h, node_budget).values()} \
+            if h.n else {(): ()}
+        hit = search(rows, 0)
     except BudgetExceededError:
         return Decision(UNKNOWN, "budget-exhausted")
     if hit is None:
         return Decision(NO, "brute-force")
     # each local complement is an involution, so the recorded path from the
     # target reverses into a path back to it
-    witness = tuple(steps) + tuple(Step(LC, v) for v in reversed(hit[1]))
+    witness = (*(Step(op, v, nbr) for v, (op, nbr) in zip(to_measure, choices)),
+               *(Step(LC, v) for v in reversed(hit)))
     if replay(g, witness) != h:
         raise RuntimeError("witness replay mismatch; this is a bug")
     return Decision(YES, "brute-force" if to_measure else "lc-equivalence", witness)
@@ -133,10 +137,9 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
 def _conflict_pairs(h: Graph) -> tuple[tuple[int, int, int, int, int], ...]:
     """Target label pairs that foliage persistence keeps apart.
 
-    These are the pairs u < v in different canonical blocks of ``h`` that
-    are not both isolated in ``h``, each as (u, v, 1 << u, 1 << v, both
-    bits), so a search node tests them on its rows without building a
-    partition.
+    These are the pairs u < v in different canonical blocks of ``h``, not
+    both isolated in ``h``, each as (u, v, 1 << u, 1 << v, both bits), so a
+    search node tests them on its rows without building a partition.
     """
     block_of = {v: i for i, block in enumerate(canonical_foliage_partition(h)) for v in block}
     labels = h.vertices
@@ -147,16 +150,14 @@ def _conflict_pairs(h: Graph) -> tuple[tuple[int, int, int, int, int], ...]:
     )
 
 
-def _violates_persistence(graph: Graph, conflicts) -> bool:
-    """Whether some conflict pair is foliage-equivalent in ``graph``.
+def _violates_persistence(rows: tuple[int, ...], at: dict[int, int], conflicts) -> bool:
+    """Whether some conflict pair is foliage-equivalent in a rows-kernel graph.
 
-    A pair is equivalent when one row is the other's bit (leaf and axil,
-    either way) or the rows agree outside the pair and are not empty there
-    (twins). ``class_persistence_check`` is the reference this agrees with.
+    That is, one row is the other's bit (leaf and axil, either way), or the
+    rows agree outside the pair and are not empty there (twins).
     """
-    row = graph.neighbor_mask
     for u, v, bit_u, bit_v, pair in conflicts:
-        row_u, row_v = row(u), row(v)
+        row_u, row_v = rows[at[u]], rows[at[v]]
         if row_u == bit_v or row_v == bit_u or row_u | pair == row_v | pair != pair:
             return True
     return False

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, delete_vertex, local_complement, measure_x, measure_y, measure_z
+from .graph import (Graph, _delete_rows, _lc_rows, _x_rows, delete_vertex, local_complement, measure_x,
+                    measure_y, measure_z)
 
 LC = "lc"
 DELETE = "delete"
@@ -35,19 +36,27 @@ class Step:
             raise ValueError(f"{self.op} takes no neighbor")
 
 
+_ONE_VERTEX = {LC: local_complement, DELETE: delete_vertex, MEASURE_Z: measure_z, MEASURE_Y: measure_y}
+
+
 def apply_step(g: Graph, step: Step) -> Graph:
-    if step.op == LC:
-        return local_complement(g, step.vertex)
-    if step.op == DELETE:
-        return delete_vertex(g, step.vertex)
-    if step.op == MEASURE_Z:
-        return measure_z(g, step.vertex)
-    if step.op == MEASURE_Y:
-        return measure_y(g, step.vertex)
+    if step.op in _ONE_VERTEX:
+        return _ONE_VERTEX[step.op](g, step.vertex)
     # measure_x: a recorded neighbor is mandatory unless the vertex was isolated
     if step.neighbor is None and g.neighbors(step.vertex):
         raise ValueError(f"x-measurement of non-isolated vertex {step.vertex} needs its neighbor recorded")
     return measure_x(g, step.vertex, step.neighbor)
+
+
+def _apply_rows(rows: tuple[int, ...], at: dict[int, int], op: str, vertex: int, neighbor=None):
+    """``apply_step`` in the rows kernel of ``graph.py``, unchecked: the step must apply."""
+    if op == LC:
+        return _lc_rows(rows, at, vertex)
+    if op == MEASURE_Y:
+        rows = _lc_rows(rows, at, vertex)
+    elif op == MEASURE_X and neighbor is not None:
+        return _x_rows(rows, at, vertex, neighbor)
+    return _delete_rows(rows, at, vertex)
 
 
 def replay(g: Graph, steps) -> Graph:

@@ -3,15 +3,16 @@
 Reachability by local complementations decides local-Clifford equivalence of
 the corresponding graph states, so a breadth-first closure, deduplicated by
 graph value, is a complete (if exponential) equivalence decider at desk scale.
-Expansion order is ascending vertex label, which makes orbits, paths, and
-therefore witnesses reproducible.
+The closure runs on the rows tuples of ``graph.py``'s kernel, so a member
+becomes a ``Graph`` only when a caller asks for graphs. Expansion order is
+ascending vertex label, which makes orbits, paths, and witnesses reproducible.
 """
 
 from __future__ import annotations
 
 import os
 
-from .graph import Graph, local_complement
+from .graph import Graph, _graph_of, _lc_rows, _rows_of
 
 _ENV_BUDGET = "GRAPHMIN_BUDGET"
 DEFAULT_NODE_BUDGET = 1 << 20
@@ -34,24 +35,27 @@ def default_budget() -> int:
     return value
 
 
-def _closure(g: Graph, node_budget: int | None):
-    """Yield ``(member, path)`` for the orbit of ``g`` in discovery order.
+def _closure(rows: tuple[int, ...], at: dict[int, int], node_budget: int | None):
+    """Yield ``(member rows, path)`` for the orbit of ``rows`` in discovery order.
 
-    ``g`` comes first with the empty path. Members are discovered breadth
-    first, expanding vertices in ascending label order, so every path is
-    shortest and lexicographically first at its depth. Once the orbit holds
-    ``node_budget`` members, the next newly discovered member is still
-    yielded, and then ``BudgetExceededError`` is raised.
+    ``rows`` and ``at`` are a graph in ``graph.py``'s rows kernel; it comes
+    first, with the empty path. Members are discovered breadth first,
+    expanding vertices in ascending label order, so every path is shortest
+    and lexicographically first at its depth. Once the orbit holds
+    ``node_budget`` members, the next new member is still yielded, and then
+    ``BudgetExceededError`` is raised.
     """
-    yield g, ()
+    yield rows, ()
     budget = default_budget() if node_budget is None else node_budget
-    seen = {g}
-    frontier = [(g, ())]
+    seen = {rows}
+    frontier = [(rows, ())]
     while frontier:
         nxt = []
-        for graph, path in frontier:
-            for v in graph.vertices:
-                image = local_complement(graph, v)
+        for member, path in frontier:
+            for v, row in zip(at, member):
+                if row & (row - 1) == 0:  # under two neighbors: the image is ``member``
+                    continue
+                image = _lc_rows(member, at, v)
                 if image in seen:
                     continue
                 over_budget = len(seen) >= budget
@@ -59,9 +63,7 @@ def _closure(g: Graph, node_budget: int | None):
                 found = (image, path + (v,))
                 yield found
                 if over_budget:
-                    raise BudgetExceededError(
-                        f"orbit exceeds node budget {budget}; refusing to answer"
-                    )
+                    raise BudgetExceededError(f"orbit exceeds node budget {budget}; refusing to answer")
                 nxt.append(found)
         frontier = nxt
 
@@ -76,7 +78,8 @@ def lc_orbit_paths(g: Graph, node_budget: int | None = None) -> dict[Graph, tupl
     """
     if g.n == 0:
         raise ValueError("orbit of the empty graph is undefined")
-    return {member: (member, path) for member, path in _closure(g, node_budget)}
+    rows, at = _rows_of(g)
+    return {(m := _graph_of(member, at)): (m, path) for member, path in _closure(rows, at, node_budget)}
 
 
 def lc_orbit(g: Graph, node_budget: int | None = None) -> set[Graph]:
@@ -92,10 +95,8 @@ def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ..
     """
     if g.vertices != h.vertices:
         return None
-    for member, path in _closure(g, node_budget):
-        if member == h:
-            return path
-    return None
+    target = _rows_of(h)[0]
+    return next((path for member, path in _closure(*_rows_of(g), node_budget) if member == target), None)
 
 
 def lc_equivalent(g: Graph, h: Graph, node_budget: int | None = None) -> bool:

@@ -13,7 +13,6 @@ from graphmin import (
     decide_bell_ring,
     decide_bell_tree,
     decide_vertex_minor,
-    lemma_blockers,
     line_query,
     path_graph,
     replay,
@@ -186,6 +185,28 @@ class TestRing:
             fast = decide_bell_ring(ring_query(6, pair_a, pair_b)).answer
             slow = decide_vertex_minor(ring_graph(6), bell_target(pair_a, pair_b)).answer
             assert fast == slow
+
+
+def lemma_blockers(topology: str, n: int, pair: tuple[int, int], b: int) -> bool:
+    """Flagged configurations for extracting a Bell pair plus an isolated vertex.
+
+    line: ``b`` strictly between the pair endpoints; such instances are
+    never extractable. ring: pair and ``b`` on three consecutive positions
+    with the second pair endpoint in the middle; that configuration is only
+    impossible on the 4-ring (from five vertices up an x measurement
+    escapes it), so it marks the flagged shape rather than deciding
+    anything. A False says nothing either way.
+    """
+    if len({pair[0], pair[1], b}) != 3:
+        raise ValueError("need three distinct vertices")
+    if topology == "line":
+        lo, hi = sorted(pair)
+        return lo < b < hi
+    if topology == "ring":
+        a1, a2 = pair
+        adjacent = lambda x, y: (x - y) % n in (1, n - 1)
+        return adjacent(a1, a2) and adjacent(a2, b)
+    raise ValueError(f"no blocker conditions for topology {topology!r}")
 
 
 class TestLemmaBlockers:

@@ -26,9 +26,10 @@ from graphmin import (
     source_reduce,
     target_reduce,
 )
+from graphmin.graph import _rows_of
 from graphmin.minor import NO, UNKNOWN, YES, Decision, _conflict_pairs, _violates_persistence
-from graphmin.ops import apply_step
-from graphmin.orbit import lc_orbit_paths
+from graphmin.ops import _apply_rows, apply_step
+from graphmin.orbit import BudgetExceededError, lc_orbit_paths
 
 
 from conftest import fig4a, fig6, prufer_tree, random_graph, random_refinement
@@ -138,6 +139,49 @@ def _reference_decide(g, h):
     return Decision(NO, "brute-force")
 
 
+def _graph_keyed_decide(g, h, budget):
+    """The decider's memoized search on ``Graph`` values, failed set keyed on
+    graphs: the reference for the budget each decision spends, so the rows
+    search must reach "unknown" at exactly the same budgets."""
+    conflicts = _conflict_pairs(h)
+    if _violates_persistence(*_rows_of(g), conflicts):
+        return Decision(NO, "brute-force")
+    surplus = sorted(set(g.vertices) - set(h.vertices))
+    failed, steps = set(), []
+
+    def search(graph, depth):
+        if depth == len(surplus):
+            return orbit.get(graph)
+        if graph in failed:
+            return None
+        if depth and _violates_persistence(*_rows_of(graph), conflicts):
+            failed.add(graph)
+            return None
+        if len(failed) + depth >= budget:
+            raise BudgetExceededError("search budget")
+        v = surplus[depth]
+        mask = graph.neighbor_mask(v)
+        nbr = (mask & -mask).bit_length() - 1 if mask else None
+        for step in (Step("measure_z", v), Step("measure_y", v), Step("measure_x", v, nbr)):
+            steps.append(step)
+            hit = search(apply_step(graph, step), depth + 1)
+            if hit is not None:
+                return hit
+            steps.pop()
+        failed.add(graph)
+        return None
+
+    try:
+        orbit = lc_orbit_paths(h, budget) if h.n else {h: (h, ())}
+        hit = search(g, 0)
+    except BudgetExceededError:
+        return Decision(UNKNOWN, "budget-exhausted")
+    if hit is None:
+        return Decision(NO, "brute-force")
+    back = tuple(Step("lc", v) for v in reversed(hit[1]))
+    return Decision(YES, "brute-force" if surplus else "lc-equivalence", tuple(steps) + back)
+
+
 def nested_pairs_on_path(n):
     return Graph([1, 2, n - 1, n], [(1, n), (2, n - 1)])
 
@@ -146,14 +190,14 @@ CROSSED_PAIRS_ON_RING_9 = Graph([1, 3, 5, 7], [(1, 5), (3, 7)])
 
 
 def _count_rewrites(monkeypatch):
-    """Record every step the decider applies; returns the live list."""
+    """Record every rewrite the decider's search applies; returns the live list."""
     calls = []
 
-    def counting(g, step):
+    def counting(rows, at, *step):
         calls.append(step)
-        return apply_step(g, step)
+        return _apply_rows(rows, at, *step)
 
-    monkeypatch.setattr("graphmin.minor.apply_step", counting)
+    monkeypatch.setattr("graphmin.minor._apply_rows", counting)
     return calls
 
 
@@ -198,10 +242,27 @@ class TestMemoizedSearch:
         d = decide_vertex_minor(g, h, node_budget=9)
         assert d == Decision(UNKNOWN, "budget-exhausted")
 
+    def test_budgets_match_graph_keyed_search(self):
+        # a failed-set key that merges two graphs skips one of them, which
+        # moves the budget at which a decision stops being "unknown"
+        rng = random.Random(47)
+        answers = set()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(4, 9), p=rng.choice((0.3, 0.5, 0.7)))
+            keep = sorted(rng.sample(g.vertices, rng.randint(2, 4)))
+            h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep)).edges()
+                             if a in keep and b in keep])
+            for budget in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89):
+                d = decide_vertex_minor(g, h, node_budget=budget)
+                assert d == _graph_keyed_decide(g, h, budget)
+                answers.add(d.answer)
+        assert answers == {YES, NO, UNKNOWN}
+
     def test_budget_never_turns_into_a_wrong_no(self):
-        g, h = ring_graph(9), CROSSED_PAIRS_ON_RING_9  # the first "no" needs budget 16
+        g, h = ring_graph(9), CROSSED_PAIRS_ON_RING_9
         answers = [decide_vertex_minor(g, h, node_budget=b).answer for b in range(1, 60)]
         first_no = answers.index(NO)
+        assert first_no + 1 == 16  # the first "no" needs budget 16
         assert set(answers[:first_no]) == {UNKNOWN} and set(answers[first_no:]) == {NO}
 
 
@@ -224,7 +285,7 @@ class TestPersistencePruning:
             h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep), p=0.3).edges()
                              if a in keep and b in keep])
             block_fates = {class_persistence_check(g, h, block) for block in canonical_foliage_partition(g)}
-            assert _violates_persistence(g, _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
+            assert _violates_persistence(*_rows_of(g), _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
             fates |= block_fates
         assert fates == set(ClassFate)
 

@@ -1,7 +1,10 @@
 import pytest
 
+import random
+
 from graphmin import Graph, Step, apply_step, path_graph, replay
-from graphmin.ops import steps_from_json, steps_to_json
+from graphmin.graph import _graph_of, _rows_of
+from graphmin.ops import _apply_rows, steps_from_json, steps_to_json
 
 
 def test_step_rejects_unknown_kind():
@@ -41,3 +44,28 @@ def test_json_round_trip():
     assert objs[0] == {"op": "measure_x", "vertex": 2, "neighbor": 1}
     assert "neighbor" not in objs[1]
     assert steps_from_json(objs) == steps
+
+
+def test_rows_rewrites_match_apply_step():
+    # every kind of step on graphs with scattered labels up to 64; each
+    # rows tuple stays aligned to the ascending labels of the graph it is
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(300):
+        labels = sorted(rng.sample(range(1, 65), rng.randint(1, 10)))
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+                           if rng.random() < p])
+        rows, at = _rows_of(g)
+        while g.n and rng.random() < 0.9:
+            v = rng.choice(g.vertices)
+            op = rng.choice(("lc", "delete", "measure_z", "measure_y", "measure_x"))
+            nbrs = sorted(g.neighbors(v))
+            step = Step(op, v, rng.choice(nbrs) if op == "measure_x" and nbrs else None)
+            g = apply_step(g, step)
+            rows = _apply_rows(rows, at, step.op, step.vertex, step.neighbor)
+            at = _rows_of(g)[1]
+            assert rows == _rows_of(g)[0]
+            assert _graph_of(rows, g.vertices) == g
+            kinds.add((op, step.neighbor is None))
+    assert len(kinds) == 6  # x through a neighbor and x of an isolated vertex among them

@@ -22,6 +22,42 @@ from graphmin import (
 from conftest import fig2, random_graph
 
 
+def _graph_closure(g, node_budget):
+    """Breadth-first LC closure on ``Graph`` values, one graph per member.
+
+    The reference for the rows-tuple closure behind ``lc_orbit_paths`` and
+    ``lc_path``: the same members, discovery order, paths and budget rule.
+    """
+    yield g, ()
+    seen = {g}
+    frontier = [(g, ())]
+    while frontier:
+        nxt = []
+        for graph, path in frontier:
+            for v in graph.vertices:
+                image = local_complement(graph, v)
+                if image in seen:
+                    continue
+                over_budget = len(seen) >= node_budget
+                seen.add(image)
+                found = (image, path + (v,))
+                yield found
+                if over_budget:
+                    raise BudgetExceededError("over budget")
+                nxt.append(found)
+        frontier = nxt
+
+
+def _reference_orbit(g, node_budget=1 << 20):
+    """The reference's (member, path) pairs, and whether it ran out of budget."""
+    found = []
+    try:
+        found.extend(_graph_closure(g, node_budget))
+    except BudgetExceededError:
+        return found, True
+    return found, False
+
+
 def test_single_edge_orbit_is_trivial():
     assert lc_orbit(Graph(2, [(1, 2)])) == {Graph(2, [(1, 2)])}
 
@@ -64,6 +100,40 @@ def test_budget_boundary_on_path4():
     assert lc_path(g, members[-1], 10) == (2, 1, 3, 4)
     with pytest.raises(BudgetExceededError):
         lc_path(g, members[-1], 9)
+
+
+def test_closure_matches_graph_closure_on_random_graphs():
+    rng = random.Random(41)
+    sizes = set()
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.2, 0.4, 0.6)))
+        expected, exhausted = _reference_orbit(g)
+        assert not exhausted
+        assert list(lc_orbit_paths(g).values()) == expected
+        member, path = expected[rng.randrange(len(expected))]
+        assert lc_path(g, member) == path
+        sizes.add(len(expected))
+    assert max(sizes) > 500
+
+
+@pytest.mark.parametrize("budget", [9, 10, 11, 12])
+def test_closure_matches_graph_closure_at_the_budget_boundary(budget):
+    g = path_graph(4)  # an orbit of 11 members
+    expected, exhausted = _reference_orbit(g, budget)
+    assert exhausted == (budget < 11)
+    if exhausted:
+        with pytest.raises(BudgetExceededError):
+            lc_orbit_paths(g, budget)
+    else:
+        assert list(lc_orbit_paths(g, budget).values()) == expected
+    for member, path in expected:  # the member found past the budget included
+        assert lc_path(g, member, budget) == path
+    outside = Graph(4)  # not in the orbit: the whole closure runs
+    if exhausted:
+        with pytest.raises(BudgetExceededError):
+            lc_path(g, outside, budget)
+    else:
+        assert lc_path(g, outside, budget) is None
 
 
 def test_equivalence_needs_same_labels():

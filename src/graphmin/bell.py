@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, path_graph, ring_graph
+from .graph import MAX_LABEL, Graph, connected_components, path_graph, ring_graph
 from .minor import NO, YES, Decision
 from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, Step, replay
 
@@ -56,6 +56,8 @@ class BellQuery:
                 raise ValueError(f"{self.topology} topology needs a size")
             if self.topology == "ring" and self.size < 4:
                 raise ValueError(f"ring queries need n >= 4, got {self.size}")
+            if self.size > MAX_LABEL:
+                raise ValueError(f"{self.topology} queries need n <= {MAX_LABEL}, got {self.size}")
             alive = set(range(1, self.size + 1))
         marked = set(self.pair_a) | set(self.pair_b)
         if len(marked) != 4:

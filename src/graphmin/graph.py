@@ -4,12 +4,16 @@ Vertices carry persistent integer labels in 1..MAX_LABEL. Deleting a vertex
 removes its label from the alive set; surviving labels are never renumbered,
 so a vertex keeps its identity across arbitrary rewrite sequences.
 
-Adjacency is stored as one bitmask row per alive label (bit ``v`` of row ``a``
-set iff ``{a, v}`` is an edge), so local complementation is a masked XOR over
-the neighborhood. Graphs are immutable values: every rewrite returns a new
-graph, so results can be shared, hashed, and memoized freely. Orbit closure
-and the vertex-minor search skip graphs altogether: they rewrite tuples of
-rows through the private kernel at the end of this module.
+A graph is one tuple of bitmask rows, row ``i`` for the ``i``-th smallest
+alive label (bit ``v`` of a label's row set iff ``{label, v}`` is an edge),
+plus ``_at``, the dict from each label to its row's position. ``_at`` is
+never mutated, so a local complement and every member of an orbit share the
+``_at`` of the graph they came from. Local complementation is a masked XOR
+over the neighborhood. Graphs are immutable values: every rewrite returns a
+new graph, so results can be shared, hashed, and memoized freely. Equality
+is "same labels and same edges": the same rows on the same label set. The
+rewrites are the kernel functions at the end of this module, which the
+orbit closure and the vertex-minor search also run on bare rows tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ def _bits(mask: int):
 class Graph:
     """Immutable labeled simple graph on a subset of labels 1..MAX_LABEL."""
 
-    __slots__ = ("_rows", "_hash")
+    __slots__ = ("_rows", "_at")
 
     def __init__(self, vertices: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         """Build a graph on ``vertices`` (an int n means labels 1..n).
@@ -48,31 +52,22 @@ class Graph:
             labels = range(1, vertices + 1)
         else:
             labels = sorted(set(vertices))
-        rows: dict[int, int] = {}
+        at: dict[int, int] = {}
         for v in labels:
             if not isinstance(v, int) or v < 1 or v > MAX_LABEL:
                 raise ValueError(f"vertex labels must be integers in 1..{MAX_LABEL}, got {v!r}")
-            rows[v] = 0
+            at[v] = len(at)
+        rows = [0] * len(at)
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
-            if a not in rows:
-                raise UnknownVertexError(f"unknown vertex label {a}")
-            if b not in rows:
-                raise UnknownVertexError(f"unknown vertex label {b}")
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def _from_rows(cls, rows: dict[int, int]) -> Graph:
-        # Trusted fast path for internal rewrites; invariants hold by
-        # construction there.
-        g = object.__new__(cls)
-        object.__setattr__(g, "_rows", rows)
-        object.__setattr__(g, "_hash", None)
-        return g
+            for v in (a, b):
+                if v not in at:
+                    raise UnknownVertexError(f"unknown vertex label {v}")
+            rows[at[a]] |= 1 << b
+            rows[at[b]] |= 1 << a
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_at", at)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -86,35 +81,33 @@ class Graph:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
+        return tuple(self._at)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (min, max) pairs, sorted."""
-        return tuple([(a, b) for a in sorted(self._rows) for b in _bits(self._rows[a] >> a + 1 << a + 1)])
+        return tuple([(a, b) for a, row in zip(self._at, self._rows) for b in _bits(row >> a + 1 << a + 1)])
 
     def has_vertex(self, a: int) -> bool:
-        return a in self._rows
+        return a in self._at
 
     def has_edge(self, a: int, b: int) -> bool:
-        self._require(a)
+        row = self.neighbor_mask(a)
         self._require(b)
-        return bool(self._rows[a] >> b & 1)
+        return bool(row >> b & 1)
 
     def neighbors(self, a: int) -> set[int]:
-        self._require(a)
-        return set(_bits(self._rows[a]))
+        return set(_bits(self.neighbor_mask(a)))
 
     def neighbor_mask(self, a: int) -> int:
         """Neighborhood of ``a`` as a bitmask (bit v set iff v adjacent)."""
         self._require(a)
-        return self._rows[a]
+        return self._rows[self._at[a]]
 
     def degree(self, a: int) -> int:
-        self._require(a)
-        return self._rows[a].bit_count()
+        return self.neighbor_mask(a).bit_count()
 
     def _require(self, a: int) -> None:
-        if a not in self._rows:
+        if a not in self._at:
             raise UnknownVertexError(f"unknown vertex label {a}")
 
     # -- value semantics ----------------------------------------------------
@@ -122,17 +115,23 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._rows == other._rows
+        # equal rows on two label sets are two graphs (``Graph([1, 2])`` and
+        # ``Graph([3, 4])`` both have rows ``(0, 0)``)
+        return self._rows == other._rows and (self._at is other._at or self._at.keys() == other._at.keys())
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(tuple(sorted(self._rows.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"Graph({list(self.vertices)}, {list(self.edges())})"
+
+
+def _graph(rows: tuple[int, ...], at: dict[int, int]) -> Graph:
+    """Wrap a rows tuple aligned to ``at`` as a graph, trusting both."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "_rows", rows)
+    object.__setattr__(g, "_at", at)
+    return g
 
 
 # -- builders and components -------------------------------------------------
@@ -158,7 +157,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, sorted by minimum label."""
     seen = 0
     comps = []
-    for start in sorted(g._rows):
+    for start in g._at:
         if seen >> start & 1:
             continue
         comp = 1 << start
@@ -166,7 +165,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         while frontier:
             nxt = 0
             for v in _bits(frontier):
-                nxt |= g._rows[v]
+                nxt |= g._rows[g._at[v]]
             frontier = nxt & ~comp
             comp |= nxt
         seen |= comp
@@ -183,18 +182,13 @@ def local_complement(g: Graph, a: int) -> Graph:
     Involutive: applying twice at the same vertex restores the graph.
     """
     g._require(a)
-    rows, nbrs = dict(g._rows), g._rows[a]
-    for v in _bits(nbrs):
-        rows[v] ^= nbrs & ~(1 << v)
-    return Graph._from_rows(rows)
+    return _graph(_lc_rows(g._rows, g._at, a), g._at)
 
 
 def delete_vertex(g: Graph, a: int) -> Graph:
     """Remove ``a`` and its incident edges; other labels survive unchanged."""
     g._require(a)
-    bit = 1 << a
-    rows = {v: r & ~bit for v, r in g._rows.items() if v != a}
-    return Graph._from_rows(rows)
+    return _graph(_delete_rows(g._rows, g._at, a), _at_without(g._at, a))
 
 
 def measure_z(g: Graph, a: int) -> Graph:
@@ -213,8 +207,7 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     ``b`` defaults to the smallest neighbor of ``a``; all neighbor choices
     give LC-equivalent results. An isolated ``a`` measures like z.
     """
-    g._require(a)
-    nbrs = g._rows[a]
+    nbrs = g.neighbor_mask(a)
     if nbrs == 0:
         if b is not None:
             raise ValueError(f"vertex {a} is isolated; no neighbor {b} to route through")
@@ -224,21 +217,16 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     elif not (b > 0 and nbrs >> b & 1):  # a label is positive; a negative shift would raise
         g._require(b)
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
-    return _graph_of(_x_rows(*_rows_of(g), a, b), [v for v in g.vertices if v != a])
+    return _graph(_x_rows(g._rows, g._at, a, b), _at_without(g._at, a))
 
 
-# -- the rows kernel: row ``i`` of a tuple is that of the ``i``-th smallest label,
-# with ``Graph``'s label bits, and ``at`` maps labels to positions. On one label
-# set, equal tuples are equal graphs. A deletion aligns to the labels left.
+# -- the rows kernel: a ``Graph``'s ``_rows`` and ``_at`` without the wrapper,
+# for the orbit closure and the search. On one label set, equal tuples are
+# equal graphs. A deletion aligns to the labels left.
 
 
-def _rows_of(g: Graph) -> tuple[tuple[int, ...], dict[int, int]]:
-    labels = g.vertices
-    return tuple([g._rows[v] for v in labels]), {v: i for i, v in enumerate(labels)}
-
-
-def _graph_of(rows: tuple[int, ...], labels) -> Graph:
-    return Graph._from_rows(dict(zip(labels, rows)))
+def _at_without(at: dict[int, int], a: int) -> dict[int, int]:
+    return {v: i - (v > a) for v, i in at.items() if v != a}
 
 
 def _lc_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ from .foliage import (
     is_leaf_of,
     _star_centers,
 )
-from .graph import Graph, _rows_of, delete_vertex, local_complement
+from .graph import Graph, delete_vertex, local_complement
 from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, Step, _apply_rows, replay
 from .orbit import BudgetExceededError, default_budget, lc_orbit_paths
 
@@ -59,10 +59,10 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     order, each in bases z, y, x (x through its smallest neighbor); the first
     measured graph in the target's LC-orbit wins, and the witness is those
     measurements plus the local complements back to ``h``. The search runs
-    on rows tuples (``graph.py``'s kernel), looks leaves up in a rows-keyed
-    copy of the orbit, and builds steps only for the witness. What lies below
-    a graph depends on it alone, so one whose three measurements all failed
-    is remembered and skipped when reached again.
+    on bare rows tuples (``graph.py``'s kernel), looks leaves up in the
+    orbit keyed by its members' rows, and builds steps only for the
+    witness. What lies below a graph depends on it alone, so one whose three
+    measurements all failed is remembered and skipped when reached again.
 
     Foliage persistence prunes: if ``h`` is a vertex-minor of a graph, each
     foliage class of that graph, cut down to the labels of ``h``, lies inside
@@ -82,8 +82,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     if not h_labels <= g_labels:
         raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
     conflicts = _conflict_pairs(h)
-    rows, at = _rows_of(g)
-    if _violates_persistence(rows, at, conflicts):
+    if _violates_persistence(g._rows, g._at, conflicts):
         return Decision(NO, "brute-force")
     to_measure = tuple(sorted(g_labels - h_labels))
     budget = default_budget() if node_budget is None else node_budget
@@ -118,9 +117,8 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return None
 
     try:
-        orbit = {_rows_of(m)[0]: path for m, path in lc_orbit_paths(h, node_budget).values()} \
-            if h.n else {(): ()}
-        hit = search(rows, 0)
+        orbit = {m._rows: path for m, path in lc_orbit_paths(h, node_budget).values()} if h.n else {(): ()}
+        hit = search(g._rows, 0)
     except BudgetExceededError:
         return Decision(UNKNOWN, "budget-exhausted")
     if hit is None:

@@ -3,16 +3,17 @@
 Reachability by local complementations decides local-Clifford equivalence of
 the corresponding graph states, so a breadth-first closure, deduplicated by
 graph value, is a complete (if exponential) equivalence decider at desk scale.
-The closure runs on the rows tuples of ``graph.py``'s kernel, so a member
-becomes a ``Graph`` only when a caller asks for graphs. Expansion order is
-ascending vertex label, which makes orbits, paths, and witnesses reproducible.
+The closure runs on the rows tuples of ``graph.py``'s kernel; a caller that
+asks for graphs gets each member's tuple wrapped as it is, sharing the
+source's label positions. Expansion order is ascending vertex label, which
+makes orbits, paths, and witnesses reproducible.
 """
 
 from __future__ import annotations
 
 import os
 
-from .graph import Graph, _graph_of, _lc_rows, _rows_of
+from .graph import Graph, _graph, _lc_rows
 
 _ENV_BUDGET = "GRAPHMIN_BUDGET"
 DEFAULT_NODE_BUDGET = 1 << 20
@@ -78,8 +79,7 @@ def lc_orbit_paths(g: Graph, node_budget: int | None = None) -> dict[Graph, tupl
     """
     if g.n == 0:
         raise ValueError("orbit of the empty graph is undefined")
-    rows, at = _rows_of(g)
-    return {(m := _graph_of(member, at)): (m, path) for member, path in _closure(rows, at, node_budget)}
+    return {(m := _graph(member, g._at)): (m, path) for member, path in _closure(g._rows, g._at, node_budget)}
 
 
 def lc_orbit(g: Graph, node_budget: int | None = None) -> set[Graph]:
@@ -95,8 +95,7 @@ def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ..
     """
     if g.vertices != h.vertices:
         return None
-    target = _rows_of(h)[0]
-    return next((path for member, path in _closure(*_rows_of(g), node_budget) if member == target), None)
+    return next((path for member, path in _closure(g._rows, g._at, node_budget) if member == h._rows), None)
 
 
 def lc_equivalent(g: Graph, h: Graph, node_budget: int | None = None) -> bool:

@@ -49,6 +49,12 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="outside"):
             line_query(5, (1, 2), (4, 6))
 
+    @pytest.mark.parametrize("query", [line_query, ring_query])
+    def test_size_above_label_cap_rejected(self, query):
+        # a "no" placement once answered for a graph that cannot be built
+        with pytest.raises(ValueError, match="n <= 64, got 100"):
+            query(100, (1, 3), (2, 4))
+
     def test_ring_needs_four_vertices(self):
         with pytest.raises(ValueError, match="n >= 4"):
             ring_query(3, (1, 2), (3, 4))

@@ -196,6 +196,13 @@ class TestBellCommand:
         )
         assert_input_error(code, out, err, f"--n must be positive, got {n}")
 
+    def test_size_above_label_cap_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "bell", "--topology", "line", "--n", "100",
+            "--pairA", "1", "3", "--pairB", "5", "7",
+        )
+        assert_input_error(code, out, err, "line queries need n <= 64, got 100")
+
 
 class TestReduceCommand:
     def test_source_reduction(self, capsys):

@@ -166,6 +166,34 @@ class TestSetOperations:
         assert connected_components(delete_vertex(Graph(1), 1)) == []
 
 
+
+class TestValueSemantics:
+    # graphs on different label sets can share their rows (all zero when
+    # edgeless, or with edges whose labels are all kept), so equality and
+    # hashing must see the labels as well as the rows
+    def test_edgeless_graphs_on_different_labels_differ(self):
+        g, h = Graph([1, 2]), Graph([3, 4])
+        assert g != h
+        assert len({g, h}) == 2
+
+    def test_deletion_equals_graph_built_on_the_labels_left(self):
+        g = delete_vertex(path_graph(3), 2)
+        assert g == Graph([1, 3])
+        assert hash(g) == hash(Graph([1, 3]))
+        assert g != Graph([1, 2]) and g != Graph([2, 3])
+
+    def test_rewritten_graph_finds_entry_of_equal_built_graph(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            labels = sorted(rng.sample(range(1, 65), rng.randint(2, 8)))
+            g = Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < 0.5])
+            for a in rng.sample(labels, 3 if len(labels) > 3 else 1):
+                g = local_complement(g, a) if rng.random() < 0.7 else delete_vertex(g, a)
+            table = {Graph(g.vertices, g.edges()): "built"}
+            assert table[g] == "built"
+            assert hash(g) == hash(Graph(g.vertices, g.edges()))
+
+
 class TestRewriteInvariants:
     def test_involution_across_random_corpus(self):
         rng = random.Random(99)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -26,9 +28,8 @@ from graphmin import (
     source_reduce,
     target_reduce,
 )
-from graphmin.graph import _rows_of
 from graphmin.minor import NO, UNKNOWN, YES, Decision, _conflict_pairs, _violates_persistence
-from graphmin.ops import _apply_rows, apply_step
+from graphmin.ops import _apply_rows, apply_step, steps_to_json
 from graphmin.orbit import BudgetExceededError, lc_orbit_paths
 
 
@@ -144,7 +145,7 @@ def _graph_keyed_decide(g, h, budget):
     graphs: the reference for the budget each decision spends, so the rows
     search must reach "unknown" at exactly the same budgets."""
     conflicts = _conflict_pairs(h)
-    if _violates_persistence(*_rows_of(g), conflicts):
+    if _violates_persistence(g._rows, g._at, conflicts):
         return Decision(NO, "brute-force")
     surplus = sorted(set(g.vertices) - set(h.vertices))
     failed, steps = set(), []
@@ -154,7 +155,7 @@ def _graph_keyed_decide(g, h, budget):
             return orbit.get(graph)
         if graph in failed:
             return None
-        if depth and _violates_persistence(*_rows_of(graph), conflicts):
+        if depth and _violates_persistence(graph._rows, graph._at, conflicts):
             failed.add(graph)
             return None
         if len(failed) + depth >= budget:
@@ -266,6 +267,74 @@ class TestMemoizedSearch:
         assert set(answers[:first_no]) == {UNKNOWN} and set(answers[first_no:]) == {NO}
 
 
+
+# SHA-256 of every decision in ``_decision_corpus``, recorded before the
+# search and ``Graph`` shared one rows representation: unlike the reference
+# deciders above, it does not run on the code it checks. Update it only with
+# a change that means to alter answers, rules or witnesses and says which.
+PINNED_DECISIONS_DIGEST = "4165c80f175492a8ed905fe35fd4281a250dd0cb186c137e1e70850ffacda53b"
+
+
+def _decision_corpus():
+    """Seeded (source, target, budget) triples: n <= 9 with 1-5 surplus
+    vertices, on labels 1..n or scattered in 1..64, at the default budget
+    (None), plus every budget 1..30 on every fifth pair."""
+    rng = random.Random(20261018)
+    for i in range(800):
+        n = rng.randint(2, 9)
+        labels = list(range(1, n + 1)) if i % 2 else sorted(rng.sample(range(1, 65), n))
+        p = rng.choice((0.3, 0.5, 0.7))
+        g = Graph(labels, [(a, b) for j, a in enumerate(labels) for b in labels[j + 1:] if rng.random() < p])
+        keep = sorted(rng.sample(labels, n - rng.randint(1, min(5, n - 1))))
+        h = Graph(keep, [(a, b) for j, a in enumerate(keep) for b in keep[j + 1:] if rng.random() < p])
+        for budget in (None, *range(1, 31)) if i % 5 == 0 else (None,):
+            yield g, h, budget
+
+
+def test_decisions_match_pinned_digest(monkeypatch):
+    monkeypatch.delenv("GRAPHMIN_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    answers = set()
+    for g, h, budget in _decision_corpus():
+        d = decide_vertex_minor(g, h, node_budget=budget)
+        row = [g.vertices, g.edges(), h.vertices, h.edges(), budget, d.answer, d.rule,
+               steps_to_json(d.witness or ())]
+        digest.update(json.dumps(row).encode() + b"\n")
+        answers.add(d.answer)
+    assert answers == {YES, NO, UNKNOWN}
+    assert digest.hexdigest() == PINNED_DECISIONS_DIGEST
+
+
+def _count_orbit_calls(monkeypatch):
+    """Count the decider's calls of ``graphmin.minor.lc_orbit_paths``, the
+    name through which a traced bench run times the target's closure."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lc_orbit_paths(*args, **kwargs)
+
+    monkeypatch.setattr("graphmin.minor.lc_orbit_paths", counting)
+    return calls
+
+
+class TestOrbitEntry:
+    @pytest.mark.parametrize("g, h", [
+        (path_graph(3), Graph([1, 3], [(1, 3)])),
+        (ring_graph(9), CROSSED_PAIRS_ON_RING_9),
+        (path_graph(4), Graph([1, 4])),
+    ], ids=["yes", "no", "edgeless-target"])
+    def test_closure_goes_through_lc_orbit_paths_once(self, g, h, monkeypatch):
+        calls = _count_orbit_calls(monkeypatch)
+        decide_vertex_minor(g, h)
+        assert calls == [(h, None)]
+
+    def test_root_refutation_closes_no_orbit(self, monkeypatch):
+        calls = _count_orbit_calls(monkeypatch)
+        assert decide_vertex_minor(path_graph(11), nested_pairs_on_path(11)).answer == NO
+        assert calls == []
+
+
 def _two_pair_targets(labels):
     """Every placement of two pairs on ``labels``, with and without the
     second pair's edge (its ends then isolated in the target)."""
@@ -285,7 +354,7 @@ class TestPersistencePruning:
             h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep), p=0.3).edges()
                              if a in keep and b in keep])
             block_fates = {class_persistence_check(g, h, block) for block in canonical_foliage_partition(g)}
-            assert _violates_persistence(*_rows_of(g), _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
+            assert _violates_persistence(g._rows, g._at, _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
             fates |= block_fates
         assert fates == set(ClassFate)
 

@@ -3,7 +3,6 @@ import pytest
 import random
 
 from graphmin import Graph, Step, apply_step, path_graph, replay
-from graphmin.graph import _graph_of, _rows_of
 from graphmin.ops import _apply_rows, steps_from_json, steps_to_json
 
 
@@ -46,9 +45,41 @@ def test_json_round_trip():
     assert steps_from_json(objs) == steps
 
 
+def _reference_step(adj, step):
+    """``step`` on a ``{label: set of neighbors}`` copy of ``adj``, written
+    from the definitions: a local complement toggles every pair of
+    neighbors, a deletion drops the vertex and its edges, y is a local
+    complement then a deletion, and x through ``b`` is three local
+    complements (b, a, b) then a deletion."""
+    adj = {v: set(nbrs) for v, nbrs in adj.items()}
+
+    def lc(a):
+        nbrs = sorted(adj[a])
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
+                adj[u] ^= {w}
+                adj[w] ^= {u}
+
+    def delete(a):
+        for u in adj.pop(a):
+            adj[u].discard(a)
+
+    a, b = step.vertex, step.neighbor
+    if step.op in ("lc", "measure_y"):
+        lc(a)
+    elif step.op == "measure_x" and b is not None:
+        lc(b)
+        lc(a)
+        lc(b)
+    if step.op != "lc":
+        delete(a)
+    return adj
+
+
 def test_rows_rewrites_match_apply_step():
-    # every kind of step on graphs with scattered labels up to 64; each
-    # rows tuple stays aligned to the ascending labels of the graph it is
+    # every kind of step on graphs with scattered labels up to 64, through
+    # ``apply_step`` and through the bare kernel, against the definitions;
+    # each rows tuple stays aligned to the ascending labels of its graph
     rng = random.Random(43)
     kinds = set()
     for _ in range(300):
@@ -56,16 +87,19 @@ def test_rows_rewrites_match_apply_step():
         p = rng.choice((0.2, 0.5, 0.8))
         g = Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
                            if rng.random() < p])
-        rows, at = _rows_of(g)
+        adj = {v: g.neighbors(v) for v in g.vertices}
+        rows, at = g._rows, g._at
         while g.n and rng.random() < 0.9:
             v = rng.choice(g.vertices)
             op = rng.choice(("lc", "delete", "measure_z", "measure_y", "measure_x"))
             nbrs = sorted(g.neighbors(v))
             step = Step(op, v, rng.choice(nbrs) if op == "measure_x" and nbrs else None)
             g = apply_step(g, step)
+            adj = _reference_step(adj, step)
             rows = _apply_rows(rows, at, step.op, step.vertex, step.neighbor)
-            at = _rows_of(g)[1]
-            assert rows == _rows_of(g)[0]
-            assert _graph_of(rows, g.vertices) == g
+            at = g._at
+            expected = Graph(sorted(adj), [(a, b) for a in adj for b in adj[a] if a < b])
+            assert g == expected and list(at) == sorted(adj)
+            assert rows == g._rows == expected._rows
             kinds.add((op, step.neighbor is None))
     assert len(kinds) == 6  # x through a neighbor and x of an isolated vertex among them

@@ -43,18 +43,18 @@ class Graph:
     def __init__(self, vertices: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         """Build a graph on ``vertices`` (an int n means labels 1..n).
 
-        Edges may be given in any order and orientation; duplicates are
-        merged. Self-loops and edges on unknown labels are rejected.
+        Edges may be in any order and orientation; duplicates are merged.
+        Self-loops, edges on unknown labels and ``bool`` labels are rejected.
         """
         if isinstance(vertices, int):
-            if vertices < 0:
+            if vertices < 0 or isinstance(vertices, bool):
                 raise ValueError(f"vertex count must be >= 0, got {vertices}")
             labels = range(1, vertices + 1)
         else:
             labels = sorted(set(vertices))
         at: dict[int, int] = {}
         for v in labels:
-            if not isinstance(v, int) or v < 1 or v > MAX_LABEL:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > MAX_LABEL:
                 raise ValueError(f"vertex labels must be integers in 1..{MAX_LABEL}, got {v!r}")
             at[v] = len(at)
         rows = [0] * len(at)
@@ -62,7 +62,7 @@ class Graph:
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
             for v in (a, b):
-                if v not in at:
+                if v not in at or isinstance(v, bool):
                     raise UnknownVertexError(f"unknown vertex label {v}")
             rows[at[a]] |= 1 << b
             rows[at[b]] |= 1 << a

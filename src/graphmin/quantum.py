@@ -6,7 +6,8 @@ real quantum operations: the complemented graph's state equals a local
 Clifford applied to the original, and each Pauli measurement outcome leaves
 the measured graph's state up to the identity or the closed-form byproduct
 of ``cliffords``, nothing else. A check builds the state of the graph and
-that of its rewrite once each. Dense vectors keep the oracle maximally
+that of its rewrite once each, from one Python int of sign bits, and applies
+a diagonal gate as one multiply. Dense vectors keep the oracle maximally
 trustworthy; the cap on qubit count keeps it affordable.
 
 Qubit order is ascending vertex label; the smallest label is the most
@@ -15,10 +16,12 @@ significant bit of the amplitude index.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import cliffords
-from .graph import Graph, local_complement, measure_x, measure_y, measure_z
+from .graph import Graph, _bits, local_complement, measure_x, measure_y, measure_z
 
 STATE_CAP = 12
 DEFAULT_TOLERANCE = 1e-10
@@ -34,38 +37,45 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be >= 0 and below 1 - 1/sqrt(2), got {tol}")
 
 
+@functools.cache
+def _row_masks(n: int) -> tuple[int, ...]:
+    """Per row ``i``, the 2^n-bit int whose bit ``x`` is index ``x``'s bit ``n - 1 - i``."""
+    full = (1 << (1 << n)) - 1
+    # bit k of the index: 2^k clear bits then 2^k set ones, repeated to 2^n bits
+    return tuple(full // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1 << (1 << k))
+                 for k in reversed(range(n)))
+
+
 def graph_state(g: Graph) -> np.ndarray:
     """State vector of ``g``: CZ per edge applied to the uniform plus state.
 
     Every amplitude has magnitude 2^(-n/2); the sign at index ``x`` is the
-    parity of edges whose two endpoint bits are both set in ``x``. The signs
-    are built one qubit at a time, largest label first, each new qubit
-    becoming the most significant bit: with it set, the sign at ``x`` is the
-    sign with it clear XOR the parity of ``x & m``, where ``m`` holds the
-    bits of its neighbors already placed. That is O(n) NumPy calls, none
-    per edge.
+    parity of edges whose two endpoint bits are both set in ``x``. The 2^n
+    sign bits are one Python int: per vertex, its ``_row_masks`` mask AND
+    the XOR of its larger-labelled neighbors' masks is XORed in. One unpack
+    turns the int into the signs; no NumPy call is made per vertex or edge.
     """
     n = g.n
     if n > STATE_CAP:
         raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")
-    labels = g.vertices[::-1]  # labels[k] is the qubit at bit k
-    idx = np.arange(1 << n >> 1)
-    parity = np.zeros(1 << n, dtype=np.int8)  # popcount parity of the index, filled as it grows
-    signs = np.zeros(1 << n, dtype=np.int8)
-    for k, v in enumerate(labels):
-        row, m = g.neighbor_mask(v), 0
-        for j in range(k):
-            m |= (row >> labels[j] & 1) << j
-        h = 1 << k
-        signs[h:2 * h] = signs[:h] ^ parity[idx[:h] & m] if m else signs[:h]
-        parity[h:2 * h] = parity[:h] ^ 1
-    amp = 1 / np.sqrt(1 << n)
-    return np.array([amp, -amp], dtype=complex).take(signs)
+    masks, at, signs = _row_masks(n), g._at, 0
+    for v, row, mask in zip(at, g._rows, masks):
+        up = 0
+        for u in _bits(row >> v + 1 << v + 1):
+            up ^= masks[at[u]]
+        signs ^= up & mask
+    size = 1 << n
+    bits = np.unpackbits(np.frombuffer(signs.to_bytes(size + 7 >> 3, "little"), np.uint8),
+                         count=size, bitorder="little")
+    amp = 1 / np.sqrt(size)
+    return np.array([amp, -amp], dtype=complex).take(bits)
 
 
 def apply_single(psi: np.ndarray, n: int, bit: int, gate: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate to the qubit at ``bit`` (counted from the LSB)."""
+    """Apply a 2x2 gate to the qubit at ``bit`` (from the LSB); a diagonal one is a multiply."""
     shaped = psi.reshape(1 << (n - 1 - bit), 2, 1 << bit)
+    if gate[0, 1] == 0 and gate[1, 0] == 0:
+        return (shaped * gate.diagonal()[:, None]).reshape(psi.shape)
     return np.einsum("ab,ibj->iaj", gate, shaped).reshape(psi.shape)
 
 

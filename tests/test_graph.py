@@ -46,6 +46,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph([65])
 
+    def test_rejects_bool_count(self):
+        for count in (True, False):
+            with pytest.raises(ValueError, match="vertex count must be >= 0"):
+                Graph(count)
+
+    @pytest.mark.parametrize("labels", [[True, 2], [False, 2], [True]])
+    def test_rejects_bool_label(self, labels):
+        with pytest.raises(ValueError, match="vertex labels must be integers in 1..64"):
+            Graph(labels)
+
+    @pytest.mark.parametrize("edge", [(True, 2), (2, True), (False, 2)])
+    def test_rejects_bool_endpoint(self, edge):
+        with pytest.raises(UnknownVertexError, match="unknown vertex label"):
+            Graph([1, 2], [edge])
+
     def test_duplicate_edges_merge(self):
         g = Graph(2, [(1, 2), (2, 1)])
         assert g.edges() == ((1, 2),)

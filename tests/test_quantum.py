@@ -47,6 +47,11 @@ def assert_bit_identical(g):
     assert psi.dtype == ref.dtype and np.array_equal(psi, ref), g.edges()
 
 
+def _relabel(g, labels):
+    """``g`` on 1..n moved onto ``labels``, vertex i becoming labels[i - 1]."""
+    return Graph(labels, [(labels[a - 1], labels[b - 1]) for a, b in g.edges()])
+
+
 def kron_oracle(g):
     """Independent construction: explicit CZ matrices on the plus state."""
     n = g.n
@@ -122,6 +127,21 @@ class TestGraphState:
     def test_bit_identical_above_the_default_cap(self, monkeypatch):
         monkeypatch.setattr(quantum, "STATE_CAP", 13)
         assert_bit_identical(random_graph(random.Random(13), 13))
+
+    @pytest.mark.parametrize("build", [Graph, complete_graph], ids=["edgeless", "complete"])
+    def test_bit_identical_at_the_cap(self, build):
+        assert_bit_identical(build(quantum.STATE_CAP))
+
+    @pytest.mark.parametrize("labels", [(64,), (7, 64), (3, 40, 64)])
+    def test_bit_identical_when_the_signs_fit_in_one_byte(self, labels):
+        for g in all_graphs(len(labels)):  # 2, 4 or 8 sign bits
+            assert_bit_identical(_relabel(g, labels))
+
+    def test_bit_identical_on_labels_scattered_within_one_graph(self):
+        labels = (1, 2, 8, 9, 31, 32, 33, 63, 64)  # both sides of byte and word boundaries
+        rng = random.Random(64)
+        for _ in range(60):
+            assert_bit_identical(_relabel(random_graph(rng, len(labels), rng.uniform(0.1, 0.9)), labels))
 
     def test_normalized(self, rng):
         for _ in range(10):
@@ -199,6 +219,18 @@ class TestApplySingle:
         np.testing.assert_allclose(flipped, [0, 1, 0, 0])  # LSB qubit flipped
         flipped = apply_single(psi, 2, 1, np.array([[0, 1], [1, 0]], dtype=complex))
         np.testing.assert_allclose(flipped, [0, 0, 1, 0])  # MSB qubit flipped
+
+    @pytest.mark.parametrize("shape", ["diagonal", "anti-diagonal", "general"])
+    def test_matches_kronecker_operator_at_every_bit(self, shape):
+        rng = np.random.default_rng(7)
+        for n in range(1, 8):
+            for bit in range(n):
+                gate = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                if shape != "general":
+                    gate *= np.eye(2) if shape == "diagonal" else np.eye(2)[::-1]
+                psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                full = np.kron(np.kron(np.eye(1 << (n - 1 - bit)), gate), np.eye(1 << bit))
+                np.testing.assert_allclose(apply_single(psi, n, bit, gate), full @ psi, rtol=1e-12, atol=1e-12)
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

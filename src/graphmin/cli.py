@@ -162,12 +162,12 @@ def _cmd_verify_quantum(args) -> int:
     g = _load(args.graph, args.format)
     digest = _digest(write_edge_list(g))
     if args.op == "lc":
-        ok = verify_lc_unitary(g, args.vertex, args.tolerance)
+        ok = verify_lc_unitary(g, args.vertex)
         human = [f"lc at {args.vertex}: {'pass' if ok else 'FAIL'}"]
         _emit(args, "verify-quantum", digest, {"ok": ok}, human=human)
         return 0
     try:
-        found = _corrections(g, args.vertex, args.op, (+1, -1), args.tolerance)
+        found = _corrections(g, args.vertex, args.op, (+1, -1))
     except CorrectionSearchExhausted as exc:
         raise ValueError(str(exc)) from exc
     corrections = {
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--op", choices=("lc", "x", "y", "z"), required=True)
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-10)
     common(p)
     p.set_defaults(fn=_cmd_verify_quantum)
 
@@ -264,8 +263,6 @@ def _check_ranges(args) -> None:
         value = getattr(args, option, None)
         if value is not None and value < 1:
             raise ValueError(f"--{option} must be positive, got {value}")
-    if not 0 <= getattr(args, "tolerance", 0) < 1 - 2 ** -0.5:  # quantum.MAX_TOLERANCE; nan fails too
-        raise ValueError(f"--tolerance must be >= 0 and below 1 - 1/sqrt(2), got {args.tolerance}")
 
 
 def main(argv=None) -> int:

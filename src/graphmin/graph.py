@@ -88,7 +88,7 @@ class Graph:
         return tuple([(a, b) for a, row in zip(self._at, self._rows) for b in _bits(row >> a + 1 << a + 1)])
 
     def has_vertex(self, a: int) -> bool:
-        return a in self._at
+        return a in self._at and not isinstance(a, bool)  # ``True == 1`` hashes alike
 
     def has_edge(self, a: int, b: int) -> bool:
         row = self.neighbor_mask(a)
@@ -107,7 +107,7 @@ class Graph:
         return self.neighbor_mask(a).bit_count()
 
     def _require(self, a: int) -> None:
-        if a not in self._at:
+        if a not in self._at or isinstance(a, bool):
             raise UnknownVertexError(f"unknown vertex label {a}")
 
     # -- value semantics ----------------------------------------------------
@@ -214,7 +214,7 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
         return delete_vertex(g, a)
     if b is None:
         b = (nbrs & -nbrs).bit_length() - 1
-    elif not (b > 0 and nbrs >> b & 1):  # a label is positive; a negative shift would raise
+    elif isinstance(b, bool) or not (b > 0 and nbrs >> b & 1):  # a negative shift would raise
         g._require(b)
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
     return _graph(_x_rows(g._rows, g._at, a, b), _at_without(g._at, a))

@@ -8,6 +8,8 @@ graph6 subset accepted, live in docs/formats.md.
 
 from __future__ import annotations
 
+import re
+
 from .graph import MAX_LABEL, Graph
 
 
@@ -22,40 +24,45 @@ class FormatError(ValueError):
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format (either the ``n`` or ``vertices`` header)."""
-    header: tuple | None = None
+    labels: Graph | None = None  # the header's vertices, without edges
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # each significant field with its 1-based column
+        fields = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not fields:
             continue
-        fields = line.split()
-        if header is None:
-            if fields[0] == "vertices":
-                header = ("vertices", _int_fields(fields[1:], lineno, raw, "vertex label"))
-            elif len(fields) == 1:
-                header = ("count", _int_fields(fields, lineno, raw, "vertex count")[0])
-            else:
+        if labels is None:
+            listed = fields[0][1] == "vertices"
+            if not listed and len(fields) != 1:
                 raise FormatError("expected a vertex count or 'vertices' header", lineno)
+            values = _int_fields(fields[listed:], lineno, "vertex label" if listed else "vertex count")
+            for (column, _), v in zip(fields[listed:], values):
+                try:  # each label, or the count, alone: the error is at its column
+                    Graph([v] if listed else v)
+                except ValueError as exc:
+                    raise FormatError(str(exc), lineno, column) from None
+            labels = Graph(values if listed else values[0])
             continue
         if len(fields) != 2:
             raise FormatError(f"expected an 'a b' edge, got {len(fields)} fields", lineno)
-        a, b = _int_fields(fields, lineno, raw, "vertex label")
+        a, b = _int_fields(fields, lineno, "vertex label")
+        for (column, _), v in zip(fields, (a, b)):
+            if not labels.has_vertex(v):
+                raise FormatError(f"unknown vertex label {v}", lineno, column)
+        if a == b:
+            raise FormatError(f"self-loop on vertex {a}", lineno, fields[1][0])
         edges.append((a, b))
-    if header is None:
+    if labels is None:
         raise FormatError("empty input; expected a header line", 1)
-    try:
-        return Graph(header[1], edges)
-    except ValueError as exc:
-        raise FormatError(str(exc), 1) from exc
+    return Graph(labels.vertices, edges)
 
 
-def _int_fields(fields, lineno: int, raw: str, what: str) -> list[int]:
+def _int_fields(fields, lineno: int, what: str) -> list[int]:
     out = []
-    for field in fields:
+    for column, field in fields:
         try:
             out.append(int(field))
         except ValueError:
-            column = raw.index(field) + 1
             raise FormatError(f"{what} {field!r} is not an integer", lineno, column) from None
     return out
 

@@ -32,7 +32,7 @@ from .foliage import (
 )
 from .graph import Graph, delete_vertex, local_complement
 from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, Step, _apply_rows, replay
-from .orbit import BudgetExceededError, default_budget, lc_orbit_paths
+from .orbit import BudgetExceededError, _budget, lc_orbit_paths
 
 YES = "yes"
 NO = "no"
@@ -81,11 +81,11 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     g_labels, h_labels = set(g.vertices), set(h.vertices)
     if not h_labels <= g_labels:
         raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
+    budget = _budget(node_budget)
     conflicts = _conflict_pairs(h)
     if _violates_persistence(g._rows, g._at, conflicts):
         return Decision(NO, "brute-force")
     to_measure = tuple(sorted(g_labels - h_labels))
-    budget = default_budget() if node_budget is None else node_budget
     # label positions at each depth, where ``to_measure[:depth]`` are gone
     ats = [{u: i for i, u in enumerate(sorted(h_labels.union(to_measure[d:])))}
            for d in range(len(to_measure) + 1)]

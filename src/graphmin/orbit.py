@@ -23,16 +23,17 @@ class BudgetExceededError(RuntimeError):
     """Orbit closure grew past the node budget; the caller must not guess."""
 
 
-def default_budget() -> int:
-    raw = os.environ.get(_ENV_BUDGET)
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{_ENV_BUDGET} must be positive, got {value}")
+def _budget(node_budget: int | None) -> int:
+    """``node_budget``, else ``GRAPHMIN_BUDGET``, else the default; below 1 or a bool is a ValueError."""
+    name, value = "node budget", node_budget
+    if value is None:
+        name, raw = _ENV_BUDGET, os.environ.get(_ENV_BUDGET, str(DEFAULT_NODE_BUDGET))
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
+    if isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be positive, got {value!r}")
     return value
 
 
@@ -46,8 +47,8 @@ def _closure(rows: tuple[int, ...], at: dict[int, int], node_budget: int | None)
     ``node_budget`` members, the next new member is still yielded, and then
     ``BudgetExceededError`` is raised.
     """
+    budget = _budget(node_budget)  # checked before the source is yielded
     yield rows, ()
-    budget = default_budget() if node_budget is None else node_budget
     seen = {rows}
     frontier = [(rows, ())]
     while frontier:

@@ -7,8 +7,9 @@ Clifford applied to the original, and each Pauli measurement outcome leaves
 the measured graph's state up to the identity or the closed-form byproduct
 of ``cliffords``, nothing else. A check builds the state of the graph and
 that of its rewrite once each, from one Python int of sign bits, and applies
-a diagonal gate as one multiply. Dense vectors keep the oracle maximally
-trustworthy; the cap on qubit count keeps it affordable.
+a diagonal gate as one multiply. Two states match, up to global phase, at
+one fixed threshold. Dense vectors keep the oracle maximally trustworthy;
+the cap on qubit count keeps it affordable.
 
 Qubit order is ascending vertex label; the smallest label is the most
 significant bit of the amplitude index.
@@ -24,17 +25,14 @@ from . import cliffords
 from .graph import Graph, _bits, local_complement, measure_x, measure_y, measure_z
 
 STATE_CAP = 12
-DEFAULT_TOLERANCE = 1e-10
-MAX_TOLERANCE = 1 - 2 ** -0.5  # distinct stabilizer states overlap by at most 1/sqrt(2)
+# Two states match when their overlap is within TOLERANCE of 1. Float rounding
+# moves it by about 1e-16, and two distinct stabilizer states overlap by at
+# most 1/sqrt(2), so any threshold far between the two gives the same answers.
+TOLERANCE = 1e-10
 
 
 class StateCapError(ValueError):
     """Too many qubits for the dense oracle."""
-
-
-def _check_tolerance(tol: float) -> None:
-    if not 0 <= tol < MAX_TOLERANCE:  # false for nan too
-        raise ValueError(f"tolerance must be >= 0 and below 1 - 1/sqrt(2), got {tol}")
 
 
 @functools.cache
@@ -79,11 +77,11 @@ def apply_single(psi: np.ndarray, n: int, bit: int, gate: np.ndarray) -> np.ndar
     return np.einsum("ab,ibj->iaj", gate, shaped).reshape(psi.shape)
 
 
-def _overlap_is_unit(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= tol)
+def _overlap_is_unit(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= TOLERANCE)
 
 
-def verify_lc_unitary(g: Graph, a: int, tol: float = DEFAULT_TOLERANCE) -> bool:
+def verify_lc_unitary(g: Graph, a: int) -> bool:
     """Check that complementing at ``a`` is a local Clifford on the state.
 
     Applies the pinned convention (root of -iX at ``a``, root of +iZ on each
@@ -91,14 +89,13 @@ def verify_lc_unitary(g: Graph, a: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     complemented graph, up to global phase.
     """
     g._require(a)
-    _check_tolerance(tol)
     n = g.n
     pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
     psi = graph_state(g)
     psi = apply_single(psi, n, pos[a], cliffords.LC_AT_VERTEX)
     for b in sorted(g.neighbors(a)):
         psi = apply_single(psi, n, pos[b], cliffords.LC_AT_NEIGHBOR)
-    return _overlap_is_unit(psi, graph_state(local_complement(g, a)), tol)
+    return _overlap_is_unit(psi, graph_state(local_complement(g, a)))
 
 
 _EIGENVECTORS = {
@@ -130,9 +127,7 @@ def _project_out(psi: np.ndarray, n: int, bit: int, basis: str, outcome: int) ->
     return reduced / norm
 
 
-def _corrections(
-    g: Graph, a: int, basis: str, outcomes: tuple[int, ...], tol: float
-) -> list[dict[int, str] | None]:
+def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> list[dict[int, str] | None]:
     """Byproduct per outcome, from one state of ``g`` and one of its image.
 
     The measured graph's state is built only when some outcome asked for
@@ -143,7 +138,6 @@ def _corrections(
     for outcome in outcomes:
         if outcome not in (+1, -1):
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    _check_tolerance(tol)
     n = g.n
     pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
     neighbors = tuple(sorted(g.neighbors(a)))
@@ -175,7 +169,7 @@ def _corrections(
             phi = target
             for v, (_, gate) in candidate.items():
                 phi = apply_single(phi, m, pos_rest[v], gate)
-            if _overlap_is_unit(post, phi, tol):
+            if _overlap_is_unit(post, phi):
                 return {v: word for v, (word, _) in candidate.items()}
         raise CorrectionSearchExhausted(
             f"neither the identity nor the closed-form byproduct matches the "
@@ -185,9 +179,7 @@ def _corrections(
     return [None if post is None else correction(post, outcome) for post, outcome in zip(posts, outcomes)]
 
 
-def find_measurement_correction(
-    g: Graph, a: int, basis: str, outcome: int, tol: float = DEFAULT_TOLERANCE
-) -> dict[int, str] | None:
+def find_measurement_correction(g: Graph, a: int, basis: str, outcome: int) -> dict[int, str] | None:
     """Byproduct correction making the measured state match the rewrite.
 
     Returns a {vertex: clifford-word} map (empty when none is needed), or
@@ -197,10 +189,10 @@ def find_measurement_correction(
     correction exists. Raises CorrectionSearchExhausted when neither
     matches.
     """
-    return _corrections(g, a, basis, (outcome,), tol)[0]
+    return _corrections(g, a, basis, (outcome,))[0]
 
 
-def verify_measurement(g: Graph, a: int, basis: str, tol: float = DEFAULT_TOLERANCE) -> bool:
+def verify_measurement(g: Graph, a: int, basis: str) -> bool:
     """Check both outcomes of a Pauli measurement against the graph rewrite.
 
     Every realizable outcome must match the measured graph's state up to
@@ -208,7 +200,7 @@ def verify_measurement(g: Graph, a: int, basis: str, tol: float = DEFAULT_TOLERA
     are vacuous. Returns False when an outcome matches neither candidate.
     """
     try:
-        _corrections(g, a, basis, (+1, -1), tol)
+        _corrections(g, a, basis, (+1, -1))
     except CorrectionSearchExhausted:
         return False
     return True

@@ -274,9 +274,9 @@ def test_criterion_8_quantum_oracle():
                 continue
             graphs_checked += 1
             for a in g.vertices:
-                assert verify_lc_unitary(g, a, tol=1e-10)
+                assert verify_lc_unitary(g, a)
                 for basis in ("x", "y", "z"):
-                    assert verify_measurement(g, a, basis, tol=1e-10)
+                    assert verify_measurement(g, a, basis)
     assert graphs_checked == 1 + 1 + 4 + 38 + 728
 
     rng = random.Random(801)
@@ -284,9 +284,9 @@ def test_criterion_8_quantum_oracle():
         for _ in range(100):
             g = random_graph(rng, n, rng.uniform(0.3, 0.8))
             for a in g.vertices:
-                assert verify_lc_unitary(g, a, tol=1e-10)
+                assert verify_lc_unitary(g, a)
                 for basis in ("x", "y", "z"):
-                    assert verify_measurement(g, a, basis, tol=1e-10)
+                    assert verify_measurement(g, a, basis)
     assert time.monotonic() - started < 600
     _report(8, f"quantum oracle ({graphs_checked} exhaustive + 200 corpus)", started)
 

@@ -52,6 +52,11 @@ class TestFoliageCommand:
         assert doc["result"]["level"] == 1000000000
         assert doc["result"]["blocks"] == [[1, 2, 3, 4, 5, 6], [7, 8]]
 
+    def test_edge_list_error_names_its_line_and_column(self, capsys, tmp_path):
+        f = tmp_path / "bad.edges"
+        f.write_text("4\n1 2\n2 3\n\n3 99\n")
+        assert run(capsys, "foliage", f) == (1, "", "error: line 5, column 3: unknown vertex label 99\n")
+
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_level_below_one_exits_1(self, capsys, level):
         code, out, err = run(capsys, "foliage", FIXTURES / "fig4a.edges", "--level", level)
@@ -288,23 +293,6 @@ class TestVerifyQuantumCommand:
         assert doc["result"]["ok"] is True
         assert set(doc["result"]["corrections"]) == {"y+", "y-"}
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "0.5"])
-    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tolerance):
-        code, out, err = run(capsys, "verify-quantum", FIXTURES / "fig3.edges",
-                             "--op", "x", "--vertex", "2", "--tolerance", tolerance)
-        assert_input_error(code, out, err, "--tolerance")
-
-    def test_tolerance_bound_is_the_library_bound(self, capsys):
-        import numpy as np
-
-        from graphmin.quantum import MAX_TOLERANCE
-
-        argv = ("verify-quantum", FIXTURES / "fig3.edges", "--op", "z", "--vertex", "2", "--tolerance")
-        code, out, err = run(capsys, *argv, repr(MAX_TOLERANCE))
-        assert_input_error(code, out, err, "--tolerance")
-        code, out, _ = run(capsys, *argv, repr(float(np.nextafter(MAX_TOLERANCE, 0))))
-        assert code == 0 and "z-: correction SS@1 SS@3 SS@4" in out
-
     def test_vertex_out_of_range_exits_1(self, capsys):
         code, _, err = run(
             capsys, "verify-quantum", FIXTURES / "fig3.edges", "--op", "z", "--vertex", "7"
@@ -343,7 +331,9 @@ class TestUsageErrors:
         [],
         ["verify-quantum", FIXTURES / "fig3.edges", "--op", "x", "--vertex", "2",
          "--tolerance", "-1e-9"],
-    ], ids=["decide-without-target", "no-command", "negative-tolerance-read-as-option"])
+        ["orbit", FIXTURES / "fig9.edges", "--budget", "-1e3"],
+    ], ids=["decide-without-target", "no-command", "negative-tolerance-read-as-option",
+            "negative-budget-read-as-option"])
     def test_exit_1_with_usage_on_stderr(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in argv])

@@ -61,6 +61,25 @@ class TestConstruction:
         with pytest.raises(UnknownVertexError, match="unknown vertex label"):
             Graph([1, 2], [edge])
 
+    @pytest.mark.parametrize("call", [
+        lambda g: g.neighbor_mask(True),
+        lambda g: g.neighbors(True),
+        lambda g: g.degree(True),
+        lambda g: g.has_edge(2, True),
+        lambda g: local_complement(g, True),
+        lambda g: delete_vertex(g, True),
+        lambda g: measure_x(g, True),
+        lambda g: measure_x(g, 2, True),
+    ], ids=["neighbor_mask", "neighbors", "degree", "has_edge", "local_complement",
+            "delete_vertex", "measure_x", "measure_x-neighbor"])
+    def test_bool_is_an_unknown_label(self, call):
+        with pytest.raises(UnknownVertexError, match="unknown vertex label True"):
+            call(path_graph(3))
+
+    def test_has_vertex_is_false_for_bool(self):
+        g = path_graph(3)
+        assert g.has_vertex(1) and not g.has_vertex(True)
+
     def test_duplicate_edges_merge(self):
         g = Graph(2, [(1, 2), (2, 1)])
         assert g.edges() == ((1, 2),)

@@ -57,6 +57,23 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             parse_edge_list("2\n1 5\n")
 
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("4\n1 2\n2 3\n\n3 99\n", 5, 3, "unknown vertex label 99"),
+        ("4\n1 2\n  99   3\n", 3, 3, "unknown vertex label 99"),
+        ("3\n1 2\n2 2\n", 3, 3, "self-loop on vertex 2"),
+        ("# a comment\n3\n1 5\n", 3, 3, "unknown vertex label 5"),
+        ("\n  -3\n", 2, 3, "vertex count must be >= 0"),
+        ("  65\n", 1, 3, "got 65"),
+        ("# header below\nvertices 1 2 99 0\n", 2, 14, "got 99"),
+        ("vertices 1 s\n", 1, 12, "'s' is not an integer"),
+    ], ids=["unknown-after-blank", "unknown-indented", "self-loop", "after-comment", "negative-count",
+            "count-above-cap", "label-above-cap", "text-seen-earlier-on-line"])
+    def test_graph_errors_report_their_own_line_and_column(self, text, line, column, message):
+        with pytest.raises(FormatError, match=message) as err:
+            parse_edge_list(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).startswith(f"line {line}, column {column}: ")
+
 
 class TestGraph6:
     def test_single_edge(self):

@@ -86,6 +86,17 @@ class TestDecide:
         assert d.rule == "budget-exhausted"
         assert d.witness is None
 
+    @pytest.mark.parametrize("budget", [0, -1, True])
+    def test_explicit_budget_below_one_or_bool_is_a_value_error(self, budget):
+        # the star's leaves 2, 3, 4 are twins, so the root persistence check
+        # alone refutes the target; the budget is still checked first
+        star = Graph(4, [(1, 2), (1, 3), (1, 4)])
+        refuted = Graph([2, 3, 4], [(2, 4)])
+        assert decide_vertex_minor(star, refuted).answer == NO
+        for g, h in ((star, refuted), (ring_graph(7), path_graph(6))):
+            with pytest.raises(ValueError, match="node budget must be positive"):
+                decide_vertex_minor(g, h, budget)
+
     def test_agrees_with_shuffled_order_oracle(self, rng):
         # the enumeration fixes the measurement order; a shuffled-order
         # reimplementation must land on the same answers up to seven vertices

@@ -90,6 +90,22 @@ def test_budget_exhaustion_raises():
         lc_orbit(path_graph(6), node_budget=3)
 
 
+@pytest.mark.parametrize("budget", [0, -1, True, False])
+def test_explicit_budget_below_one_or_bool_is_a_value_error(budget):
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="node budget must be positive"):
+        lc_orbit(g, budget)
+    with pytest.raises(ValueError, match="node budget must be positive"):
+        lc_path(g, g, budget)  # even when the source is the target
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_env_budget_below_one_is_a_value_error(monkeypatch, raw):
+    monkeypatch.setenv("GRAPHMIN_BUDGET", raw)
+    with pytest.raises(ValueError, match="GRAPHMIN_BUDGET must be positive"):
+        lc_orbit(path_graph(4))
+
+
 def test_budget_boundary_on_path4():
     g = path_graph(4)
     members = [member for member, _ in lc_orbit_paths(g, 11).values()]

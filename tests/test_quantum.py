@@ -7,6 +7,7 @@ import pytest
 
 from graphmin import (
     Graph,
+    UnknownVertexError,
     cliffords,
     complete_graph,
     connected_components,
@@ -19,7 +20,6 @@ from graphmin import (
 )
 from graphmin import quantum
 from graphmin.quantum import (
-    MAX_TOLERANCE,
     CorrectionSearchExhausted,
     StateCapError,
     _project_out,
@@ -355,22 +355,16 @@ def test_corrections_match_pinned_digest():
     assert _corrections_digest() == PINNED_CORRECTIONS_DIGEST
 
 
-class TestTolerance:
-    @pytest.mark.parametrize("tol", [-1e-9, MAX_TOLERANCE, 0.5, 1.0, float("inf"), float("nan")])
-    def test_out_of_range_is_a_value_error(self, tol):
-        with pytest.raises(ValueError, match="tolerance"):
-            verify_lc_unitary(fig2(), 2, tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            find_measurement_correction(fig2(), 2, "z", -1, tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            verify_measurement(fig2(), 2, "x", tol)
 
-    def test_largest_accepted_tolerance_gives_the_default_answers(self, rng):
-        tol = float(np.nextafter(MAX_TOLERANCE, 0))
-        for g in [fig2()] + [random_graph(rng, rng.randint(2, 7)) for _ in range(20)]:
-            for a in g.vertices:
-                assert verify_lc_unitary(g, a, tol)
-                for basis in "xyz":
-                    for outcome in (+1, -1):
-                        assert find_measurement_correction(g, a, basis, outcome, tol) == \
-                            find_measurement_correction(g, a, basis, outcome)
+def test_bool_vertex_is_an_unknown_label():
+    with pytest.raises(UnknownVertexError):
+        verify_lc_unitary(path_graph(3), True)
+    with pytest.raises(UnknownVertexError):
+        find_measurement_correction(path_graph(3), True, "z", +1)
+
+
+def test_the_match_threshold_takes_no_argument():
+    with pytest.raises(TypeError):
+        verify_lc_unitary(fig2(), 2, 1e-10)
+    with pytest.raises(TypeError):
+        find_measurement_correction(fig2(), 2, "z", -1, tol=1e-10)

@@ -18,52 +18,50 @@ always carries a witness that lands exactly on the two target edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import MAX_LABEL, Graph, connected_components, path_graph, ring_graph
-from .minor import NO, YES, Decision
-from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, Step, replay
+from .graph import MAX_LABEL, Graph, _Record, _set, connected_components, path_graph, ring_graph
+from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, NO, YES, Decision, Step, replay
 
 
 class NotATreeError(ValueError):
     """The supplied graph is not connected and acyclic."""
 
 
-@dataclass(frozen=True)
-class BellQuery:
+class BellQuery(_Record):
     """Two disjoint vertex pairs on a named topology.
 
     ``size`` fixes a line or ring on labels 1..n; ``tree`` supplies an
     explicit graph instead. The four endpoints must be distinct and alive.
     """
 
-    topology: str
-    pair_a: tuple[int, int]
-    pair_b: tuple[int, int]
-    size: int | None = None
-    tree: Graph | None = None
+    __slots__ = ("topology", "pair_a", "pair_b", "size", "tree")
 
-    def __post_init__(self):
-        if self.topology not in ("line", "ring", "tree"):
-            raise ValueError(f"unknown topology {self.topology!r}")
-        if self.topology == "tree":
-            if self.tree is None:
+    def __init__(self, topology: str, pair_a: tuple[int, int], pair_b: tuple[int, int],
+                 size: int | None = None, tree: Graph | None = None):
+        if topology not in ("line", "ring", "tree"):
+            raise ValueError(f"unknown topology {topology!r}")
+        if topology == "tree":
+            if tree is None:
                 raise ValueError("tree topology needs a graph")
-            _require_tree(self.tree)
-            alive = set(self.tree.vertices)
+            _require_tree(tree)
+            alive = set(tree.vertices)
         else:
-            if self.size is None:
-                raise ValueError(f"{self.topology} topology needs a size")
-            if self.topology == "ring" and self.size < 4:
-                raise ValueError(f"ring queries need n >= 4, got {self.size}")
-            if self.size > MAX_LABEL:
-                raise ValueError(f"{self.topology} queries need n <= {MAX_LABEL}, got {self.size}")
-            alive = set(range(1, self.size + 1))
-        marked = set(self.pair_a) | set(self.pair_b)
+            if size is None:
+                raise ValueError(f"{topology} topology needs a size")
+            if topology == "ring" and size < 4:
+                raise ValueError(f"ring queries need n >= 4, got {size}")
+            if size > MAX_LABEL:
+                raise ValueError(f"{topology} queries need n <= {MAX_LABEL}, got {size}")
+            alive = set(range(1, size + 1))
+        marked = set(pair_a) | set(pair_b)
         if len(marked) != 4:
             raise ValueError("the four endpoints must be distinct")
         if not marked <= alive:
             raise ValueError(f"endpoints {sorted(marked - alive)} outside the graph")
+        _set(self, "topology", topology)
+        _set(self, "pair_a", pair_a)
+        _set(self, "pair_b", pair_b)
+        _set(self, "size", size)
+        _set(self, "tree", tree)
 
     def graph(self) -> Graph:
         if self.topology == "line":

@@ -10,17 +10,11 @@ Exit status: 0 for any decided query (yes or no), 2 when a budget ran out
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 
-from .bell import BellQuery, decide_bell
-from .foliage import classify_block, nth_foliage_graph
 from .graph import Graph
-from .io import read_graph, write_edge_list
-from .minor import UNKNOWN, YES, Decision, decide_vertex_minor, source_reduce
-from .ops import replay, steps_from_json, steps_to_json
-from .orbit import BudgetExceededError, lc_orbit
+from .io import parse_decimal, read_graph, write_edge_list
+from .orbit import BudgetExceededError
 
 SCHEMA = 1
 
@@ -31,6 +25,7 @@ def _load(path: str, fmt: str) -> Graph:
 
 
 def _digest(*parts: str) -> str:
+    import hashlib  # only ``--json`` prints the digest
     h = hashlib.sha256()
     for part in parts:
         h.update(part.encode("utf-8"))
@@ -38,31 +33,35 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-def _emit(args, command: str, digest: str, result: dict, witness=None, rule: str | None = None,
-          human: list[str] | None = None) -> None:
+def _emit(args, command: str, inputs: tuple[str, ...], result: dict, witness: list | None = None,
+          rule: str | None = None, human: list[str] | None = None) -> None:
+    """Print ``human``, or under ``--json`` the envelope: ``inputs`` digested, ``witness`` as JSON."""
     if args.json:
-        doc = {"schema": SCHEMA, "command": command, "input_digest": digest, "result": result}
+        import json  # like hashlib, loaded only where JSON is printed or read
+        doc = {"schema": SCHEMA, "command": command, "input_digest": _digest(*inputs), "result": result}
         if rule is not None:
             doc["rule"] = rule
         if witness is not None:
-            doc["witness"] = steps_to_json(witness)
+            doc["witness"] = witness
         print(json.dumps(doc, indent=2))
     else:
         for line in human or []:
             print(line)
 
 
-def _emit_decision(args, command: str, digest: str, decision: Decision, target: Graph) -> int:
-    """Print a yes/no/unknown decision; a yes's witness replays to ``target``."""
+def _emit_decision(args, command: str, inputs: tuple[str, ...], decision, target: Graph) -> int:
+    """Print a yes/no/unknown ``ops.Decision``; a yes's witness replays to ``target``."""
+    from .ops import UNKNOWN, YES, steps_to_json
     result = {"answer": decision.answer}
     human = [f"answer: {decision.answer}", f"rule: {decision.rule}"]
     witness = None
     if decision.answer == YES:
         result["result_graph"] = write_edge_list(target)
         if args.witness:
-            witness = decision.witness
-            human += ["witness: " + json.dumps(steps_to_json(witness))]
-    _emit(args, command, digest, result, witness=witness, rule=decision.rule, human=human)
+            import json
+            witness = steps_to_json(decision.witness)
+            human += ["witness: " + json.dumps(witness)]
+    _emit(args, command, inputs, result, witness=witness, rule=decision.rule, human=human)
     return 2 if decision.answer == UNKNOWN else 0
 
 
@@ -70,6 +69,7 @@ def _emit_decision(args, command: str, digest: str, decision: Decision, target: 
 
 
 def _cmd_foliage(args) -> int:
+    from .foliage import classify_block, nth_foliage_graph
     g = _load(args.graph, args.format)
     fg = nth_foliage_graph(g, args.level)
     blocks = [sorted(b) for b in fg.partition.blocks]
@@ -96,11 +96,12 @@ def _cmd_foliage(args) -> int:
     }
     if shapes:
         result["shapes"] = shapes
-    _emit(args, "foliage", _digest(write_edge_list(g)), result, human=human)
+    _emit(args, "foliage", (write_edge_list(g),), result, human=human)
     return 0
 
 
 def _cmd_orbit(args) -> int:
+    from .orbit import lc_orbit
     g = _load(args.graph, args.format)
     orbit = lc_orbit(g, args.budget)
     ordered = sorted(orbit, key=Graph.edges)
@@ -110,19 +111,21 @@ def _cmd_orbit(args) -> int:
         members = [write_edge_list(member) for member in ordered]
         result["members"] = members
         human += ["members:"] + [m.rstrip("\n").replace("\n", "; ") for m in members]
-    _emit(args, "orbit", _digest(write_edge_list(g)), result, human=human)
+    _emit(args, "orbit", (write_edge_list(g),), result, human=human)
     return 0
 
 
 def _cmd_decide(args) -> int:
+    from .minor import decide_vertex_minor
     source = _load(args.source, args.format)
     target = _load(args.target, args.format)
     decision = decide_vertex_minor(source, target, args.budget)
-    digest = _digest(write_edge_list(source), write_edge_list(target))
-    return _emit_decision(args, "decide", digest, decision, target)
+    inputs = (write_edge_list(source), write_edge_list(target))
+    return _emit_decision(args, "decide", inputs, decision, target)
 
 
 def _cmd_bell(args) -> int:
+    from .bell import BellQuery, decide_bell
     pair_a, pair_b = tuple(args.pairA), tuple(args.pairB)
     if args.topology == "tree":
         if not args.graph:
@@ -132,13 +135,15 @@ def _cmd_bell(args) -> int:
         if args.n is None:
             raise ValueError(f"--topology {args.topology} needs --n")
         query = BellQuery(args.topology, pair_a, pair_b, size=args.n)
-    digest = _digest(write_edge_list(query.graph()), repr(sorted(pair_a)), repr(sorted(pair_b)))
-    return _emit_decision(args, "bell", digest, decide_bell(query), query.target())
+    inputs = (write_edge_list(query.graph()), repr(sorted(pair_a)), repr(sorted(pair_b)))
+    return _emit_decision(args, "bell", inputs, decide_bell(query), query.target())
 
 
 def _cmd_reduce(args) -> int:
+    import json  # both branches read or print a witness
+    from .ops import replay, steps_from_json, steps_to_json
     source = _load(args.source, args.format)
-    digest = _digest(write_edge_list(source))
+    inputs = (write_edge_list(source),)
     if args.replay:
         with open(args.replay, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -146,12 +151,13 @@ def _cmd_reduce(args) -> int:
             raise ValueError(f"{args.replay} is a JSON object without a 'witness' key")
         steps = steps_from_json(doc["witness"] if isinstance(doc, dict) else doc)
         text = write_edge_list(replay(source, steps))
-        _emit(args, "reduce", digest, {"graph": text}, human=[text.rstrip("\n")])
+        _emit(args, "reduce", inputs, {"graph": text}, human=[text.rstrip("\n")])
         return 0
+    from .minor import source_reduce
     reduced, ops = source_reduce(source, set(args.protect))
-    text = write_edge_list(reduced)
-    human = text.rstrip("\n").split("\n") + ["ops: " + json.dumps(steps_to_json(ops))]
-    _emit(args, "reduce", digest, {"graph": text}, witness=ops, human=human)
+    text, witness = write_edge_list(reduced), steps_to_json(ops)
+    human = text.rstrip("\n").split("\n") + ["ops: " + json.dumps(witness)]
+    _emit(args, "reduce", inputs, {"graph": text}, witness=witness, human=human)
     return 0
 
 
@@ -160,11 +166,11 @@ def _cmd_verify_quantum(args) -> int:
     from .quantum import CorrectionSearchExhausted, _corrections, verify_lc_unitary
 
     g = _load(args.graph, args.format)
-    digest = _digest(write_edge_list(g))
+    inputs = (write_edge_list(g),)
     if args.op == "lc":
         ok = verify_lc_unitary(g, args.vertex)
         human = [f"lc at {args.vertex}: {'pass' if ok else 'FAIL'}"]
-        _emit(args, "verify-quantum", digest, {"ok": ok}, human=human)
+        _emit(args, "verify-quantum", inputs, {"ok": ok}, human=human)
         return 0
     try:
         found = _corrections(g, args.vertex, args.op, (+1, -1))
@@ -181,7 +187,7 @@ def _cmd_verify_quantum(args) -> int:
         else:
             pretty = " ".join(f"{w}@{v}" for v, w in corr.items()) or "none"
             human += [f"  {tag}: correction {pretty}"]
-    _emit(args, "verify-quantum", digest, {"ok": True, "corrections": corrections}, human=human)
+    _emit(args, "verify-quantum", inputs, {"ok": True, "corrections": corrections}, human=human)
     return 0
 
 
@@ -189,6 +195,10 @@ def _cmd_verify_quantum(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("type", int, parse_decimal)  # ``type=int`` options read plain decimals only
+
     def error(self, message):  # a usage error is an input error (exit 1); 2 means "unknown"
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .graph import Graph, UnknownVertexError, local_complement
+from .graph import Graph, UnknownVertexError, _Record, _set, local_complement
 
 
 class InvalidPartitionError(ValueError):
     """Blocks fail to partition the alive vertex set."""
 
 
-class Partition:
+class Partition(_Record):
     """Disjoint nonempty vertex blocks covering a label set.
 
     Blocks are kept sorted by minimum member, so equal partitions compare
@@ -40,10 +39,7 @@ class Partition:
             if block & seen:
                 raise InvalidPartitionError(f"overlapping blocks at {sorted(block & seen)}")
             seen |= block
-        object.__setattr__(self, "_blocks", tuple(sorted(normalized, key=min)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        _set(self, "_blocks", tuple(sorted(normalized, key=min)))
 
     @property
     def blocks(self) -> tuple[frozenset[int], ...]:
@@ -67,14 +63,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self._blocks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._blocks == other._blocks
-
-    def __hash__(self) -> int:
-        return hash(self._blocks)
 
     def __repr__(self) -> str:
         return "Partition(%s)" % ", ".join("{%s}" % ",".join(map(str, sorted(b))) for b in self._blocks)
@@ -193,17 +181,19 @@ def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
     raise ValueError(f"block {members} is not a valid foliage class shape")
 
 
-@dataclass(frozen=True)
-class FoliageGraph:
+class FoliageGraph(_Record):
     """A quotient graph together with its blocks and their representatives.
 
     ``graph`` lives on the representative labels; ``partition.blocks[i]``
     is represented by ``representatives[i]``.
     """
 
-    partition: Partition
-    representatives: tuple[int, ...]
-    graph: Graph
+    __slots__ = ("partition", "representatives", "graph")
+
+    def __init__(self, partition: Partition, representatives: tuple[int, ...], graph: Graph):
+        _set(self, "partition", partition)
+        _set(self, "representatives", representatives)
+        _set(self, "graph", graph)
 
 
 def _check_representatives(w: Partition, reps: Iterable[int] | None) -> tuple[int, ...]:

@@ -19,8 +19,10 @@ orbit closure and the vertex-minor search also run on bare rows tuples.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import attrgetter
 
 MAX_LABEL = 64
+_set = object.__setattr__  # how ``Graph`` and the records set their fields, once
 
 
 class UnknownVertexError(ValueError):
@@ -33,6 +35,41 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class _Record:
+    """Frozen value record: fields in ``__slots__``, each set once by ``__init__`` through ``_set``.
+
+    Like frozen dataclasses, records are equal within one class only, hash as their fields'
+    tuple (a lone field as itself), print as ``Class(field=value, ...)``, refuse assignment,
+    and copy, deepcopy and pickle by calling the class on the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Graph:
@@ -66,11 +103,10 @@ class Graph:
                     raise UnknownVertexError(f"unknown vertex label {v}")
             rows[at[a]] |= 1 << b
             rows[at[b]] |= 1 << a
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_at", at)
+        _set(self, "_rows", tuple(rows))
+        _set(self, "_at", at)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     # -- accessors ---------------------------------------------------------
 
@@ -125,12 +161,15 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({list(self.vertices)}, {list(self.edges())})"
 
+    def __reduce__(self):  # copy, deepcopy and pickle
+        return _graph, (self._rows, self._at)
+
 
 def _graph(rows: tuple[int, ...], at: dict[int, int]) -> Graph:
     """Wrap a rows tuple aligned to ``at`` as a graph, trusting both."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "_rows", rows)
-    object.__setattr__(g, "_at", at)
+    _set(g, "_rows", rows)
+    _set(g, "_at", at)
     return g
 
 

@@ -61,10 +61,17 @@ def _int_fields(fields, lineno: int, what: str) -> list[int]:
     out = []
     for column, field in fields:
         try:
-            out.append(int(field))
+            out.append(parse_decimal(field))
         except ValueError:
             raise FormatError(f"{what} {field!r} is not an integer", lineno, column) from None
     return out
+
+
+def parse_decimal(text: str) -> int:
+    """``int`` for plain decimals (an optional ``-`` and ASCII digits); ``1_000`` or ``+3`` raise."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(text)
 
 
 def write_edge_list(g: Graph) -> str:

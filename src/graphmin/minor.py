@@ -17,7 +17,6 @@ one-directional).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .foliage import (
     InvalidPartitionError,
@@ -31,25 +30,9 @@ from .foliage import (
     _star_centers,
 )
 from .graph import Graph, delete_vertex, local_complement
-from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, Step, _apply_rows, replay
+from .ops import (DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step,
+                  _apply_rows, replay)
 from .orbit import BudgetExceededError, _budget, lc_orbit_paths
-
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Answer plus, for a yes, a replayable witness and the deciding rule."""
-
-    answer: str
-    rule: str
-    witness: tuple[Step, ...] | None = None
-
-    def __post_init__(self):
-        if (self.answer == YES) != (self.witness is not None):
-            raise ValueError("witness present iff the answer is yes")
 
 
 def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> Decision:

@@ -9,10 +9,8 @@ omitted only when the measured vertex is isolated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import (Graph, _delete_rows, _lc_rows, _x_rows, delete_vertex, local_complement, measure_x,
-                    measure_y, measure_z)
+from .graph import (Graph, _delete_rows, _lc_rows, _Record, _set, _x_rows, delete_vertex, local_complement,
+                    measure_x, measure_y, measure_z)
 
 LC = "lc"
 DELETE = "delete"
@@ -22,18 +20,35 @@ MEASURE_X = "measure_x"
 
 _KINDS = (LC, DELETE, MEASURE_Z, MEASURE_Y, MEASURE_X)
 
+YES = "yes"
+NO = "no"
+UNKNOWN = "unknown"
 
-@dataclass(frozen=True)
-class Step:
-    op: str
-    vertex: int
-    neighbor: int | None = None
 
-    def __post_init__(self):
-        if self.op not in _KINDS:
-            raise ValueError(f"unknown op kind {self.op!r}")
-        if self.neighbor is not None and self.op != MEASURE_X:
-            raise ValueError(f"{self.op} takes no neighbor")
+class Step(_Record):
+    __slots__ = ("op", "vertex", "neighbor")
+
+    def __init__(self, op: str, vertex: int, neighbor: int | None = None):
+        if op not in _KINDS:
+            raise ValueError(f"unknown op kind {op!r}")
+        if neighbor is not None and op != MEASURE_X:
+            raise ValueError(f"{op} takes no neighbor")
+        _set(self, "op", op)
+        _set(self, "vertex", vertex)
+        _set(self, "neighbor", neighbor)
+
+
+class Decision(_Record):
+    """Answer plus, for a yes, a replayable witness and the deciding rule."""
+
+    __slots__ = ("answer", "rule", "witness")
+
+    def __init__(self, answer: str, rule: str, witness: tuple[Step, ...] | None = None):
+        if (answer == YES) != (witness is not None):
+            raise ValueError("witness present iff the answer is yes")
+        _set(self, "answer", answer)
+        _set(self, "rule", rule)
+        _set(self, "witness", witness)
 
 
 _ONE_VERTEX = {LC: local_complement, DELETE: delete_vertex, MEASURE_Z: measure_z, MEASURE_Y: measure_y}

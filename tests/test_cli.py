@@ -332,8 +332,14 @@ class TestUsageErrors:
         ["verify-quantum", FIXTURES / "fig3.edges", "--op", "x", "--vertex", "2",
          "--tolerance", "-1e-9"],
         ["orbit", FIXTURES / "fig9.edges", "--budget", "-1e3"],
+        ["orbit", FIXTURES / "fig9.edges", "--budget", "1_000"],
+        ["bell", "--topology", "line", "--n", "6", "--pairA", "4", "\u0666", "--pairB", "1", "2"],
+        ["foliage", FIXTURES / "fig9.edges", "--level", " 2"],
+        ["reduce", FIXTURES / "fig6.edges", "--protect", "2", "+4"],
+        ["verify-quantum", FIXTURES / "fig3.edges", "--op", "x", "--vertex", "\uff12"],
     ], ids=["decide-without-target", "no-command", "negative-tolerance-read-as-option",
-            "negative-budget-read-as-option"])
+            "negative-budget-read-as-option", "underscore-budget", "arabic-indic-pair", "blank-in-level",
+            "plus-sign-protect", "fullwidth-vertex"])
     def test_exit_1_with_usage_on_stderr(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in argv])

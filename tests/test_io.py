@@ -66,8 +66,17 @@ class TestEdgeList:
         ("  65\n", 1, 3, "got 65"),
         ("# header below\nvertices 1 2 99 0\n", 2, 14, "got 99"),
         ("vertices 1 s\n", 1, 12, "'s' is not an integer"),
+        ("12\n1_1 2\n", 2, 1, "'1_1' is not an integer"),
+        ("3\n1 \u0662\n", 2, 3, "'\u0662' is not an integer"),
+        ("3\n+1 2\n", 2, 1, "'\\+1' is not an integer"),
+        ("1_0\n", 1, 1, "vertex count '1_0' is not an integer"),
+        ("vertices 1 \uff12\n", 1, 12, "'\uff12' is not an integer"),
+        ("3\n-1 2\n", 2, 1, "unknown vertex label -1"),
+        ("vertices 2 -1\n", 1, 12, "got -1"),
     ], ids=["unknown-after-blank", "unknown-indented", "self-loop", "after-comment", "negative-count",
-            "count-above-cap", "label-above-cap", "text-seen-earlier-on-line"])
+            "count-above-cap", "label-above-cap", "text-seen-earlier-on-line", "underscore-label",
+            "arabic-indic-label", "plus-sign-label", "underscore-count", "fullwidth-header-label",
+            "negative-edge-label", "negative-header-label"])
     def test_graph_errors_report_their_own_line_and_column(self, text, line, column, message):
         with pytest.raises(FormatError, match=message) as err:
             parse_edge_list(text)

@@ -1,7 +1,7 @@
-"""NumPy is loaded by the dense oracle only, never by the graph layer.
+"""Each command loads only the modules it uses; NumPy only for the dense oracle.
 
 Each check runs in a fresh interpreter, since the test process itself has
-NumPy loaded already.
+NumPy and every graphmin module loaded already.
 """
 
 import os
@@ -10,15 +10,83 @@ import sys
 from pathlib import Path
 
 from conftest import FIXTURES
+from test_readme import readme_commands
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+# ``from graphmin import *`` before names were resolved on first use: every
+# public name but the dense oracle's, submodules included
+STAR_NAMES = {
+    "BellQuery", "BlockShape", "BudgetExceededError", "ClassFate", "DEFAULT_NODE_BUDGET", "DELETE",
+    "Decision", "FoliageGraph", "FormatError", "Graph", "InvalidPartitionError", "LC", "MAX_LABEL",
+    "MEASURE_X", "MEASURE_Y", "MEASURE_Z", "NotATreeError", "Partition", "Step", "UnknownVertexError",
+    "apply_step", "bell", "canonical_foliage_partition", "class_persistence_check", "classify_block",
+    "complete_graph", "connected_components", "decide_bell", "decide_bell_line", "decide_bell_ring",
+    "decide_bell_tree", "decide_vertex_minor", "delete_vertex", "extract_foliage_graph", "foliage",
+    "foliage_equivalent", "foliage_graph", "foliage_source_reduce", "foliage_target_reduce", "graph", "io",
+    "is_foliage_partition", "lc_equivalent", "lc_orbit", "lc_orbit_paths", "lc_path", "leaves_axils",
+    "lifted_local_complement", "line_query", "local_complement", "measure_x", "measure_y", "measure_z",
+    "minor", "nth_foliage_graph", "ops", "orbit", "parse_edge_list", "parse_graph6", "path_graph",
+    "read_graph", "replay", "ring_graph", "ring_query", "singletons", "source_reduce", "target_reduce",
+    "tree_query", "twins", "write_edge_list",
+}
+ORACLE_NAMES = {"StateCapError", "find_measurement_correction", "graph_state", "verify_lc_unitary",
+                "verify_measurement"}
 
 
 def run_fresh(code: str) -> None:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code, str(FIXTURES)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def imported(*argv: str) -> tuple[set[str], str]:
+    """The modules that ``python -X importtime *argv`` imports, and its stdout."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (argv, proc.stderr)
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}, proc.stdout
+
+
+def test_readme_commands_load_only_what_they_use(tmp_path):
+    startup, _ = imported("-c", "pass")  # what the interpreter loads before graphmin runs
+    moved = {}  # files that README commands write, moved under tmp_path
+    for line in readme_commands():
+        command, _, redirect = line.partition(" > ")
+        argv = [moved.get(a, a) for a in command.split()[1:]]
+        loaded, out = imported("-m", "graphmin", *argv)
+        loaded -= startup
+        if redirect:
+            moved[redirect.strip()] = str(tmp_path / Path(redirect.strip()).name)
+            Path(moved[redirect.strip()]).write_text(out)
+        assert "dataclasses" not in loaded, command
+        assert "--json" in argv or "hashlib" not in loaded, command
+        assert argv[0] == "verify-quantum" or "numpy" not in loaded, command
+        if argv[0] in ("orbit", "bell") or "--replay" in argv:
+            assert not loaded & {"graphmin.minor", "graphmin.foliage"}, command
+
+
+def test_bare_import_loads_no_submodule():
+    startup, _ = imported("-c", "pass")
+    loaded, _ = imported("-c", "import graphmin")
+    assert {m for m in loaded - startup if m.startswith("graphmin")} == {"graphmin"}
+
+
+def test_public_names_are_unchanged():
+    run_fresh(f"""
+import sys, graphmin
+assert {{n for n in dir(graphmin) if not n.startswith("_")}} == {STAR_NAMES | ORACLE_NAMES!r}
+assert set(graphmin.__all__) == {STAR_NAMES!r}
+star = {{}}
+exec("from graphmin import *", star)
+assert set(star) - {{"__builtins__"}} == {STAR_NAMES!r}
+assert "numpy" not in sys.modules and "dataclasses" not in sys.modules
+assert graphmin.minor.decide_vertex_minor is graphmin.decide_vertex_minor
+assert graphmin.Decision is graphmin.ops.Decision is graphmin.minor.Decision
+""")
 
 
 def test_import_does_not_load_numpy():

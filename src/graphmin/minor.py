@@ -17,6 +17,7 @@ one-directional).
 from __future__ import annotations
 
 import enum
+from itertools import islice
 
 from .foliage import (
     InvalidPartitionError,
@@ -27,12 +28,14 @@ from .foliage import (
     foliage_graph,
     is_foliage_partition,
     is_leaf_of,
+    _pair_ranks,
     _star_centers,
 )
 from .graph import Graph, delete_vertex, local_complement
 from .ops import (DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step,
                   _apply_rows, replay)
-from .orbit import BudgetExceededError, _budget, lc_orbit_paths
+# the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays
+from .orbit import BudgetExceededError, _budget, _closure, lc_orbit_paths
 
 
 def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> Decision:
@@ -42,24 +45,27 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     order, each in bases z, y, x (x through its smallest neighbor); the first
     measured graph in the target's LC-orbit wins, and the witness is those
     measurements plus the local complements back to ``h``. The search runs
-    on bare rows tuples (``graph.py``'s kernel), looks leaves up in the
-    orbit keyed by its members' rows, and builds steps only for the
-    witness. What lies below a graph depends on it alone, so one whose three
-    measurements all failed is remembered and skipped when reached again.
+    on bare rows tuples (``graph.py``'s kernel) and builds steps only for
+    the witness. What lies below a graph depends on it alone, so one whose
+    three measurements all failed is remembered and skipped when reached
+    again. The target's orbit is generated only as far as leaves need it: a
+    leaf whose pair cut-ranks (LC-invariant) differ from the target's is a
+    miss, and another leaf not yet generated advances the orbit's closure
+    until it appears or the orbit ends.
 
     Foliage persistence prunes: if ``h`` is a vertex-minor of a graph, each
     foliage class of that graph, cut down to the labels of ``h``, lies inside
     one class of ``h``, is all isolated in ``h``, or is gone. A graph in which
     two target labels are foliage-equivalent, while ``h`` puts them in
     different classes and does not isolate both, has no hit below it: ``g``
-    is then a "no" before the orbit is closed, and a graph in the search is
+    is then a "no" before the orbit is drawn, and a graph in the search is
     remembered as failed. Only failures are remembered or pruned, so the
     first hit, and the witness, are those of enumerating all 3^k assignments.
 
-    ``node_budget`` (default ``GRAPHMIN_BUDGET``) bounds the target's orbit
-    closure and, separately, the number of distinct graphs the search
-    measures or prunes. Running out of either yields "unknown", never a
-    wrong no.
+    ``node_budget`` (default ``GRAPHMIN_BUDGET``) bounds the number of the
+    target's orbit members generated and, separately, the number of distinct
+    graphs the search measures or prunes. Running out of either yields
+    "unknown", never a wrong no.
     """
     g_labels, h_labels = set(g.vertices), set(h.vertices)
     if not h_labels <= g_labels:
@@ -74,11 +80,31 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
            for d in range(len(to_measure) + 1)]
     failed: set[tuple[int, ...]] = set()  # one length per depth, so one set serves all
     choices: list[tuple[str, int | None]] = []
+    members = _closure(h._rows, h._at, budget)  # the target's orbit, drawn as leaves need it
+    orbit = dict(islice(members, 2))
+    members = members if len(orbit) == 2 else None  # one member (every Bell target): finished
+    ranks = None  # the target's pair cut-ranks, built on first use
+
+    def lookup(rows: tuple[int, ...]):
+        """Orbit path to a leaf, drawing members until it appears; None outside the orbit."""
+        nonlocal members, ranks
+        path = orbit.get(rows)
+        if path is not None or members is None:
+            return path
+        ranks = ranks or _pair_ranks(h._rows, h._at)
+        if _pair_ranks(rows, h._at) != ranks:
+            return None
+        for member, path in members:
+            orbit[member] = path
+            if member == rows:
+                return path
+        members = None
+        return None
 
     def search(rows: tuple[int, ...], depth: int):
         """Orbit path of the first hit below ``rows``; ``choices`` leads to it."""
         if depth == len(to_measure):
-            return orbit.get(rows)
+            return lookup(rows)
         if rows in failed:
             return None
         at = ats[depth]
@@ -100,7 +126,6 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return None
 
     try:
-        orbit = {m._rows: path for m, path in lc_orbit_paths(h, node_budget).values()} if h.n else {(): ()}
         hit = search(g._rows, 0)
     except BudgetExceededError:
         return Decision(UNKNOWN, "budget-exhausted")
@@ -118,16 +143,16 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
 def _conflict_pairs(h: Graph) -> tuple[tuple[int, int, int, int, int], ...]:
     """Target label pairs that foliage persistence keeps apart.
 
-    These are the pairs u < v in different canonical blocks of ``h``, not
-    both isolated in ``h``, each as (u, v, 1 << u, 1 << v, both bits), so a
-    search node tests them on its rows without building a partition.
+    These are the pairs u < v of ``h`` in different canonical blocks, not
+    both isolated: one end isolated, or a pair cut-rank of 2. Each is (u, v,
+    1 << u, 1 << v, both bits), so a search node tests them on its rows.
     """
-    block_of = {v: i for i, block in enumerate(canonical_foliage_partition(h)) for v in block}
-    labels = h.vertices
+    labels, rows = h.vertices, h._rows
+    pairs = [(labels[i], labels[j], rows[i], rows[j]) for i in range(h.n) for j in range(i + 1, h.n)]
     return tuple(
         (u, v, 1 << u, 1 << v, 1 << u | 1 << v)
-        for i, u in enumerate(labels) for v in labels[i + 1:]
-        if block_of[u] != block_of[v] and (h.neighbor_mask(u) or h.neighbor_mask(v))
+        for (u, v, row_u, row_v), rank in zip(pairs, _pair_ranks(rows, h._at))
+        if (rank == 2 if row_u and row_v else row_u or row_v)
     )
 
 

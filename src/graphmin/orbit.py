@@ -24,12 +24,15 @@ class BudgetExceededError(RuntimeError):
 
 
 def _budget(node_budget: int | None) -> int:
-    """``node_budget``, else ``GRAPHMIN_BUDGET``, else the default; below 1 or a bool is a ValueError."""
+    """``node_budget``, else ``GRAPHMIN_BUDGET`` (decimal), else 2^20; below 1 or a bool: ValueError."""
     name, value = "node budget", node_budget
     if value is None:
-        name, raw = _ENV_BUDGET, os.environ.get(_ENV_BUDGET, str(DEFAULT_NODE_BUDGET))
+        name, raw = _ENV_BUDGET, os.environ.get(_ENV_BUDGET)
+        if raw is None:
+            return DEFAULT_NODE_BUDGET
+        from .io import parse_decimal  # the rule of ``--budget``; io loads only when it is needed
         try:
-            value = int(raw)
+            value = parse_decimal(raw)
         except ValueError:
             raise ValueError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
     if isinstance(value, bool) or value < 1:
@@ -37,17 +40,16 @@ def _budget(node_budget: int | None) -> int:
     return value
 
 
-def _closure(rows: tuple[int, ...], at: dict[int, int], node_budget: int | None):
+def _closure(rows: tuple[int, ...], at: dict[int, int], budget: int):
     """Yield ``(member rows, path)`` for the orbit of ``rows`` in discovery order.
 
     ``rows`` and ``at`` are a graph in ``graph.py``'s rows kernel; it comes
     first, with the empty path. Members are discovered breadth first,
     expanding vertices in ascending label order, so every path is shortest
     and lexicographically first at its depth. Once the orbit holds
-    ``node_budget`` members, the next new member is still yielded, and then
-    ``BudgetExceededError`` is raised.
+    ``budget`` members (resolved by ``_budget``), the next new member is
+    still yielded, and then ``BudgetExceededError`` is raised.
     """
-    budget = _budget(node_budget)  # checked before the source is yielded
     yield rows, ()
     seen = {rows}
     frontier = [(rows, ())]
@@ -80,7 +82,7 @@ def lc_orbit_paths(g: Graph, node_budget: int | None = None) -> dict[Graph, tupl
     """
     if g.n == 0:
         raise ValueError("orbit of the empty graph is undefined")
-    return {(m := _graph(member, g._at)): (m, path) for member, path in _closure(g._rows, g._at, node_budget)}
+    return {(m := _graph(r, g._at)): (m, path) for r, path in _closure(g._rows, g._at, _budget(node_budget))}
 
 
 def lc_orbit(g: Graph, node_budget: int | None = None) -> set[Graph]:
@@ -96,7 +98,7 @@ def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ..
     """
     if g.vertices != h.vertices:
         return None
-    return next((path for member, path in _closure(g._rows, g._at, node_budget) if member == h._rows), None)
+    return next((path for r, path in _closure(g._rows, g._at, _budget(node_budget)) if r == h._rows), None)
 
 
 def lc_equivalent(g: Graph, h: Graph, node_budget: int | None = None) -> bool:

@@ -38,6 +38,26 @@ def all_graphs(n: int):
         yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+def cut_rank(g: Graph, side) -> int:
+    """GF(2) rank of the adjacency matrix between ``side`` and the other
+    vertices, by elimination on the rows: the reference for the decider's
+    pair cut-rank table."""
+    outside = ~sum(1 << v for v in side)
+    basis: list[int] = []  # distinct leading bits, largest first
+    for v in side:
+        row = g.neighbor_mask(v) & outside
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis = sorted(basis + [row], reverse=True)
+    return len(basis)
+
+
+def pair_rank_table(g: Graph) -> list[int]:
+    """``cut_rank`` of every vertex pair, pairs in ascending label order."""
+    return [cut_rank(g, (u, v)) for u, v in combinations(g.vertices, 2)]
+
+
 def prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
     """Decode a Prufer sequence over labels 1..n into its tree."""
     degree = {v: 1 for v in range(1, n + 1)}

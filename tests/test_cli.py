@@ -115,7 +115,7 @@ class TestDecideCommand:
 
     def test_unknown_exits_2(self, capsys):
         code, doc, _ = run_json(
-            capsys, "decide", FIXTURES / "fig9.edges", FIXTURES / "fig8.edges", "--budget", "2"
+            capsys, "decide", FIXTURES / "fig9.edges", FIXTURES / "fig8.edges", "--budget", "1"
         )
         assert code == 2
         assert doc["result"]["answer"] == "unknown"
@@ -360,3 +360,9 @@ class TestFormats:
         monkeypatch.setenv("GRAPHMIN_BUDGET", "3")
         code, _, err = run(capsys, "orbit", FIXTURES / "fig9.edges")
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["1_000", "\u0661\u0662"])
+    def test_budget_env_must_be_a_plain_decimal(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("GRAPHMIN_BUDGET", raw)
+        code, out, err = run(capsys, "orbit", FIXTURES / "fig2.edges")
+        assert_input_error(code, out, err, "GRAPHMIN_BUDGET")

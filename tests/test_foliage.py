@@ -14,6 +14,7 @@ from graphmin import (
     foliage_equivalent,
     foliage_graph,
     is_foliage_partition,
+    lc_orbit,
     leaves_axils,
     lifted_local_complement,
     local_complement,
@@ -23,9 +24,9 @@ from graphmin import (
     singletons,
     twins,
 )
-from graphmin.foliage import _star_centers
+from graphmin.foliage import _pair_ranks, _star_centers
 
-from conftest import all_graphs, fig4a, random_graph, random_refinement
+from conftest import all_graphs, fig4a, pair_rank_table, random_graph, random_refinement
 
 
 def star(center, leaves):
@@ -300,6 +301,27 @@ class TestTransitivityCases:
             for block in canonical_foliage_partition(g):
                 for v, w in combinations(sorted(block), 2):
                     assert foliage_equivalent(g, v, w), (g, sorted(block), v, w)
+
+
+class TestPairRanks:
+    def test_table_is_the_cut_rank_and_the_same_on_every_orbit_member(self):
+        # the decider answers "not in the orbit" for a leaf whose table
+        # differs from the target's: a table that moved along an orbit
+        # would turn a "yes" into a wrong "no"
+        rng = random.Random(1991)
+        sizes, ranks = [], set()
+        for _ in range(60):
+            n, p = rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7))
+            labels = sorted(rng.sample(range(1, 65), n))
+            g = Graph(labels, [pair for pair in combinations(labels, 2) if rng.random() < p])
+            table = _pair_ranks(g._rows, g._at)
+            assert table == pair_rank_table(g)
+            orbit = lc_orbit(g)
+            for member in orbit:
+                assert _pair_ranks(member._rows, member._at) == table, (g, member)
+            sizes.append(len(orbit))
+            ranks |= set(table)
+        assert ranks == {0, 1, 2} and max(sizes) > 500
 
 
 def _distinct_triples(vertices):

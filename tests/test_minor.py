@@ -30,10 +30,10 @@ from graphmin import (
 )
 from graphmin.minor import NO, UNKNOWN, YES, Decision, _conflict_pairs, _violates_persistence
 from graphmin.ops import _apply_rows, apply_step, steps_to_json
-from graphmin.orbit import BudgetExceededError, lc_orbit_paths
+from graphmin.orbit import BudgetExceededError, _closure, lc_orbit_paths
 
 
-from conftest import fig4a, fig6, prufer_tree, random_graph, random_refinement
+from conftest import fig4a, fig6, pair_rank_table, prufer_tree, random_graph, random_refinement
 
 BELL_TARGET = Graph([1, 2, 4, 5], [(1, 2), (4, 5)])
 
@@ -81,10 +81,16 @@ class TestDecide:
             decide_vertex_minor(Graph(3), Graph(5))
 
     def test_budget_exhaustion_answers_unknown(self):
-        d = decide_vertex_minor(ring_graph(7), path_graph(6), node_budget=2)
+        # the member that path 6's 82-member orbit generates last, plus an
+        # isolated surplus vertex: the first leaf is that member, found only
+        # once the orbit's 81st member past the target is generated
+        *_, (far, _) = lc_orbit_paths(path_graph(6)).values()
+        g = Graph(7, far.edges())
+        d = decide_vertex_minor(g, path_graph(6), node_budget=80)
         assert d.answer == UNKNOWN
         assert d.rule == "budget-exhausted"
         assert d.witness is None
+        assert decide_vertex_minor(g, path_graph(6), node_budget=81).answer == YES
 
     @pytest.mark.parametrize("budget", [0, -1, True])
     def test_explicit_budget_below_one_or_bool_is_a_value_error(self, budget):
@@ -154,16 +160,45 @@ def _reference_decide(g, h):
 def _graph_keyed_decide(g, h, budget):
     """The decider's memoized search on ``Graph`` values, failed set keyed on
     graphs: the reference for the budget each decision spends, so the rows
-    search must reach "unknown" at exactly the same budgets."""
+    search must reach "unknown" at exactly the same budgets.
+
+    The target's orbit is closed eagerly here, and the decider's lazy rule
+    is replayed on the members' discovery ranks. The first two members are
+    drawn before the search. An orbit member not drawn yet is drawn up to,
+    which needs its rank to be at most the budget. A leaf outside the orbit
+    is a miss once the orbit is finished, or when its pair cut-ranks
+    (``conftest.cut_rank``) differ from the target's; otherwise it finishes
+    the orbit, which needs the orbit to hold at most the budget members.
+    """
     conflicts = _conflict_pairs(h)
     if _violates_persistence(g._rows, g._at, conflicts):
         return Decision(NO, "brute-force")
     surplus = sorted(set(g.vertices) - set(h.vertices))
     failed, steps = set(), []
+    orbit = lc_orbit_paths(h, 1 << 20) if h.n else {h: (h, ())}
+    rank = {member: i for i, member in enumerate(orbit)}
+    drawn, finished = min(2, len(orbit)), len(orbit) < 2
+
+    def lookup(graph):
+        nonlocal drawn, finished
+        i = rank.get(graph)
+        if i is not None and i < drawn:
+            return orbit[graph]
+        if finished or i is None and pair_rank_table(graph) != pair_rank_table(h):
+            return None
+        if i is not None:  # the closure still yields the member ranked ``budget``
+            if i > budget:
+                raise BudgetExceededError("orbit budget")
+            drawn = i + 1
+            return orbit[graph]
+        if len(orbit) > budget:
+            raise BudgetExceededError("orbit budget")
+        drawn, finished = len(orbit), True
+        return None
 
     def search(graph, depth):
         if depth == len(surplus):
-            return orbit.get(graph)
+            return lookup(graph)
         if graph in failed:
             return None
         if depth and _violates_persistence(graph._rows, graph._at, conflicts):
@@ -184,7 +219,6 @@ def _graph_keyed_decide(g, h, budget):
         return None
 
     try:
-        orbit = lc_orbit_paths(h, budget) if h.n else {h: (h, ())}
         hit = search(g, 0)
     except BudgetExceededError:
         return Decision(UNKNOWN, "budget-exhausted")
@@ -283,7 +317,12 @@ class TestMemoizedSearch:
 # search and ``Graph`` shared one rows representation: unlike the reference
 # deciders above, it does not run on the code it checks. Update it only with
 # a change that means to alter answers, rules or witnesses and says which.
-PINNED_DECISIONS_DIGEST = "4165c80f175492a8ed905fe35fd4281a250dd0cb186c137e1e70850ffacda53b"
+# Re-pinned when the node budget came to count only the target's orbit
+# members the decider generates: 460 budgeted rows that were "unknown" became
+# their pair's default-budget decision (374 "no", 86 "yes"); every other row
+# is byte-identical (``test_budgeted_rows_are_unknown_or_the_default_decision``
+# checks the rule on every row).
+PINNED_DECISIONS_DIGEST = "e3a6c98d81a57bf0f67f4c21006d773f426812b414e4e34906a9b5ccead42e2c"
 
 
 def _decision_corpus():
@@ -316,34 +355,127 @@ def test_decisions_match_pinned_digest(monkeypatch):
     assert digest.hexdigest() == PINNED_DECISIONS_DIGEST
 
 
-def _count_orbit_calls(monkeypatch):
-    """Count the decider's calls of ``graphmin.minor.lc_orbit_paths``, the
-    name through which a traced bench run times the target's closure."""
-    calls = []
+def test_budgeted_rows_are_unknown_or_the_default_decision(monkeypatch):
+    # a budget only stops a decision: an answered row has the default
+    # budget's answer, rule and witness, and once a budget answers, every
+    # larger one does too
+    monkeypatch.delenv("GRAPHMIN_BUDGET", raising=False)
+    answered = unknown = 0
+    for g, h, budget in _decision_corpus():
+        if budget is None:
+            default = decide_vertex_minor(g, h)
+            seen_answer = False
+            continue
+        d = decide_vertex_minor(g, h, node_budget=budget)
+        if d.answer == UNKNOWN:
+            assert d == Decision(UNKNOWN, "budget-exhausted") and not seen_answer
+            unknown += 1
+        else:
+            assert d == default
+            seen_answer, answered = True, answered + 1
+    assert answered > 1000 and unknown > 500
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return lc_orbit_paths(*args, **kwargs)
 
-    monkeypatch.setattr("graphmin.minor.lc_orbit_paths", counting)
-    return calls
+def _count_draws(monkeypatch):
+    """Count the target orbit members the decider draws from ``orbit._closure``."""
+    drawn = []
+
+    def counting(*args):
+        for found in _closure(*args):
+            drawn.append(found)
+            yield found
+
+    monkeypatch.setattr("graphmin.minor._closure", counting)
+    return drawn
+
+
+# the orbit of this target has 30 members; every leaf of the source, which
+# no root check refutes, differs from the target in some pair cut-rank
+CUT_RANK_NO = (Graph(6, [(1, 3), (1, 4), (1, 5), (2, 4), (2, 6), (4, 6), (5, 6)]),
+               Graph([1, 2, 4, 5, 6], [(1, 2), (1, 4), (1, 5), (1, 6), (2, 4), (5, 6)]))
 
 
 class TestOrbitEntry:
-    @pytest.mark.parametrize("g, h", [
-        (path_graph(3), Graph([1, 3], [(1, 3)])),
-        (ring_graph(9), CROSSED_PAIRS_ON_RING_9),
-        (path_graph(4), Graph([1, 4])),
-    ], ids=["yes", "no", "edgeless-target"])
-    def test_closure_goes_through_lc_orbit_paths_once(self, g, h, monkeypatch):
-        calls = _count_orbit_calls(monkeypatch)
-        decide_vertex_minor(g, h)
-        assert calls == [(h, None)]
+    @pytest.mark.parametrize("g, h, answer, draws", [
+        (path_graph(3), Graph([1, 3], [(1, 3)]), YES, 1),
+        (ring_graph(9), CROSSED_PAIRS_ON_RING_9, NO, 1),
+        (path_graph(4), Graph([1, 4]), YES, 1),
+        (ring_graph(7), path_graph(6), YES, 2),
+        (*CUT_RANK_NO, NO, 2),
+    ], ids=["yes", "no", "edgeless-target", "hit-at-the-root", "cut-rank-refuted"])
+    def test_draws_only_the_members_a_leaf_needs(self, g, h, answer, draws, monkeypatch):
+        # the root and a second member are drawn before the search; a
+        # one-member orbit is then finished, a hit at the root (z on 7 gives
+        # path 6 itself) draws no more, and neither does a refuted leaf
+        drawn = _count_draws(monkeypatch)
+        assert decide_vertex_minor(g, h).answer == answer
+        assert len(drawn) == draws
+        assert drawn[0] == (h._rows, ())
+
+    def test_cut_rank_refuted_leaves_would_close_the_orbit(self, monkeypatch):
+        # the same "no" with every pair cut-rank table made equal (so
+        # persistence prunes nothing either): the first leaf that misses then
+        # draws until the orbit ends, so the count above is the filter's doing
+        drawn = _count_draws(monkeypatch)
+        monkeypatch.setattr("graphmin.minor._pair_ranks", lambda rows, at: [])
+        assert decide_vertex_minor(*CUT_RANK_NO).answer == NO
+        assert len(drawn) == len(lc_orbit_paths(CUT_RANK_NO[1])) == 30
+
+    def test_deep_hit_draws_up_to_the_leaf(self, monkeypatch):
+        *_, (far, path) = lc_orbit_paths(path_graph(6)).values()
+        drawn = _count_draws(monkeypatch)
+        d = decide_vertex_minor(Graph(7, far.edges()), path_graph(6))
+        assert d.answer == YES and d.witness[1:] == tuple(Step("lc", v) for v in reversed(path))
+        assert len(drawn) == 82 and drawn[-1] == (far._rows, path)
 
     def test_root_refutation_closes_no_orbit(self, monkeypatch):
-        calls = _count_orbit_calls(monkeypatch)
+        drawn = _count_draws(monkeypatch)
         assert decide_vertex_minor(path_graph(11), nested_pairs_on_path(11)).answer == NO
-        assert calls == []
+        assert drawn == []
+
+    def test_budget_resolved_once_per_decision(self, monkeypatch):
+        calls = []
+
+        def counting(node_budget):
+            calls.append(node_budget)
+            return 1 << 20
+
+        monkeypatch.setattr("graphmin.minor._budget", counting)
+        monkeypatch.setattr("graphmin.orbit._budget", counting)
+        assert decide_vertex_minor(ring_graph(7), path_graph(6)).answer == YES
+        assert calls == [None]
+
+
+class TestLazyOrbit:
+    def test_matches_eager_orbit_reference_on_large_orbits(self):
+        # targets with orbits of hundreds of members, on labels 1..n or
+        # scattered in 1..64; sources are an orbit member with 1-3 surplus
+        # vertices attached (z on each gives the member: a "yes", often deep
+        # in the orbit) or random graphs on the same labels (mostly "no")
+        rng = random.Random(16)
+        answers, deepest, cases = set(), 0, 0
+        while cases < 36:
+            n = rng.randint(6, 7)
+            labels = list(range(1, n + 1)) if cases % 2 else sorted(rng.sample(range(1, 60), n))
+            h = Graph(labels, [pair for pair in itertools.combinations(labels, 2) if rng.random() < 0.5])
+            members = list(lc_orbit_paths(h))
+            if len(members) < 200:
+                continue
+            cases += 1
+            surplus = sorted(rng.sample(sorted(set(range(1, 65)) - set(labels)), rng.randint(1, 3)))
+            everyone = sorted(labels + surplus)
+            if cases % 3:
+                base = list(rng.choice(members).edges())
+            else:
+                base = [pair for pair in itertools.combinations(labels, 2) if rng.random() < 0.5]
+            extra = [(min(s, v), max(s, v)) for s in surplus for v in everyone if v != s and rng.random() < 0.4]
+            g = Graph(everyone, base + extra)
+            d = decide_vertex_minor(g, h)
+            assert d == _reference_decide(g, h)
+            answers.add(d.answer)
+            if d.answer == YES:
+                deepest = max(deepest, len(d.witness) - len(surplus))
+        assert answers == {YES, NO} and deepest >= 4
 
 
 def _two_pair_targets(labels):

@@ -106,6 +106,15 @@ def test_env_budget_below_one_is_a_value_error(monkeypatch, raw):
         lc_orbit(path_graph(4))
 
 
+@pytest.mark.parametrize("raw", ["1_000", " 12", "+12", "\u0661\u0662", "1e3"])
+def test_env_budget_is_a_plain_decimal(monkeypatch, raw):
+    # the rule of ``--budget`` and edge-list labels (``io.parse_decimal``):
+    # ``int`` would read each of these as a budget
+    monkeypatch.setenv("GRAPHMIN_BUDGET", raw)
+    with pytest.raises(ValueError, match="GRAPHMIN_BUDGET must be an integer"):
+        lc_orbit(path_graph(4))
+
+
 def test_budget_boundary_on_path4():
     g = path_graph(4)
     members = [member for member, _ in lc_orbit_paths(g, 11).values()]

@@ -20,11 +20,11 @@ _PUBLIC = {  # module: the names it provides here, the module itself first
     "bell": "bell BellQuery NotATreeError decide_bell decide_bell_line decide_bell_ring decide_bell_tree "
             "line_query ring_query tree_query",
     "io": "io FormatError parse_edge_list parse_graph6 read_graph write_edge_list",
-    # the dense oracle loads NumPy, so ``__all__`` leaves it out and ``graphmin.quantum`` needs an import
+    # the module itself is not a name here: ``graphmin.quantum`` needs its own import
     "quantum": "StateCapError find_measurement_correction graph_state verify_lc_unitary verify_measurement",
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
-__all__ = [name for name, module in _MODULE_OF.items() if module != "quantum"]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -162,7 +162,6 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify_quantum(args) -> int:
-    # the dense oracle loads NumPy, which no other command needs
     from .quantum import CorrectionSearchExhausted, _corrections, verify_lc_unitary
 
     g = _load(args.graph, args.format)

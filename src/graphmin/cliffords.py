@@ -11,26 +11,24 @@ measurements: after measuring vertex a, the projected state equals the
 measured graph's state up to a product of single-qubit Cliffords on the
 old neighborhood (for x, also on the routing neighbor's neighbors), fixed
 by the basis and the outcome. Each gate carries its name as a word over H
-and S, the leftmost letter applied last, with global phase dropped.
+and S, the leftmost letter applied last, with global phase dropped. Each
+matrix drops a scalar (powers of sqrt(2) and e^{i pi/4}) to leave entries in
+{0, 1, -1, 1j, -1j}; the oracle compares states only up to such a scalar.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-_S2 = 1 / np.sqrt(2)
-
-# local complement at a: exp(-i pi/4 X) on a ...
-LC_AT_VERTEX = _S2 * np.array([[1, -1j], [-1j, 1]], dtype=complex)
-# ... and exp(+i pi/4 Z) on each neighbor of a
-LC_AT_NEIGHBOR = np.array([[np.exp(1j * np.pi / 4), 0], [0, np.exp(-1j * np.pi / 4)]])
+# local complement at a: exp(-i pi/4 X) = (1 - iX)/sqrt(2) on a ...
+LC_AT_VERTEX = ((1, -1j), (-1j, 1))
+# ... and exp(+i pi/4 Z) = e^{i pi/4} diag(1, -i) on each neighbor of a
+LC_AT_NEIGHBOR = ((1, 0), (0, -1j))
 
 # the closed-form byproducts as (word, matrix)
-_Z = ("SS", np.array([[1, 0], [0, -1]], dtype=complex))
-_ROOT_MINUS_IZ = ("S", np.array([[np.exp(-1j * np.pi / 4), 0], [0, np.exp(1j * np.pi / 4)]]))
+_Z = ("SS", ((1, 0), (0, -1)))
+_ROOT_MINUS_IZ = ("S", ((1, 0), (0, 1j)))  # exp(-i pi/4 Z) = e^{-i pi/4} diag(1, i)
 _ROOT_PLUS_IZ = ("SSS", LC_AT_NEIGHBOR)
-_ROOT_MINUS_IY = ("HSS", _S2 * np.array([[1, -1], [1, 1]], dtype=complex))  # exp(-i pi/4 Y)
-_ROOT_PLUS_IY = ("SSH", _S2 * np.array([[1, 1], [-1, 1]], dtype=complex))  # exp(+i pi/4 Y)
+_ROOT_MINUS_IY = ("HSS", ((1, -1), (1, 1)))  # exp(-i pi/4 Y), times sqrt(2)
+_ROOT_PLUS_IY = ("SSH", ((1, 1), (-1, 1)))  # exp(+i pi/4 Y), times sqrt(2)
 
 
 def measurement_correction_candidates(basis: str, outcome: int, neighbors: tuple[int, ...],

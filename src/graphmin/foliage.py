@@ -83,19 +83,6 @@ def is_leaf_of(g: Graph, leaf: int, axil: int) -> bool:
     return g.neighbor_mask(leaf) == 1 << axil
 
 
-def _pair_ranks(rows: tuple[int, ...], at: dict[int, int]) -> list[int]:
-    """Cut-rank of every vertex pair of a rows-kernel graph, pairs in ``at`` order.
-
-    That is the GF(2) rank of the pair's rows outside the pair, which local
-    complementation keeps (Bouchet; Oum, "Rank-width and vertex-minors").
-    Non-isolated u and v are foliage-equivalent iff their rank is below 2.
-    """
-    bits = [1 << v for v in at]
-    return [2 if a and b and a != b else 1 if a or b else 0
-            for i, row in enumerate(rows) for j in range(i + 1, len(rows))
-            for a, b in ((row & ~bits[j], rows[j] & ~bits[i]),)]
-
-
 def leaves_axils(g: Graph) -> frozenset[tuple[int, int]]:
     """All (leaf, axil) pairs: degree-1 vertices with their unique neighbor."""
     return frozenset((v, w) for v in g.vertices for w in g.neighbors(v) if is_leaf_of(g, v, w))

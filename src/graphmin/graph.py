@@ -301,3 +301,16 @@ def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[
         out[at[w]] = toggled & ~(bit_a | bit_b) | (bit_b if r & bit_a else 0)
     del out[at[a]]
     return tuple(out)
+
+
+def _pair_ranks(rows: tuple[int, ...], at: dict[int, int]) -> list[int]:
+    """Cut-rank of every vertex pair, pairs in ``at`` order.
+
+    That is the GF(2) rank of the pair's rows outside the pair, which local
+    complementation keeps (Bouchet; Oum, "Rank-width and vertex-minors").
+    Non-isolated u and v are foliage-equivalent iff their rank is below 2.
+    """
+    bits = [1 << v for v in at]
+    return [2 if a and b and a != b else 1 if a or b else 0
+            for i, row in enumerate(rows) for j in range(i + 1, len(rows))
+            for a, b in ((row & ~bits[j], rows[j] & ~bits[i]),)]

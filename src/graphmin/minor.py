@@ -28,10 +28,9 @@ from .foliage import (
     foliage_graph,
     is_foliage_partition,
     is_leaf_of,
-    _pair_ranks,
     _star_centers,
 )
-from .graph import Graph, delete_vertex, local_complement
+from .graph import Graph, _pair_ranks, delete_vertex, local_complement
 from .ops import (DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step,
                   _apply_rows, replay)
 # the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from .graph import Graph, _graph, _lc_rows
+from .graph import Graph, _graph, _lc_rows, _pair_ranks
 
 _ENV_BUDGET = "GRAPHMIN_BUDGET"
 DEFAULT_NODE_BUDGET = 1 << 20
@@ -93,10 +93,11 @@ def lc_orbit(g: Graph, node_budget: int | None = None) -> set[Graph]:
 def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ...] | None:
     """A vertex sequence of local complements sending ``g`` to ``h``.
 
-    None when the graphs are not LC-equivalent (including differing label
-    sets). The search stops as soon as ``h`` appears in the closure.
+    None when the graphs are not LC-equivalent; at once, at any budget, when
+    their label sets or pair cut-rank tables (which LC keeps) differ. The
+    search stops as soon as ``h`` appears in the closure.
     """
-    if g.vertices != h.vertices:
+    if g.vertices != h.vertices or _pair_ranks(g._rows, g._at) != _pair_ranks(h._rows, h._at):
         return None
     return next((path for r, path in _closure(g._rows, g._at, _budget(node_budget)) if r == h._rows), None)
 

@@ -5,80 +5,117 @@ checks that local complementation and the measurement rewrites track the
 real quantum operations: the complemented graph's state equals a local
 Clifford applied to the original, and each Pauli measurement outcome leaves
 the measured graph's state up to the identity or the closed-form byproduct
-of ``cliffords``, nothing else. A check builds the state of the graph and
-that of its rewrite once each, from one Python int of sign bits, and applies
-a diagonal gate as one multiply. Two states match, up to global phase, at
-one fixed threshold. Dense vectors keep the oracle maximally trustworthy;
-the cap on qubit count keeps it affordable.
+of ``cliffords``, nothing else.
 
-Qubit order is ascending vertex label; the smallest label is the most
-significant bit of the amplitude index.
+The arithmetic is exact. With the global scalar (powers of sqrt(2) and of
+e^{i pi/4}) dropped, every gate is a matrix over {0, +-1, +-i} and every
+amplitude a small Gaussian integer. A state is a pair of Python ints, real
+and imaginary part, each the sum of ``a_x * 256**x`` over the amplitude
+indices ``x``: one signed byte-wide field per amplitude, so a gate is a few
+mask, shift and add operations on the whole int. No field a check forms
+exceeds 4 in magnitude (the tests measure it), far inside a byte. States
+match up to global phase iff they are proportional over Z[i], and a
+zero-probability outcome is exactly zero. Qubit order is ascending vertex
+label; the smallest label is the most significant bit of the index.
 """
 
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+import math
 
 from . import cliffords
 from .graph import Graph, _bits, local_complement, measure_x, measure_y, measure_z
 
 STATE_CAP = 12
-# Two states match when their overlap is within TOLERANCE of 1. Float rounding
-# moves it by about 1e-16, and two distinct stabilizer states overlap by at
-# most 1/sqrt(2), so any threshold far between the two gives the same answers.
-TOLERANCE = 1e-10
 
 
 class StateCapError(ValueError):
     """Too many qubits for the dense oracle."""
 
 
+_SPREAD = bytes.maketrans(b"01b", b"\0\1\0")
+
+
+def _spread(bits: int) -> int:
+    """The int whose field ``x`` is bit ``x`` of ``bits``: one bytes translation of ``bin(bits)``."""
+    return int.from_bytes(bin(bits).encode().translate(_SPREAD), "big")
+
+
 @functools.cache
-def _row_masks(n: int) -> tuple[int, ...]:
-    """Per row ``i``, the 2^n-bit int whose bit ``x`` is index ``x``'s bit ``n - 1 - i``."""
+def _masks(n: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, int], ...]]:
+    """``(bits, ones, bias, rows)``: ``bits[i]`` has bit ``x`` set iff index ``x`` has
+    row ``i``'s bit ``n - 1 - i``; ``ones`` and ``bias`` are 1 and 128 in every
+    field; ``rows[i]`` is ``(high, high & bias)``, ``high`` 0xFF where ``bits[i]`` is 1."""
     full = (1 << (1 << n)) - 1
     # bit k of the index: 2^k clear bits then 2^k set ones, repeated to 2^n bits
-    return tuple(full // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1 << (1 << k))
-                 for k in reversed(range(n)))
+    bits = tuple(full // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1 << (1 << k)) for k in reversed(range(n)))
+    ones = _spread(full)
+    return bits, ones, ones << 7, tuple((high, high & ones << 7) for high in (_spread(b) * 0xFF for b in bits))
 
 
-def graph_state(g: Graph) -> np.ndarray:
-    """State vector of ``g``: CZ per edge applied to the uniform plus state.
-
-    Every amplitude has magnitude 2^(-n/2); the sign at index ``x`` is the
-    parity of edges whose two endpoint bits are both set in ``x``. The 2^n
-    sign bits are one Python int: per vertex, its ``_row_masks`` mask AND
-    the XOR of its larger-labelled neighbors' masks is XORed in. One unpack
-    turns the int into the signs; no NumPy call is made per vertex or edge.
-    """
-    n = g.n
+def _state(g: Graph, at: dict[int, int]) -> int:
+    """Real part of ``g``'s state (the imaginary part is 0) on the indices of ``at``,
+    where a label ``g`` lacks (it was measured) has its bit clear in every nonzero
+    field. Per vertex, its ``bits`` AND the XOR of its larger-labelled neighbors'
+    ``bits`` is XORed into one int of 2^n sign bits, which ``_spread`` makes fields."""
+    n = len(at)
     if n > STATE_CAP:
         raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")
-    masks, at, signs = _row_masks(n), g._at, 0
-    for v, row, mask in zip(at, g._rows, masks):
+    (masks, keep, _, rows), signs = _masks(n), 0
+    for v, row in zip(g._at, g._rows):
         up = 0
         for u in _bits(row >> v + 1 << v + 1):
             up ^= masks[at[u]]
-        signs ^= up & mask
-    size = 1 << n
-    bits = np.unpackbits(np.frombuffer(signs.to_bytes(size + 7 >> 3, "little"), np.uint8),
-                         count=size, bitorder="little")
-    amp = 1 / np.sqrt(size)
-    return np.array([amp, -amp], dtype=complex).take(bits)
+        signs ^= up & masks[at[v]]
+    for v in at.keys() - g._at.keys():
+        keep &= ~rows[at[v]][0]
+    return keep - 2 * (_spread(signs) & keep)
 
 
-def apply_single(psi: np.ndarray, n: int, bit: int, gate: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate to the qubit at ``bit`` (from the LSB); a diagonal one is a multiply."""
-    shaped = psi.reshape(1 << (n - 1 - bit), 2, 1 << bit)
-    if gate[0, 1] == 0 and gate[1, 0] == 0:
-        return (shaped * gate.diagonal()[:, None]).reshape(psi.shape)
-    return np.einsum("ab,ibj->iaj", gate, shaped).reshape(psi.shape)
+def graph_state(g: Graph) -> tuple[complex, ...]:
+    """State vector of ``g``, CZ per edge on the plus state: every amplitude is
+    ``+-2^(-n/2)``, negative iff an odd number of edges have both endpoint bits set."""
+    n, amp = g.n, 1 / math.sqrt(1 << g.n)
+    fields = (_state(g, g._at) + _masks(n)[2]).to_bytes(1 << n, "little")
+    return tuple([complex((byte - 128) * amp) for byte in fields])
 
 
-def _overlap_is_unit(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= TOLERANCE)
+@functools.cache
+def _gaussian(gate) -> tuple[tuple[int, int], ...]:
+    """The entries of a 2x2 matrix over Z[i], row by row, as (real, imaginary) int pairs."""
+    return tuple((int(z.real), int(z.imag)) for row in gate for z in row)
+
+
+def _apply(state: tuple[int, int], n: int, i: int, gate) -> tuple[int, int]:
+    """A 2x2 matrix over Z[i] on the qubit of row ``i``: the fields whose index has
+    its bit set sit ``8 * 2^(n-1-i)`` bits above their partners, whose bit is clear."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = _gaussian(gate)
+    re, im = state
+    _, _, bias, rows = _masks(n)
+    high, high_bias = rows[i]
+    re1 = (re + bias & high) - high_bias
+    im1 = (im + bias & high) - high_bias if im else 0
+    if br == bi == cr == ci == 0:  # a on the whole state, then d - a on the set half
+        dr, di = dr - ar, di - ai
+        return (ar * re - ai * im + dr * re1 - di * im1,
+                ar * im + ai * re + dr * im1 + di * re1)
+    re0, im0 = re - re1, im - im1
+    lift = 8 << n - 1 - i
+    re1, im1 = re1 >> lift, im1 >> lift  # exact: the set half sits at least ``lift`` bits up
+    return (ar * re0 - ai * im0 + br * re1 - bi * im1 + (cr * re0 - ci * im0 + dr * re1 - di * im1 << lift),
+            ar * im0 + ai * re0 + br * im1 + bi * re1 + (cr * im0 + ci * re0 + dr * im1 + di * re1 << lift))
+
+
+def _same_ray(u: tuple[int, int], v: tuple[int, int], n: int) -> bool:
+    """Whether ``v`` is a multiple of the nonzero ``u`` over Z[i]: ``u * v_f == v * u_f``
+    at the first nonzero field ``f`` of ``u``."""
+    (ur, ui), (vr, vi) = u, v
+    low, bias = ur | ui, _masks(n)[2]
+    shift = (low & -low).bit_length() - 1 & ~7
+    ufr, ufi, vfr, vfi = ((part + bias >> shift & 0xFF) - 128 for part in (ur, ui, vr, vi))
+    return (ur * vfr - ui * vfi == vr * ufr - vi * ufi
+            and ur * vfi + ui * vfr == vr * ufi + vi * ufr)
 
 
 def verify_lc_unitary(g: Graph, a: int) -> bool:
@@ -89,23 +126,16 @@ def verify_lc_unitary(g: Graph, a: int) -> bool:
     complemented graph, up to global phase.
     """
     g._require(a)
-    n = g.n
-    pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
-    psi = graph_state(g)
-    psi = apply_single(psi, n, pos[a], cliffords.LC_AT_VERTEX)
-    for b in sorted(g.neighbors(a)):
-        psi = apply_single(psi, n, pos[b], cliffords.LC_AT_NEIGHBOR)
-    return _overlap_is_unit(psi, graph_state(local_complement(g, a)))
+    n, at = g.n, g._at
+    psi = _apply((_state(g, at), 0), n, at[a], cliffords.LC_AT_VERTEX)
+    for b in _bits(g._rows[at[a]]):
+        psi = _apply(psi, n, at[b], cliffords.LC_AT_NEIGHBOR)
+    return _same_ray(psi, (_state(local_complement(g, a), at), 0), n)
 
 
-_EIGENVECTORS = {
-    ("z", +1): np.array([1, 0], dtype=complex),
-    ("z", -1): np.array([0, 1], dtype=complex),
-    ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
-    ("x", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-    ("y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
-}
+# |0><e| for the eigenvector e of each outcome: the measured qubit's bit stays 0
+_PROJECTORS = {("z", 1): ((1, 0), (0, 0)), ("z", -1): ((0, 1), (0, 0)), ("x", 1): ((1, 1), (0, 0)),
+               ("x", -1): ((1, -1), (0, 0)), ("y", 1): ((1, -1j), (0, 0)), ("y", -1): ((1, 1j), (0, 0))}
 
 
 class CorrectionSearchExhausted(RuntimeError):
@@ -116,65 +146,38 @@ class CorrectionSearchExhausted(RuntimeError):
     """
 
 
-def _project_out(psi: np.ndarray, n: int, bit: int, basis: str, outcome: int) -> np.ndarray | None:
-    """Post-measurement state on the remaining qubits, or None for probability 0."""
-    vec = _EIGENVECTORS[(basis, outcome)]
-    shaped = psi.reshape(1 << (n - 1 - bit), 2, 1 << bit)
-    reduced = np.einsum("b,ibj->ij", vec.conj(), shaped).reshape(-1)
-    norm = np.linalg.norm(reduced)
-    if norm < 1e-12:
-        return None
-    return reduced / norm
-
-
 def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> list[dict[int, str] | None]:
-    """Byproduct per outcome, from one state of ``g`` and one of its image.
-
-    The measured graph's state is built only when some outcome asked for
-    has nonzero probability.
-    """
+    """Byproduct per outcome, from one state of ``g`` and one of its image on the
+    same indices. The image is built only when some outcome asked for is possible."""
     if basis not in ("x", "y", "z"):
         raise ValueError(f"unknown basis {basis!r}")
     for outcome in outcomes:
         if outcome not in (+1, -1):
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    n = g.n
-    pos = {v: n - 1 - i for i, v in enumerate(g.vertices)}
+    n, at = g.n, g._at
     neighbors = tuple(sorted(g.neighbors(a)))
-    special = None
-    special_nbrs: tuple[int, ...] = ()
-    if basis == "x" and neighbors:
-        special = neighbors[0]
-        special_nbrs = tuple(sorted(g.neighbors(special) - {a}))
+    special = neighbors[0] if basis == "x" and neighbors else None  # x routes through it
+    special_nbrs = () if special is None else tuple(sorted(g.neighbors(special) - {a}))
 
-    psi = graph_state(g)
-    posts = [_project_out(psi, n, pos[a], basis, outcome) for outcome in outcomes]
+    psi = (_state(g, at), 0)
+    posts = [_apply(psi, n, at[a], _PROJECTORS[basis, outcome]) for outcome in outcomes]
+    posts = [None if post == (0, 0) else post for post in posts]
     if all(post is None for post in posts):
         return posts
 
-    if basis == "z":
-        image = measure_z(g, a)
-    elif basis == "y":
-        image = measure_y(g, a)
-    else:
-        image = measure_x(g, a, special)
-    target = graph_state(image)
-    m = image.n
-    pos_rest = {v: m - 1 - i for i, v in enumerate(image.vertices)}
+    image = measure_x(g, a, special) if basis == "x" else measure_y(g, a) if basis == "y" else measure_z(g, a)
+    target = (_state(image, at), 0)
 
-    def correction(post: np.ndarray, outcome: int) -> dict[int, str]:
-        for candidate in cliffords.measurement_correction_candidates(
-            basis, outcome, neighbors, special, special_nbrs
-        ):
+    def correction(post: tuple[int, int], outcome: int) -> dict[int, str]:
+        for candidate in cliffords.measurement_correction_candidates(basis, outcome, neighbors,
+                                                                     special, special_nbrs):
             phi = target
             for v, (_, gate) in candidate.items():
-                phi = apply_single(phi, m, pos_rest[v], gate)
-            if _overlap_is_unit(post, phi):
+                phi = _apply(phi, n, at[v], gate)
+            if _same_ray(post, phi, n):
                 return {v: word for v, (word, _) in candidate.items()}
-        raise CorrectionSearchExhausted(
-            f"neither the identity nor the closed-form byproduct matches the "
-            f"{basis}{'+' if outcome > 0 else '-'} outcome at vertex {a}"
-        )
+        raise CorrectionSearchExhausted(f"neither the identity nor the closed-form byproduct matches the "
+                                        f"{basis}{'+' if outcome > 0 else '-'} outcome at vertex {a}")
 
     return [None if post is None else correction(post, outcome) for post, outcome in zip(posts, outcomes)]
 

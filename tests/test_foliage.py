@@ -24,7 +24,8 @@ from graphmin import (
     singletons,
     twins,
 )
-from graphmin.foliage import _pair_ranks, _star_centers
+from graphmin.foliage import _star_centers
+from graphmin.graph import _pair_ranks
 
 from conftest import all_graphs, fig4a, pair_rank_table, random_graph, random_refinement
 

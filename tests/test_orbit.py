@@ -16,8 +16,11 @@ from graphmin import (
     local_complement,
     path_graph,
     replay,
+    ring_graph,
     Step,
 )
+from graphmin import orbit
+from graphmin.graph import _pair_ranks
 
 from conftest import fig2, random_graph
 
@@ -153,12 +156,42 @@ def test_closure_matches_graph_closure_at_the_budget_boundary(budget):
         assert list(lc_orbit_paths(g, budget).values()) == expected
     for member, path in expected:  # the member found past the budget included
         assert lc_path(g, member, budget) == path
-    outside = Graph(4)  # not in the orbit: the whole closure runs
-    if exhausted:
+    outside = Graph(4)  # its pair cut-ranks differ from the path's: no closure runs
+    assert lc_path(g, outside, budget) is None
+
+
+@pytest.mark.parametrize("budget", [4, 5])
+def test_outsider_with_equal_cut_ranks_runs_the_whole_closure(budget):
+    # 3-leaf stars centred at 1, one on 2, 4, 5 and one on 2, 3, 4: equal
+    # pair cut-rank tables, not LC-equivalent; the first orbit has 5 members
+    g, outside = Graph(5, [(1, 2), (1, 4), (1, 5)]), Graph(5, [(1, 2), (1, 3), (1, 4)])
+    assert _pair_ranks(g._rows, g._at) == _pair_ranks(outside._rows, outside._at)
+    assert len(lc_orbit(g)) == 5
+    if budget < 5:
         with pytest.raises(BudgetExceededError):
             lc_path(g, outside, budget)
     else:
         assert lc_path(g, outside, budget) is None
+
+
+def test_differing_cut_ranks_refute_before_any_closure(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(orbit, "_closure", no_closure)
+    ring, path = ring_graph(10), path_graph(10)  # ring 10's orbit has 22,484 members
+    assert lc_path(ring, path, node_budget=1) is None
+    assert lc_path(path, ring, node_budget=1) is None
+    assert not lc_equivalent(ring, path, node_budget=1)
+
+
+def test_lc_path_is_the_closure_path_of_every_member():
+    rng = random.Random(16)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 6), p=rng.choice((0.3, 0.5, 0.7)))
+        expected, _ = _reference_orbit(g)
+        for member, path in expected:
+            assert lc_path(g, member) == path
 
 
 def test_equivalence_needs_same_labels():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -19,13 +20,7 @@ from graphmin import (
     verify_measurement,
 )
 from graphmin import quantum
-from graphmin.quantum import (
-    CorrectionSearchExhausted,
-    StateCapError,
-    _project_out,
-    apply_single,
-    find_measurement_correction,
-)
+from graphmin.quantum import CorrectionSearchExhausted, StateCapError, find_measurement_correction
 
 from conftest import all_graphs, fig2, random_graph
 
@@ -43,7 +38,7 @@ def per_edge_graph_state(g):
 
 
 def assert_bit_identical(g):
-    psi, ref = graph_state(g), per_edge_graph_state(g)
+    psi, ref = np.array(graph_state(g)), per_edge_graph_state(g)
     assert psi.dtype == ref.dtype and np.array_equal(psi, ref), g.edges()
 
 
@@ -85,7 +80,9 @@ def _two_qubit_gate(gate, qa, qb, n):
 
 class TestGraphState:
     def test_single_vertex_is_plus(self):
-        np.testing.assert_allclose(graph_state(Graph(1)), [1, 1] / np.sqrt(2))
+        psi = graph_state(Graph(1))
+        assert type(psi) is tuple and all(type(amp) is complex for amp in psi)
+        np.testing.assert_allclose(psi, [1, 1] / np.sqrt(2))
 
     def test_two_vertex_edge(self):
         np.testing.assert_allclose(graph_state(Graph(2, [(1, 2)])), [0.5, 0.5, 0.5, -0.5])
@@ -93,7 +90,7 @@ class TestGraphState:
     def test_four_vertex_example_against_kron_oracle(self):
         g = Graph(4, [(1, 2), (2, 3), (2, 4)])
         psi = graph_state(g)
-        assert psi.shape == (16,)
+        assert len(psi) == 16
         np.testing.assert_allclose(np.abs(psi), 0.25)
         np.testing.assert_allclose(psi, kron_oracle(g), atol=1e-12)
 
@@ -146,7 +143,7 @@ class TestGraphState:
     def test_normalized(self, rng):
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 7))
-            assert abs(np.linalg.norm(graph_state(g)) - 1.0) < 1e-10
+            assert abs(np.linalg.norm(np.array(graph_state(g))) - 1.0) < 1e-10
 
 
 class TestLcUnitary:
@@ -168,6 +165,19 @@ class TestLcUnitary:
             g = random_graph(rng, 6)
             for a in g.vertices:
                 assert verify_lc_unitary(g, a)
+
+    @pytest.mark.parametrize("name, wrong", [
+        ("LC_AT_VERTEX", ((1, 1j), (1j, 1))),  # the root of +iX
+        ("LC_AT_NEIGHBOR", ((1, 0), (0, 1j))),  # the root of -iZ
+    ])
+    def test_a_root_with_the_wrong_sign_fails(self, monkeypatch, name, wrong):
+        monkeypatch.setattr(cliffords, name, wrong)
+        assert verify_lc_unitary(fig2(), 2) is False
+        for n in range(2, 5):
+            for g in all_graphs(n):
+                for a in g.vertices:
+                    if g.degree(a):  # an isolated vertex's root only moves the global phase
+                        assert verify_lc_unitary(g, a) is False, (g, a)
 
 
 class TestMeasurements:
@@ -212,25 +222,68 @@ class TestMeasurements:
                     assert verify_measurement(g, a, basis)
 
 
-class TestApplySingle:
+def offset_fields(state, n):
+    """Both parts of a packed state as bytes: byte x is field x plus 128."""
+    size = 1 << n
+    bias = int.from_bytes(b"\x80" * size, "little")
+    return [(part + bias).to_bytes(size, "little") for part in state]
+
+
+def unpack(state, n):
+    """A packed state as a complex NumPy vector."""
+    re, im = (np.frombuffer(raw, np.uint8) - 128.0 for raw in offset_fields(state, n))
+    return re + 1j * im
+
+
+def pack(vector, n):
+    """A vector of small Gaussian integers as a packed state."""
+    return tuple(sum(int(part) << 8 * x for x, part in enumerate(parts))
+                 for parts in (np.real(vector), np.imag(vector)))
+
+
+# every matrix the oracle applies: the local-complement roots, the closed-form
+# byproducts and the projections onto the measured qubit's eigenvectors, plus
+# the Paulis X and Y, so that each shape of matrix has members
+KERNEL_MATRICES = {
+    "LC_AT_VERTEX": cliffords.LC_AT_VERTEX,
+    "LC_AT_NEIGHBOR": cliffords.LC_AT_NEIGHBOR,
+    **{word: m for word, m in (cliffords._Z, cliffords._ROOT_MINUS_IZ, cliffords._ROOT_PLUS_IZ,
+                               cliffords._ROOT_MINUS_IY, cliffords._ROOT_PLUS_IY)},
+    **{f"project {basis}{outcome:+d}": m for (basis, outcome), m in quantum._PROJECTORS.items()},
+    "X": ((0, 1), (1, 0)),
+    "Y": ((0, -1j), (1j, 0)),
+}
+
+
+def _shape(m):
+    (a, b), (c, d) = m
+    return "diagonal" if b == c == 0 else "anti-diagonal" if a == d == 0 else "general"
+
+
+class TestGateKernel:
     def test_single_qubit_gate_on_known_position(self):
-        psi = np.array([1, 0, 0, 0], dtype=complex)  # |00>
-        flipped = apply_single(psi, 2, 0, np.array([[0, 1], [1, 0]], dtype=complex))
-        np.testing.assert_allclose(flipped, [0, 1, 0, 0])  # LSB qubit flipped
-        flipped = apply_single(psi, 2, 1, np.array([[0, 1], [1, 0]], dtype=complex))
-        np.testing.assert_allclose(flipped, [0, 0, 1, 0])  # MSB qubit flipped
+        x = ((0, 1), (1, 0))
+        state = pack([1, 0, 0, 0], 2)  # |00>
+        np.testing.assert_array_equal(unpack(quantum._apply(state, 2, 1, x), 2), [0, 1, 0, 0])  # LSB flipped
+        np.testing.assert_array_equal(unpack(quantum._apply(state, 2, 0, x), 2), [0, 0, 1, 0])  # MSB flipped
+
+    def test_pack_round_trips(self):
+        vector = np.array([3, -3j, -1 + 2j, 0, -128, 127j, 1, -1])
+        np.testing.assert_array_equal(unpack(pack(vector, 3), 3), vector)
 
     @pytest.mark.parametrize("shape", ["diagonal", "anti-diagonal", "general"])
     def test_matches_kronecker_operator_at_every_bit(self, shape):
+        matrices = {name: m for name, m in KERNEL_MATRICES.items() if _shape(m) == shape}
+        assert len(matrices) >= 2
         rng = np.random.default_rng(7)
-        for n in range(1, 8):
-            for bit in range(n):
-                gate = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                if shape != "general":
-                    gate *= np.eye(2) if shape == "diagonal" else np.eye(2)[::-1]
-                psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-                full = np.kron(np.kron(np.eye(1 << (n - 1 - bit)), gate), np.eye(1 << bit))
-                np.testing.assert_allclose(apply_single(psi, n, bit, gate), full @ psi, rtol=1e-12, atol=1e-12)
+        for name, m in matrices.items():
+            gate = np.array(m, dtype=complex)
+            for n in range(1, 8):
+                for i in range(n):  # row i is index bit n - 1 - i
+                    psi = rng.integers(-3, 4, 1 << n) + 1j * rng.integers(-3, 4, 1 << n)
+                    full = np.kron(np.kron(np.eye(1 << i), gate), np.eye(1 << (n - 1 - i)))
+                    got = unpack(quantum._apply(pack(psi, n), n, i, m), n)
+                    np.testing.assert_array_equal(got, full @ psi, err_msg=f"{name} on row {i} of {n}")
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -238,8 +291,8 @@ _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
 def _phase_free_key(m):
-    """Canonical entries of a 2x2 unitary with global phase stripped."""
-    flat = m.ravel()
+    """Canonical entries of a 2x2 matrix with its scalar stripped."""
+    flat = np.array(m, dtype=complex).ravel()
     pivot = flat[np.argmax(np.abs(flat) > 1e-9)]
     return tuple(np.round(flat / pivot, 9).tolist())
 
@@ -286,9 +339,9 @@ class TestByproductRule:
         g = path_graph(3)
         assert find_measurement_correction(g, 2, "x", +1) == {1: "SSH", 3: "SS"}
         # H on vertex 1 alone also maps the measured graph's state to the projection
-        post = _project_out(graph_state(g), 3, 1, "x", +1)
-        image = graph_state(measure_x(g, 2, 1))
-        assert abs(abs(np.vdot(post, apply_single(image, 2, 1, _H))) - 1) < 1e-10
+        post = quantum._apply((quantum._state(g, g._at), 0), 3, g._at[2], quantum._PROJECTORS["x", +1])
+        image = (quantum._state(measure_x(g, 2, 1), g._at), 0)
+        assert quantum._same_ray(post, quantum._apply(image, 3, g._at[1], ((1, 1), (1, -1))), 3)
 
     def test_no_match_raises(self, monkeypatch):
         monkeypatch.setattr(cliffords, "measurement_correction_candidates", lambda *args: iter([{}]))
@@ -302,12 +355,13 @@ class TestStatesPerCheck:
     @pytest.fixture
     def built(self, monkeypatch):
         calls = []
+        build = quantum._state
 
-        def counting(g):
+        def counting(g, at):
             calls.append(g)
-            return graph_state(g)
+            return build(g, at)
 
-        monkeypatch.setattr(quantum, "graph_state", counting)
+        monkeypatch.setattr(quantum, "_state", counting)
         return calls
 
     @pytest.mark.parametrize("basis", "xyz")
@@ -354,6 +408,45 @@ PINNED_CORRECTIONS_DIGEST = "0471e991ffdc68df4ec8521338d245c4f63281b608de26314cb
 def test_corrections_match_pinned_digest():
     assert _corrections_digest() == PINNED_CORRECTIONS_DIGEST
 
+
+# per bound, the offset fields -bound..bound
+_WITHIN = [bytes(range(128 - bound, min(129 + bound, 256))) for bound in range(129)]
+
+
+@functools.cache  # the corpus repeats most states
+def peak(raw):
+    """The largest field magnitude in one part given by ``offset_fields``."""
+    return next(bound for bound, within in enumerate(_WITHIN) if not raw.translate(None, within))
+
+
+def test_fields_stay_within_the_documented_bound(monkeypatch):
+    """Every field a check forms is at most 4 in real and imaginary part, as
+    ``quantum``'s docstring states: far inside the -128..127 that the masks
+    need. The cross-multiplied fields are bounded from their factors."""
+    largest = [0]
+    apply, same_ray = quantum._apply, quantum._same_ray
+
+    def recording_apply(state, n, i, gate):
+        out = apply(state, n, i, gate)
+        largest[0] = max(largest[0], *map(peak, offset_fields(state, n) + offset_fields(out, n)))
+        return out
+
+    def recording_same_ray(u, v, n):
+        uu, vv = offset_fields(u, n), offset_fields(v, n)
+        f = min(len(raw) - len(raw.lstrip(b"\x80")) for raw in uu)  # u's first nonzero field
+        for (ar, ai), (br, bi) in ((uu, vv), (vv, uu)):  # the fields of a * b_f
+            fr, fi = abs(br[f] - 128), abs(bi[f] - 128)
+            largest[0] = max(largest[0], peak(ar) * fr + peak(ai) * fi, peak(ar) * fi + peak(ai) * fr)
+        return same_ray(u, v, n)
+
+    monkeypatch.setattr(quantum, "_apply", recording_apply)
+    monkeypatch.setattr(quantum, "_same_ray", recording_same_ray)
+    for g in _correction_corpus():  # every connected graph on n <= 5, then 200 on n = 6..9
+        for a in g.vertices:
+            assert verify_lc_unitary(g, a)
+            for basis in "xyz":
+                assert verify_measurement(g, a, basis)
+    assert largest[0] == 4
 
 
 def test_bool_vertex_is_an_unknown_label():

@@ -13,10 +13,8 @@ _PUBLIC = {  # module: the names it provides here, the module itself first
     "ops": "ops DELETE LC MEASURE_X MEASURE_Y MEASURE_Z Decision Step apply_step replay",
     "orbit": "orbit DEFAULT_NODE_BUDGET BudgetExceededError lc_equivalent lc_orbit lc_orbit_paths lc_path",
     "foliage": "foliage BlockShape FoliageGraph InvalidPartitionError Partition canonical_foliage_partition "
-               "classify_block foliage_equivalent foliage_graph is_foliage_partition leaves_axils "
-               "lifted_local_complement nth_foliage_graph singletons twins",
-    "minor": "minor ClassFate class_persistence_check decide_vertex_minor extract_foliage_graph "
-             "foliage_source_reduce foliage_target_reduce source_reduce target_reduce",
+               "classify_block foliage_equivalent foliage_graph is_foliage_partition nth_foliage_graph singletons",
+    "minor": "minor decide_vertex_minor extract_foliage_graph source_reduce target_reduce",
     "bell": "bell BellQuery NotATreeError decide_bell decide_bell_line decide_bell_ring decide_bell_tree "
             "line_query ring_query tree_query",
     "io": "io FormatError parse_edge_list parse_graph6 read_graph write_edge_list",

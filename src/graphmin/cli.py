@@ -146,7 +146,10 @@ def _cmd_reduce(args) -> int:
     inputs = (write_edge_list(source),)
     if args.replay:
         with open(args.replay, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except RecursionError:
+                raise ValueError(f"{args.replay} nests JSON too deeply to be a witness") from None
         if isinstance(doc, dict) and "witness" not in doc:
             raise ValueError(f"{args.replay} is a JSON object without a 'witness' key")
         steps = steps_from_json(doc["witness"] if isinstance(doc, dict) else doc)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 
-from .graph import Graph, UnknownVertexError, _Record, _set, local_complement
+from .graph import Graph, UnknownVertexError, _Record, _set
 
 
 class InvalidPartitionError(ValueError):
@@ -72,67 +72,74 @@ def singletons(g: Graph) -> Partition:
     return Partition([{v} for v in g.vertices])
 
 
-def are_twins(g: Graph, v: int, w: int) -> bool:
-    """Whether ``v`` and ``w`` have equal, nonempty neighborhoods outside the pair."""
-    shared = g.neighbor_mask(v) & ~(1 << w)
-    return bool(shared) and shared == g.neighbor_mask(w) & ~(1 << v)
+def _pair(u: int, v: int) -> tuple[int, int, int, int, int]:
+    """A label pair as ``_any_equivalent`` reads it: (u, v, 1 << u, 1 << v, both bits)."""
+    return u, v, 1 << u, 1 << v, 1 << u | 1 << v
 
 
-def is_leaf_of(g: Graph, leaf: int, axil: int) -> bool:
-    """Whether ``axil`` is the only neighbor of ``leaf``."""
-    return g.neighbor_mask(leaf) == 1 << axil
+def _any_equivalent(rows: tuple[int, ...], at: dict[int, int], pairs) -> bool:
+    """Whether some pair of ``pairs`` (each from ``_pair``) is foliage-equivalent.
 
-
-def leaves_axils(g: Graph) -> frozenset[tuple[int, int]]:
-    """All (leaf, axil) pairs: degree-1 vertices with their unique neighbor."""
-    return frozenset((v, w) for v in g.vertices for w in g.neighbors(v) if is_leaf_of(g, v, w))
-
-
-def twins(g: Graph) -> frozenset[frozenset[int]]:
-    """All twin pairs {v, w}: equal neighborhoods outside the pair, nonempty."""
-    verts = g.vertices
-    return frozenset(
-        frozenset((v, w)) for i, v in enumerate(verts) for w in verts[i + 1:] if are_twins(g, v, w)
-    )
+    That is, one row is the other's bit (leaf and axil, either way), or the
+    rows agree outside the pair and are not empty there (twins). This is the
+    relation's one statement on rows; the decider tests it at every search
+    node, so the pairs are read inline, not one call each.
+    """
+    for u, v, bit_u, bit_v, pair in pairs:
+        row_u, row_v = rows[at[u]], rows[at[v]]
+        if row_u == bit_v or row_v == bit_u or row_u | pair == row_v | pair != pair:
+            return True
+    return False
 
 
 def foliage_equivalent(g: Graph, v: int, w: int) -> bool:
     g._require(v)
     g._require(w)
-    return v == w or is_leaf_of(g, v, w) or is_leaf_of(g, w, v) or are_twins(g, v, w)
+    return v == w or _any_equivalent(g._rows, g._at, (_pair(v, w),))
+
+
+def _row_groups(g: Graph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The labels of each open row, and each vertex's twin class (itself and its twins).
+
+    A one-bit row's labels are the leaves of that bit's axil. Equal non-zero
+    open rows are non-adjacent twins; equal closed rows (row | own bit) are
+    adjacent twins once the row has a second bit (a mutual leaf-axil pair
+    shares its closed row without being twins). Labels are in ascending order.
+    """
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
+    for v, row in zip(g._at, g._rows):
+        by_open.setdefault(row, []).append(v)
+        by_closed.setdefault(row | 1 << v, []).append(v)
+    twins = {v: by_open[row] if row and len(by_open[row]) > 1  # non-adjacent twins
+             else by_closed[row | 1 << v] if row & row - 1  # adjacent twins
+             else [v] for v, row in zip(g._at, g._rows)}
+    return by_open, twins
 
 
 def canonical_foliage_partition(g: Graph) -> Partition:
     """The foliage-equivalence classes of ``g``, read off the adjacency rows.
 
-    Vertices are grouped by their bitmask rows in one pass: a degree-1
-    vertex joins its axil and every other leaf of that axil (equal one-bit
-    rows); an axil of degree > 1 collects the vertices whose row is its own
-    bit; equal non-zero open rows are non-adjacent twins, and equal closed
-    rows (row | own bit) are adjacent twins. Every other vertex is alone.
-    The relation is transitive and these cases never overlap, so each
-    vertex lands in exactly its class (the tests compare this against
-    closing the pairwise relation).
+    Vertices are grouped by their bitmask rows in one pass (``_row_groups``):
+    a degree-1 vertex joins its axil and every other leaf of that axil
+    (equal one-bit rows); an axil of degree > 1 collects the vertices whose
+    row is its own bit; any other vertex joins its twins, or is alone. The
+    relation is transitive and these cases never overlap, so each vertex
+    lands in exactly its class (the tests compare this against closing the
+    pairwise relation).
     """
-    rows = {v: g.neighbor_mask(v) for v in g.vertices}
-    by_open: dict[int, list[int]] = {}
-    by_closed: dict[int, list[int]] = {}
-    for v, row in rows.items():
-        by_open.setdefault(row, []).append(v)
-        by_closed.setdefault(row | 1 << v, []).append(v)
+    by_open, twins = _row_groups(g)
     blocks = []
     placed: set[int] = set()
-    for v, row in rows.items():
+    for v, row in zip(g._at, g._rows):
         if v in placed:
             continue
         if row and not row & (row - 1):  # a leaf: its axil and the axil's other leaves
             block = [row.bit_length() - 1] + by_open[row]
         elif 1 << v in by_open:  # an axil of degree > 1 and its leaves
             block = [v] + by_open[1 << v]
-        elif row and len(by_open[row]) > 1:  # non-adjacent twins
-            block = by_open[row]
-        else:  # adjacent twins, or v alone
-            block = by_closed[row | 1 << v]
+        else:  # twins, or v alone
+            block = twins[v]
         placed.update(block)
         blocks.append(block)
     return Partition(blocks)
@@ -154,7 +161,7 @@ class BlockShape(enum.Enum):
 
 def _star_centers(g: Graph, members: list[int]) -> list[int]:
     """Members holding every other member as a degree-1 leaf of their own."""
-    return [a for a in members if all(v == a or is_leaf_of(g, v, a) for v in members)]
+    return [a for a in members if all(v == a or g.neighbor_mask(v) == 1 << a for v in members)]
 
 
 def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
@@ -257,18 +264,3 @@ def nth_foliage_graph(g: Graph, depth: int) -> FoliageGraph:
     # each representative is its block's minimum, so the last quotient is
     # already labelled by the minima of the flattened blocks, in block order
     return FoliageGraph(Partition(members.values()), fg.representatives, fg.graph)
-
-
-def lifted_local_complement(g: Graph, w: Partition, a: int) -> FoliageGraph:
-    """Quotient by ``w`` of ``g`` complemented at ``a``.
-
-    For a vertex of degree > 1 this equals complementing the quotient at
-    the block of ``a`` (asserted in the tests, not recomputed per call).
-    Degree <= 1 is rejected (the quotient-side complement is not defined
-    there), and so is a ``w`` that is not a foliage partition of ``g``:
-    local complementation keeps the canonical partition, so checking ``w``
-    against the complemented graph is the same check.
-    """
-    if g.degree(a) <= 1:
-        raise ValueError(f"lifted complement needs degree > 1 at vertex {a}, got {g.degree(a)}")
-    return foliage_graph(local_complement(g, a), w)

@@ -8,29 +8,20 @@ order, so answers and witnesses are deterministic; every yes carries a step
 sequence that replays to the target exactly.
 
 The reductions shrink instances while preserving the answer: deleting
-foliage vertices outside the target (source reduction), collapsing a whole
-foliage partition onto representatives, and jointly deleting a vertex that
-stays foliage-equivalent to a partner in both graphs (target reduction,
-one-directional).
+foliage vertices outside the target (source reduction), and jointly deleting
+a vertex that stays foliage-equivalent to a partner in both graphs (target
+reduction, one-directional). Both delete with one rule, ``_deletion_steps``.
+``extract_foliage_graph`` collapses a foliage partition onto representatives
+with a replayable witness.
 """
 
 from __future__ import annotations
 
-import enum
 from itertools import islice
 
-from .foliage import (
-    InvalidPartitionError,
-    Partition,
-    are_twins,
-    canonical_foliage_partition,
-    foliage_equivalent,
-    foliage_graph,
-    is_foliage_partition,
-    is_leaf_of,
-    _star_centers,
-)
-from .graph import Graph, _pair_ranks, delete_vertex, local_complement
+from .foliage import (Partition, _any_equivalent, _pair, _row_groups, _star_centers, foliage_equivalent,
+                      foliage_graph)
+from .graph import Graph, _pair_ranks
 from .ops import (DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step,
                   _apply_rows, replay)
 # the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays
@@ -71,7 +62,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
     budget = _budget(node_budget)
     conflicts = _conflict_pairs(h)
-    if _violates_persistence(g._rows, g._at, conflicts):
+    if _any_equivalent(g._rows, g._at, conflicts):
         return Decision(NO, "brute-force")
     to_measure = tuple(sorted(g_labels - h_labels))
     # label positions at each depth, where ``to_measure[:depth]`` are gone
@@ -107,7 +98,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         if rows in failed:
             return None
         at = ats[depth]
-        if depth and _violates_persistence(rows, at, conflicts):  # the root was checked above
+        if depth and _any_equivalent(rows, at, conflicts):  # the root was checked above
             failed.add(rows)
             return None
         if len(failed) + depth >= budget:  # every failed or pruned graph, ``depth`` above this
@@ -143,77 +134,80 @@ def _conflict_pairs(h: Graph) -> tuple[tuple[int, int, int, int, int], ...]:
     """Target label pairs that foliage persistence keeps apart.
 
     These are the pairs u < v of ``h`` in different canonical blocks, not
-    both isolated: one end isolated, or a pair cut-rank of 2. Each is (u, v,
-    1 << u, 1 << v, both bits), so a search node tests them on its rows.
+    both isolated: one end isolated, or a pair cut-rank of 2. Each is in
+    ``foliage._pair`` form, so a search node tests them on its rows.
     """
     labels, rows = h.vertices, h._rows
     pairs = [(labels[i], labels[j], rows[i], rows[j]) for i in range(h.n) for j in range(i + 1, h.n)]
     return tuple(
-        (u, v, 1 << u, 1 << v, 1 << u | 1 << v)
+        _pair(u, v)
         for (u, v, row_u, row_v), rank in zip(pairs, _pair_ranks(rows, h._at))
         if (rank == 2 if row_u and row_v else row_u or row_v)
     )
 
 
-def _violates_persistence(rows: tuple[int, ...], at: dict[int, int], conflicts) -> bool:
-    """Whether some conflict pair is foliage-equivalent in a rows-kernel graph.
+# -- the foliage reductions ------------------------------------------------------
 
-    That is, one row is the other's bit (leaf and axil, either way), or the
-    rows agree outside the pair and are not empty there (twins).
+
+def _deletion_steps(g: Graph, v: int, w: int) -> tuple[Step, ...]:
+    """Steps deleting ``v``, which is foliage-equivalent to ``w`` in ``g``.
+
+    A leaf or twin ``v`` is deleted outright; when ``v`` is the axil of
+    leaf ``w`` (and not itself a leaf), the two are swapped first
+    (``lc v``, ``lc w``) so ``w`` inherits the adjacency.
     """
-    for u, v, bit_u, bit_v, pair in conflicts:
-        row_u, row_v = rows[at[u]], rows[at[v]]
-        if row_u == bit_v or row_v == bit_u or row_u | pair == row_v | pair != pair:
-            return True
-    return False
-
-
-# -- source reduction ---------------------------------------------------------
+    if g.neighbor_mask(w) == 1 << v and g.neighbor_mask(v) != 1 << w:
+        return (Step(LC, v), Step(LC, w), Step(DELETE, v))
+    return (Step(DELETE, v),)
 
 
 def source_reduce(g: Graph, protected: set[int] | frozenset[int]) -> tuple[Graph, tuple[Step, ...]]:
     """Greedily remove foliage vertices outside ``protected``.
 
     Rules, in fixed order for reproducible witnesses: delete a twin, delete
-    a leaf, or swap an axil with one of its leaves (two local complements)
-    and delete it. Each preserves vertex-minor answers for any target on
-    the protected labels that has no isolated vertices (the caller asserts
-    that). Returns the reduced graph and the steps applied.
+    a leaf, or swap an axil with the smallest of its leaves and delete it.
+    Each preserves vertex-minor answers for any target on the protected
+    labels that has no isolated vertices (the caller asserts that). Returns
+    the reduced graph and the steps applied.
     """
     protected = set(protected)
+    for v in protected:
+        if not isinstance(v, int) or isinstance(v, bool):  # ``True == 1.0 == 1`` in a set
+            raise ValueError(f"protected labels must be integers, got {v!r}")
     unknown = protected - set(g.vertices)
     if unknown:
         raise ValueError(f"protected labels {sorted(unknown)} not in graph")
     out = g
     ops: list[Step] = []
-    while steps := _reduction_steps(out, [v for v in out.vertices if v not in protected]):
+    while steps := _reduction_steps(out, protected):
         ops.extend(steps)
         out = replay(out, steps)
     return out, tuple(ops)
 
 
-def _reduction_steps(g: Graph, candidates: list[int]) -> tuple[Step, ...]:
+def _reduction_steps(g: Graph, protected: set[int]) -> tuple[Step, ...]:
     """Steps of the first source-reduction rule that applies, else none."""
-    for v in candidates:
-        if _is_twin(g, v):
-            return (Step(DELETE, v),)
-    for v in candidates:
-        if g.degree(v) == 1:
-            return (Step(DELETE, v),)
-    for v in candidates:
-        leaf = _leaf_of(g, v)
-        if leaf is not None:
-            return (Step(LC, v), Step(LC, leaf), Step(DELETE, v))
-    return ()
+    by_open, twins = _row_groups(g)
+    candidates = [(v, row) for v, row in zip(g._at, g._rows) if v not in protected]
+    pair = (next(((v, w) for v, _ in candidates for w in twins[v] if w != v), None)
+            or next(((v, row.bit_length() - 1) for v, row in candidates if row.bit_count() == 1), None)
+            or next(((v, by_open[1 << v][0]) for v, _ in candidates if 1 << v in by_open), None))
+    return _deletion_steps(g, *pair) if pair else ()
 
 
-def _is_twin(g: Graph, v: int) -> bool:
-    return any(w != v and are_twins(g, v, w) for w in g.vertices)
+def target_reduce(g: Graph, h: Graph, v: int, w: int) -> tuple[Graph, Graph]:
+    """Jointly delete ``v`` from source and target, given ``v ~ w`` in both.
 
-
-def _leaf_of(g: Graph, v: int) -> int | None:
-    """Smallest leaf whose axil is ``v``, if any."""
-    return next((w for w in sorted(g.neighbors(v)) if is_leaf_of(g, w, v)), None)
+    Preserves the minor relation one-directionally: when the target was a
+    minor before, the reduced target is a minor of the reduced source. The
+    equivalence is recomputed here rather than trusted.
+    """
+    if v == w:
+        raise ValueError("target reduction needs two distinct vertices")
+    for graph, name in ((g, "source"), (h, "target")):
+        if not foliage_equivalent(graph, v, w):
+            raise ValueError(f"vertices {v} and {w} are not foliage-equivalent in the {name}")
+    return replay(g, _deletion_steps(g, v, w)), replay(h, _deletion_steps(h, v, w))
 
 
 # -- foliage-graph extraction ---------------------------------------------------
@@ -243,115 +237,3 @@ def extract_foliage_graph(
     if out != fg.graph:
         raise RuntimeError("block collapse does not match the quotient graph; this is a bug")
     return out, tuple(ops)
-
-
-def foliage_source_reduce(
-    g: Graph, h: Graph, w: Partition, reps: tuple[int, ...] | list[int]
-) -> tuple[Graph, tuple[Step, ...]]:
-    """Answer-preserving collapse of the source onto representatives.
-
-    Requires every target label among the representatives and no isolated
-    target vertices; then deciding ``h`` against the collapsed graph is the
-    same as deciding it against ``g``.
-    """
-    rep_set = set(reps)
-    missing = set(h.vertices) - rep_set
-    if missing:
-        raise ValueError(f"target labels {sorted(missing)} are not representatives")
-    isolated = [v for v in h.vertices if h.degree(v) == 0]
-    if isolated:
-        raise ValueError(f"target has isolated vertices {isolated}")
-    return extract_foliage_graph(g, w, reps)
-
-
-# -- class persistence ---------------------------------------------------------
-
-
-class ClassFate(enum.Enum):
-    EQUIVALENT = "equivalent"
-    ALL_ISOLATED = "all-isolated"
-    EMPTY = "empty"
-    VIOLATION = "violation"
-
-
-def class_persistence_check(g: Graph, h: Graph, group: set[int] | frozenset[int]) -> ClassFate:
-    """Classify what a foliage-equivalent vertex set became in a minor.
-
-    ``group`` must fit inside one canonical block of ``g``. For a valid
-    minor the survivors fit inside one canonical block of ``h``, are all
-    isolated, or are gone; VIOLATION is the outcome that valid inputs never
-    produce. This is the reference for the decider's pruning check, which
-    tests the target's conflict pairs on the rows instead (the tests
-    compare the two).
-    """
-    group = frozenset(group)
-    if not _inside_one_block(g, group):
-        raise ValueError(f"vertices {sorted(group)} are not foliage-equivalent in the source")
-    alive = frozenset(v for v in group if h.has_vertex(v))
-    if not alive:
-        return ClassFate.EMPTY
-    if _inside_one_block(h, alive):
-        return ClassFate.EQUIVALENT
-    if all(h.degree(v) == 0 for v in alive):
-        return ClassFate.ALL_ISOLATED
-    return ClassFate.VIOLATION
-
-
-def _inside_one_block(g: Graph, vertices: frozenset[int]) -> bool:
-    return any(vertices <= block for block in canonical_foliage_partition(g))
-
-
-# -- target reduction -----------------------------------------------------------
-
-
-def _reduce_at(g: Graph, v: int, w: int) -> Graph:
-    """Delete ``v`` from one graph of a pair sharing ``v ~ w``.
-
-    A leaf or twin ``v`` is deleted outright; when ``v`` is the axil of
-    leaf ``w``, the two are swapped first so ``w`` inherits the adjacency.
-    """
-    if is_leaf_of(g, v, w) or are_twins(g, v, w):
-        return delete_vertex(g, v)
-    if is_leaf_of(g, w, v):
-        return delete_vertex(local_complement(local_complement(g, v), w), v)
-    raise ValueError(f"vertices {v} and {w} are not foliage-equivalent")
-
-
-def target_reduce(g: Graph, h: Graph, v: int, w: int) -> tuple[Graph, Graph]:
-    """Jointly delete ``v`` from source and target, given ``v ~ w`` in both.
-
-    Preserves the minor relation one-directionally: when the target was a
-    minor before, the reduced target is a minor of the reduced source. The
-    equivalence is recomputed here rather than trusted.
-    """
-    if v == w:
-        raise ValueError("target reduction needs two distinct vertices")
-    for graph, name in ((g, "source"), (h, "target")):
-        if not foliage_equivalent(graph, v, w):
-            raise ValueError(f"vertices {v} and {w} are not foliage-equivalent in the {name}")
-    return _reduce_at(g, v, w), _reduce_at(h, v, w)
-
-
-def foliage_target_reduce(
-    g: Graph,
-    h: Graph,
-    w_target: Partition,
-    reps_target: tuple[int, ...] | list[int],
-) -> tuple[Graph, Graph]:
-    """Collapse matching foliage blocks of a minor pair simultaneously.
-
-    The target's partition, padded with singletons on the surplus source
-    vertices, must be a foliage partition of the source (checked); both
-    graphs are then collapsed onto the shared representatives, preserving
-    the minor relation.
-    """
-    if not is_foliage_partition(h, w_target):
-        raise InvalidPartitionError("not a foliage partition of the target")
-    surplus = set(g.vertices) - set(h.vertices)
-    lifted = Partition(list(w_target.blocks) + [{v} for v in sorted(surplus)])
-    if not is_foliage_partition(g, lifted):
-        raise InvalidPartitionError("lifted partition is not a foliage partition of the source")
-    reps_full = list(reps_target) + sorted(surplus)
-    reduced_g, _ = extract_foliage_graph(g, lifted, reps_full)
-    reduced_h, _ = extract_foliage_graph(h, w_target, list(reps_target))
-    return reduced_g, reduced_h

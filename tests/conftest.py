@@ -58,6 +58,23 @@ def pair_rank_table(g: Graph) -> list[int]:
     return [cut_rank(g, (u, v)) for u, v in combinations(g.vertices, 2)]
 
 
+def lifted_local_complement(g: Graph, w, a: int):
+    """Quotient by ``w`` of ``g`` complemented at ``a``: the blockwise lift lemma's left side.
+
+    For a vertex of degree > 1 this equals complementing the quotient at the
+    block of ``a`` (criterion 6 and ``TestLiftedLocalComplement``). Degree
+    <= 1 is rejected (the lemma does not hold there), and so is a ``w``
+    that is not a foliage partition of ``g``: local complementation keeps
+    the canonical partition, so checking ``w`` against the complemented
+    graph is the same check.
+    """
+    from graphmin import foliage_graph, local_complement
+
+    if g.degree(a) <= 1:
+        raise ValueError(f"lifted complement needs degree > 1 at vertex {a}, got {g.degree(a)}")
+    return foliage_graph(local_complement(g, a), w)
+
+
 def prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
     """Decode a Prufer sequence over labels 1..n into its tree."""
     degree = {v: 1 for v in range(1, n + 1)}

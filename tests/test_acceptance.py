@@ -21,7 +21,6 @@ from graphmin import (
     decide_vertex_minor,
     foliage_equivalent,
     foliage_graph,
-    lifted_local_complement,
     line_query,
     local_complement,
     measure_x,
@@ -194,15 +193,15 @@ def test_criterion_6_lifted_complement():
             continue
         w = random_refinement(rng, canonical_foliage_partition(g))
         a = rng.choice(eligible)
-        lifted = lifted_local_complement(g, w, a)  # raises on any mismatch
-        direct = local_complement(foliage_graph(g, w).graph, _rep_of(lifted, w, a))
-        assert lifted.graph == direct
+        # the quotient of the complemented graph (``w`` stays a foliage
+        # partition of it, or foliage_graph raises) against the quotient
+        # complemented at the block of ``a``
+        lifted = foliage_graph(local_complement(g, a), w)
+        quotient = foliage_graph(g, w)
+        rep = quotient.representatives[w.blocks.index(w.block_of(a))]
+        assert lifted.graph == local_complement(quotient.graph, rep)
         done += 1
     _report(6, "lifted complement agreed on 500 random triples", started)
-
-
-def _rep_of(lifted, w, a):
-    return lifted.representatives[list(w.blocks).index(w.block_of(a))]
 
 
 def _random_established_minor(rng):

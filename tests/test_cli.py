@@ -263,6 +263,12 @@ class TestReduceCommand:
         code, out, err = run(capsys, "reduce", FIXTURES / "fig2.edges", "--replay", witness_file)
         assert_input_error(code, out, err, "'witness' key")
 
+    def test_replay_of_deeply_nested_json_exits_1(self, capsys, tmp_path):
+        witness_file = tmp_path / "deep.json"
+        witness_file.write_text("[" * 3000 + "]" * 3000)
+        code, out, err = run(capsys, "reduce", FIXTURES / "fig9.edges", "--replay", witness_file)
+        assert_input_error(code, out, err, "too deeply")
+
     def test_replay_from_a_directory_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "reduce", FIXTURES / "fig3.edges", "--replay", tmp_path)
         assert_input_error(code, out, err)

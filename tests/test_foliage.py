@@ -15,24 +15,33 @@ from graphmin import (
     foliage_graph,
     is_foliage_partition,
     lc_orbit,
-    leaves_axils,
-    lifted_local_complement,
     local_complement,
     nth_foliage_graph,
     path_graph,
     ring_graph,
     singletons,
-    twins,
 )
-from graphmin.foliage import _star_centers
+from graphmin.foliage import _row_groups, _star_centers
 from graphmin.graph import _pair_ranks
 
-from conftest import all_graphs, fig4a, pair_rank_table, random_graph, random_refinement
+from conftest import (all_graphs, fig4a, lifted_local_complement, pair_rank_table, random_graph,
+                      random_refinement)
 
 
 def star(center, leaves):
     verts = [center] + list(leaves)
     return Graph(verts, [(center, leaf) for leaf in leaves])
+
+
+def leaves_axils(g):
+    """All (leaf, axil) pairs: degree-1 vertices with their unique neighbor."""
+    return frozenset((v, w) for v in g.vertices for w in g.neighbors(v) if g.neighbors(v) == {w})
+
+
+def twins(g):
+    """All twin pairs {v, w}: equal neighborhoods outside the pair, nonempty."""
+    return frozenset(frozenset((v, w)) for v, w in combinations(g.vertices, 2)
+                     if g.neighbors(v) - {w} == g.neighbors(w) - {v} != set())
 
 
 class TestLeavesTwinsFoliage:
@@ -74,6 +83,25 @@ class TestFoliageEquivalence:
     def test_unknown_label(self):
         with pytest.raises(Exception):
             foliage_equivalent(fig4a(), 1, 99)
+
+    def test_row_relation_and_twin_classes_match_the_definitions(self):
+        # the relation's one statement on rows, and the row grouping that the
+        # partition and source reduction share, against leaf-axil and twin
+        # sets built from neighbor sets; scattered labels reach bit 64
+        rng = random.Random(1717)
+        scattered = []
+        for _ in range(200):
+            labels = sorted(rng.sample(range(1, 65), rng.randint(2, 9)))
+            scattered.append(Graph(labels, [p for p in combinations(labels, 2) if rng.random() < 0.4]))
+        for g in list(all_graphs(5)) + scattered:
+            la, tw = leaves_axils(g), twins(g)
+            for v in g.vertices:
+                for w in g.vertices:
+                    related = v == w or (v, w) in la or (w, v) in la or frozenset((v, w)) in tw
+                    assert foliage_equivalent(g, v, w) == related, (g, v, w)
+            _, twin_class = _row_groups(g)
+            for v in g.vertices:
+                assert twin_class[v] == sorted({v}.union(*(pair for pair in tw if v in pair))), (g, v)
 
 
 class TestCanonicalPartition:

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import itertools
 import json
@@ -6,18 +7,18 @@ import random
 import pytest
 
 from graphmin import (
-    ClassFate,
     Graph,
+    InvalidPartitionError,
     Partition,
     Step,
     canonical_foliage_partition,
-    class_persistence_check,
     decide_vertex_minor,
     delete_vertex,
     extract_foliage_graph,
-    foliage_source_reduce,
-    foliage_target_reduce,
+    foliage_equivalent,
+    is_foliage_partition,
     lc_equivalent,
+    local_complement,
     measure_x,
     measure_y,
     measure_z,
@@ -28,12 +29,13 @@ from graphmin import (
     source_reduce,
     target_reduce,
 )
-from graphmin.minor import NO, UNKNOWN, YES, Decision, _conflict_pairs, _violates_persistence
+from graphmin.foliage import _any_equivalent
+from graphmin.minor import NO, UNKNOWN, YES, Decision, _conflict_pairs
 from graphmin.ops import _apply_rows, apply_step, steps_to_json
 from graphmin.orbit import BudgetExceededError, _closure, lc_orbit_paths
 
 
-from conftest import fig4a, fig6, pair_rank_table, prufer_tree, random_graph, random_refinement
+from conftest import all_graphs, fig4a, fig6, pair_rank_table, prufer_tree, random_graph, random_refinement
 
 BELL_TARGET = Graph([1, 2, 4, 5], [(1, 2), (4, 5)])
 
@@ -171,7 +173,7 @@ def _graph_keyed_decide(g, h, budget):
     the orbit, which needs the orbit to hold at most the budget members.
     """
     conflicts = _conflict_pairs(h)
-    if _violates_persistence(g._rows, g._at, conflicts):
+    if _any_equivalent(g._rows, g._at, conflicts):
         return Decision(NO, "brute-force")
     surplus = sorted(set(g.vertices) - set(h.vertices))
     failed, steps = set(), []
@@ -201,7 +203,7 @@ def _graph_keyed_decide(g, h, budget):
             return lookup(graph)
         if graph in failed:
             return None
-        if depth and _violates_persistence(graph._rows, graph._at, conflicts):
+        if depth and _any_equivalent(graph._rows, graph._at, conflicts):
             failed.add(graph)
             return None
         if len(failed) + depth >= budget:
@@ -487,6 +489,40 @@ def _two_pair_targets(labels):
             yield Graph([a, b, c, d], [pair_a])
 
 
+class ClassFate(enum.Enum):
+    EQUIVALENT = "equivalent"
+    ALL_ISOLATED = "all-isolated"
+    EMPTY = "empty"
+    VIOLATION = "violation"
+
+
+def class_persistence_check(g, h, group):
+    """What a foliage-equivalent vertex set became in a minor: the reference
+    for the decider's pruning check, which tests the target's conflict pairs
+    on the rows instead.
+
+    ``group`` must fit inside one canonical block of ``g``. For a valid
+    minor the survivors fit inside one canonical block of ``h``, are all
+    isolated, or are gone; VIOLATION is the outcome that valid inputs never
+    produce.
+    """
+    group = frozenset(group)
+    if not _inside_one_block(g, group):
+        raise ValueError(f"vertices {sorted(group)} are not foliage-equivalent in the source")
+    alive = frozenset(v for v in group if h.has_vertex(v))
+    if not alive:
+        return ClassFate.EMPTY
+    if _inside_one_block(h, alive):
+        return ClassFate.EQUIVALENT
+    if all(h.degree(v) == 0 for v in alive):
+        return ClassFate.ALL_ISOLATED
+    return ClassFate.VIOLATION
+
+
+def _inside_one_block(g, vertices):
+    return any(vertices <= block for block in canonical_foliage_partition(g))
+
+
 class TestPersistencePruning:
     def test_conflict_check_agrees_with_class_persistence(self):
         rng = random.Random(23)
@@ -497,7 +533,7 @@ class TestPersistencePruning:
             h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep), p=0.3).edges()
                              if a in keep and b in keep])
             block_fates = {class_persistence_check(g, h, block) for block in canonical_foliage_partition(g)}
-            assert _violates_persistence(g._rows, g._at, _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
+            assert _any_equivalent(g._rows, g._at, _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
             fates |= block_fates
         assert fates == set(ClassFate)
 
@@ -524,6 +560,75 @@ def _random_minor(rng, g, drop):
     return out
 
 
+def _are_twins(g, v, w):
+    shared = g.neighbor_mask(v) & ~(1 << w)
+    return bool(shared) and shared == g.neighbor_mask(w) & ~(1 << v)
+
+
+def _is_leaf_of(g, leaf, axil):
+    return g.neighbor_mask(leaf) == 1 << axil
+
+
+def reference_source_reduce(g, protected):
+    """Source reduction as a scan on ``Graph`` accessors, every pair tested
+    one at a time and each round starting again: the reference for the
+    steps and the graph of ``source_reduce``."""
+    out, ops = g, []
+    while True:
+        candidates = [v for v in out.vertices if v not in protected]
+        twin = next((v for v in candidates if any(w != v and _are_twins(out, v, w) for w in out.vertices)), None)
+        leaf = next((v for v in candidates if out.degree(v) == 1), None)
+        axil = next(((v, w) for v in candidates for w in sorted(out.neighbors(v)) if _is_leaf_of(out, w, v)), None)
+        if twin is not None:
+            steps = (Step("delete", twin),)
+        elif leaf is not None:
+            steps = (Step("delete", leaf),)
+        elif axil is not None:
+            steps = (Step("lc", axil[0]), Step("lc", axil[1]), Step("delete", axil[0]))
+        else:
+            return out, tuple(ops)
+        ops.extend(steps)
+        out = replay(out, steps)
+
+
+def reference_reduce_at(g, v, w):
+    """Delete ``v`` from a graph where ``v ~ w``: the reference for each side
+    of ``target_reduce``. A leaf or twin ``v`` goes outright; the axil of
+    leaf ``w`` is swapped with it first."""
+    if _is_leaf_of(g, v, w) or _are_twins(g, v, w):
+        return delete_vertex(g, v)
+    if _is_leaf_of(g, w, v):
+        return delete_vertex(local_complement(local_complement(g, v), w), v)
+    raise ValueError(f"vertices {v} and {w} are not foliage-equivalent")
+
+
+def _assert_target_reduce_matches_the_reference(g):
+    for v, w in itertools.permutations(g.vertices, 2):
+        if foliage_equivalent(g, v, w):
+            expected = reference_reduce_at(g, v, w)
+            assert target_reduce(g, g, v, w) == (expected, expected), (g, v, w)
+
+
+class TestReductionsMatchTheGraphLevelScan:
+    def test_seeded_random_corpus(self):
+        rng = random.Random(1812)
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            labels = sorted(rng.sample(range(1, 40), n))
+            p = rng.choice((0.15, 0.3, 0.5, 0.8))
+            g = Graph(labels, [pair for pair in itertools.combinations(labels, 2) if rng.random() < p])
+            protected = set(rng.sample(labels, rng.randint(0, n)))
+            assert source_reduce(g, protected) == reference_source_reduce(g, protected), (g, protected)
+            _assert_target_reduce_matches_the_reference(g)
+
+    def test_every_graph_on_five_vertices_under_every_protected_set(self):
+        for g in all_graphs(5):
+            for mask in range(1 << 5):
+                protected = {v for v in g.vertices if mask >> v - 1 & 1}
+                assert source_reduce(g, protected) == reference_source_reduce(g, protected), (g, protected)
+            _assert_target_reduce_matches_the_reference(g)
+
+
 class TestSourceReduce:
     def test_path_six_reduces_to_protected_edge(self):
         reduced, ops = source_reduce(path_graph(6), {1, 6})
@@ -545,6 +650,12 @@ class TestSourceReduce:
     def test_unknown_protected_label_raises(self):
         with pytest.raises(ValueError):
             source_reduce(path_graph(3), {9})
+
+    @pytest.mark.parametrize("label", [True, False, 1.0, "1", None], ids=repr)
+    def test_non_integer_protected_label_raises(self, label):
+        # a set holds ``True`` and ``1.0`` as ``1``; like ``Graph``, refuse them
+        with pytest.raises(ValueError, match="protected labels must be integers"):
+            source_reduce(path_graph(3), {label})
 
     def test_preserves_decision_on_random_instances(self, rng):
         agree = 0
@@ -595,6 +706,22 @@ class TestExtractFoliageGraph:
             reduced, ops = extract_foliage_graph(g, w, reps)
             assert reduced.vertices == tuple(sorted(reps))
             assert replay(g, ops) == reduced
+
+
+def foliage_source_reduce(g, h, w, reps):
+    """Answer-preserving collapse of the source onto representatives.
+
+    Requires every target label among the representatives and no isolated
+    target vertices; then deciding ``h`` against the collapsed graph is the
+    same as deciding it against ``g``.
+    """
+    missing = set(h.vertices) - set(reps)
+    if missing:
+        raise ValueError(f"target labels {sorted(missing)} are not representatives")
+    isolated = [v for v in h.vertices if h.degree(v) == 0]
+    if isolated:
+        raise ValueError(f"target has isolated vertices {isolated}")
+    return extract_foliage_graph(g, w, reps)
 
 
 class TestFoliageSourceReduce:
@@ -719,13 +846,30 @@ class TestTargetReduce:
 
 
 def _equivalent_pair_in_both(g, h):
-    from graphmin import foliage_equivalent
-
     for v in h.vertices:
         for w in h.vertices:
             if v != w and foliage_equivalent(g, v, w) and foliage_equivalent(h, v, w):
                 return v, w
     return None
+
+
+def foliage_target_reduce(g, h, w_target, reps_target):
+    """Collapse matching foliage blocks of a minor pair simultaneously.
+
+    The target's partition, padded with singletons on the surplus source
+    vertices, must be a foliage partition of the source (checked); both
+    graphs are then collapsed onto the shared representatives, preserving
+    the minor relation.
+    """
+    if not is_foliage_partition(h, w_target):
+        raise InvalidPartitionError("not a foliage partition of the target")
+    surplus = sorted(set(g.vertices) - set(h.vertices))
+    lifted = Partition(list(w_target.blocks) + [{v} for v in surplus])
+    if not is_foliage_partition(g, lifted):
+        raise InvalidPartitionError("lifted partition is not a foliage partition of the source")
+    reduced_g, _ = extract_foliage_graph(g, lifted, list(reps_target) + surplus)
+    reduced_h, _ = extract_foliage_graph(h, w_target, list(reps_target))
+    return reduced_g, reduced_h
 
 
 class TestFoliageTargetReduce:
@@ -747,8 +891,6 @@ class TestFoliageTargetReduce:
         g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
         h = Graph([1, 2, 5], [(1, 2), (2, 5)])
         w_target = Partition([{1}, {2, 5}])  # equivalent in h only
-        from graphmin import InvalidPartitionError
-
         with pytest.raises(InvalidPartitionError):
             foliage_target_reduce(g, h, w_target, (1, 2))
 
@@ -764,8 +906,6 @@ class TestFoliageTargetReduce:
             w_target = Partition([{v, w}] + [{u} for u in h.vertices if u not in (v, w)])
             surplus = set(g.vertices) - set(h.vertices)
             lifted = Partition([{v, w}] + [{u} for u in g.vertices if u not in (v, w)])
-            from graphmin import is_foliage_partition
-
             if not is_foliage_partition(g, lifted):
                 continue
             reps = tuple(min(b) for b in w_target.blocks)

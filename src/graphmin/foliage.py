@@ -72,21 +72,21 @@ def singletons(g: Graph) -> Partition:
     return Partition([{v} for v in g.vertices])
 
 
-def _pair(u: int, v: int) -> tuple[int, int, int, int, int]:
-    """A label pair as ``_any_equivalent`` reads it: (u, v, 1 << u, 1 << v, both bits)."""
-    return u, v, 1 << u, 1 << v, 1 << u | 1 << v
+def _pair(at: dict[int, int], u: int, v: int) -> tuple[int, int, int, int, int]:
+    """A label pair as ``_any_equivalent`` reads it: (u's row position, v's, 1 << u, 1 << v, both bits)."""
+    return at[u], at[v], 1 << u, 1 << v, 1 << u | 1 << v
 
 
-def _any_equivalent(rows: tuple[int, ...], at: dict[int, int], pairs) -> bool:
-    """Whether some pair of ``pairs`` (each from ``_pair``) is foliage-equivalent.
+def _any_equivalent(rows: tuple[int, ...], pairs) -> bool:
+    """Whether some pair of ``pairs`` (each from ``_pair``, at ``rows``' positions) is foliage-equivalent.
 
     That is, one row is the other's bit (leaf and axil, either way), or the
     rows agree outside the pair and are not empty there (twins). This is the
     relation's one statement on rows; the decider tests it at every search
     node, so the pairs are read inline, not one call each.
     """
-    for u, v, bit_u, bit_v, pair in pairs:
-        row_u, row_v = rows[at[u]], rows[at[v]]
+    for i, j, bit_u, bit_v, pair in pairs:
+        row_u, row_v = rows[i], rows[j]
         if row_u == bit_v or row_v == bit_u or row_u | pair == row_v | pair != pair:
             return True
     return False
@@ -95,7 +95,7 @@ def _any_equivalent(rows: tuple[int, ...], at: dict[int, int], pairs) -> bool:
 def foliage_equivalent(g: Graph, v: int, w: int) -> bool:
     g._require(v)
     g._require(w)
-    return v == w or _any_equivalent(g._rows, g._at, (_pair(v, w),))
+    return v == w or _any_equivalent(g._rows, (_pair(g._at, v, w),))
 
 
 def _row_groups(g: Graph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:

@@ -13,7 +13,9 @@ over the neighborhood. Graphs are immutable values: every rewrite returns a
 new graph, so results can be shared, hashed, and memoized freely. Equality
 is "same labels and same edges": the same rows on the same label set. The
 rewrites are the kernel functions at the end of this module, which the
-orbit closure and the vertex-minor search also run on bare rows tuples.
+orbit closure and the vertex-minor search also run on bare rows tuples. The
+search keeps every row at its position: ``_measure_rows`` zeroes the
+measured row in place, so one ``_at`` serves every depth.
 """
 
 from __future__ import annotations
@@ -81,26 +83,26 @@ class Graph:
         """Build a graph on ``vertices`` (an int n means labels 1..n).
 
         Edges may be in any order and orientation; duplicates are merged.
-        Self-loops, edges on unknown labels and ``bool`` labels are rejected.
+        Self-loops, edges on unknown labels, and labels or endpoints that are
+        not ``int`` (``bool`` and ``1.0`` among them) are rejected.
         """
         if isinstance(vertices, int):
             if vertices < 0 or isinstance(vertices, bool):
                 raise ValueError(f"vertex count must be >= 0, got {vertices}")
             labels = range(1, vertices + 1)
         else:
-            labels = sorted(set(vertices))
-        at: dict[int, int] = {}
-        for v in labels:
+            labels = list(vertices)
+        for v in labels:  # each label as given: a set would merge ``True`` or ``1.0`` into ``1``
             if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > MAX_LABEL:
                 raise ValueError(f"vertex labels must be integers in 1..{MAX_LABEL}, got {v!r}")
-            at[v] = len(at)
+        at = {v: i for i, v in enumerate(sorted(set(labels)))}
         rows = [0] * len(at)
         for a, b in edges:
+            for v in (a, b):
+                if not isinstance(v, int) or isinstance(v, bool) or v not in at:
+                    raise UnknownVertexError(f"unknown vertex label {v}")
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
-            for v in (a, b):
-                if v not in at or isinstance(v, bool):
-                    raise UnknownVertexError(f"unknown vertex label {v}")
             rows[at[a]] |= 1 << b
             rows[at[b]] |= 1 << a
         _set(self, "_rows", tuple(rows))
@@ -256,12 +258,14 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     elif isinstance(b, bool) or not (b > 0 and nbrs >> b & 1):  # a negative shift would raise
         g._require(b)
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
-    return _graph(_x_rows(g._rows, g._at, a, b), _at_without(g._at, a))
+    rows, i = _x_rows(g._rows, g._at, a, b), g._at[a]
+    return _graph(rows[:i] + rows[i + 1:], _at_without(g._at, a))
 
 
 # -- the rows kernel: a ``Graph``'s ``_rows`` and ``_at`` without the wrapper,
 # for the orbit closure and the search. On one label set, equal tuples are
-# equal graphs. A deletion aligns to the labels left.
+# equal graphs. ``_delete_rows`` aligns to the labels left; ``_x_rows`` and
+# ``_measure_rows`` zero the measured row in place.
 
 
 def _at_without(at: dict[int, int], a: int) -> dict[int, int]:
@@ -285,7 +289,7 @@ def _delete_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int
 
 
 def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[int, ...]:
-    """x-measurement of ``a`` through its neighbor ``b``, in one pass over the rows.
+    """x-measurement of ``a`` through its neighbor ``b``, ``a``'s row zeroed in place.
 
     With Na = N(a) - {b} and Nb = N(b) - {a}, edges between two different sets
     of Na - Nb, Nb - Na and Na & Nb toggle; then each other vertex is adjacent
@@ -294,13 +298,43 @@ def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[
     bit_a, bit_b = 1 << a, 1 << b
     na, nb = rows[at[a]] ^ bit_b, rows[at[b]] ^ bit_a
     out = list(rows)
-    out[at[b]] = na
-    for w in _bits(na | nb):
-        r = rows[at[w]]
-        toggled = r ^ (nb if r & bit_a else 0) ^ (na if r & bit_b else 0)
-        out[at[w]] = toggled & ~(bit_a | bit_b) | (bit_b if r & bit_a else 0)
-    del out[at[a]]
+    out[at[a]], out[at[b]] = 0, na
+    mask, keep = na | nb, ~(bit_a | bit_b)
+    while mask:
+        low = mask & -mask
+        i = at[low.bit_length() - 1]
+        r = rows[i]
+        if r & bit_a:
+            out[i] = (r ^ nb ^ (na if r & bit_b else 0)) & keep | bit_b
+        else:  # adjacent to b alone
+            out[i] = (r ^ na) & keep
+        mask ^= low
     return tuple(out)
+
+
+def _measure_rows(rows: tuple[int, ...], at: dict[int, int], a: int):
+    """The z, y and x children of measuring ``a`` (x through its smallest neighbor).
+
+    Each keeps every row at its position, with ``a``'s row zeroed, and
+    touches only the rows of ``a``'s neighbors (and, for x, of that
+    neighbor's). y is z itself when ``a`` has one neighbor, and all three
+    are ``rows`` itself when it has none.
+    """
+    nbrs = rows[at[a]]
+    if not nbrs:
+        return rows, rows, rows
+    bit = 1 << a
+    z, y = list(rows), list(rows)
+    z[at[a]] = y[at[a]] = 0
+    mask = nbrs
+    while mask:
+        low = mask & -mask
+        i = at[low.bit_length() - 1]
+        z[i] = rows[i] ^ bit
+        y[i] = z[i] ^ nbrs ^ low
+        mask ^= low
+    z, low = tuple(z), nbrs & -nbrs
+    return z, z if nbrs == low else tuple(y), _x_rows(rows, at, a, low.bit_length() - 1)
 
 
 def _pair_ranks(rows: tuple[int, ...], at: dict[int, int]) -> list[int]:

@@ -18,12 +18,13 @@ with a replayable witness.
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 
 from .foliage import (Partition, _any_equivalent, _pair, _row_groups, _star_centers, foliage_equivalent,
                       foliage_graph)
-from .graph import Graph, _pair_ranks
-from .ops import (DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step,
-                  _apply_rows, replay)
+from .graph import Graph, _measure_rows, _pair_ranks
+from .lcequiv import _lc_equivalent_rows
+from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step, replay
 # the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays
 from .orbit import BudgetExceededError, _budget, _closure, lc_orbit_paths
 
@@ -35,13 +36,17 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     order, each in bases z, y, x (x through its smallest neighbor); the first
     measured graph in the target's LC-orbit wins, and the witness is those
     measurements plus the local complements back to ``h``. The search runs
-    on bare rows tuples (``graph.py``'s kernel) and builds steps only for
-    the witness. What lies below a graph depends on it alone, so one whose
-    three measurements all failed is remembered and skipped when reached
-    again. The target's orbit is generated only as far as leaves need it: a
-    leaf whose pair cut-ranks (LC-invariant) differ from the target's is a
-    miss, and another leaf not yet generated advances the orbit's closure
-    until it appears or the orbit ends.
+    on bare rows tuples in ``g``'s row positions, a measured row zeroed
+    (``graph._measure_rows``), and builds steps only for the witness. What
+    lies below a graph depends on it alone, so one whose three measurements
+    all failed is remembered and skipped when reached again. The target's
+    orbit is generated only as far as leaves need it: a leaf not among the
+    members drawn is a miss when its pair cut-ranks (LC-invariant) differ
+    from the target's. Otherwise the orbit's closure advances until the
+    leaf appears or ``_SHORT_DRAW`` members are drawn; then a leaf that the
+    exact GF(2) test (``lcequiv._lc_equivalent_rows``) refutes is a miss, and
+    the closure goes on until the leaf appears or, where that test cannot
+    tell, until the orbit ends.
 
     Foliage persistence prunes: if ``h`` is a vertex-minor of a graph, each
     foliage class of that graph, cut down to the labels of ``h``, lies inside
@@ -61,58 +66,68 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     if not h_labels <= g_labels:
         raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
     budget = _budget(node_budget)
-    conflicts = _conflict_pairs(h)
-    if _any_equivalent(g._rows, g._at, conflicts):
+    at = g._at  # every depth keeps these row positions
+    ranks = _pair_ranks(h._rows, h._at)
+    conflicts = _conflict_pairs(h, ranks, at)
+    if _any_equivalent(g._rows, conflicts):
         return Decision(NO, "brute-force")
     to_measure = tuple(sorted(g_labels - h_labels))
-    # label positions at each depth, where ``to_measure[:depth]`` are gone
-    ats = [{u: i for i, u in enumerate(sorted(h_labels.union(to_measure[d:])))}
-           for d in range(len(to_measure) + 1)]
-    failed: set[tuple[int, ...]] = set()  # one length per depth, so one set serves all
-    choices: list[tuple[str, int | None]] = []
+    # one failed set per depth: a measured row is zero, like an isolated vertex's
+    failed: list[set[tuple[int, ...]]] = [set() for _ in to_measure]
+    spent = 0  # graphs in ``failed``
+    choices: list[tuple[str, tuple[int, ...]]] = []  # (basis, the rows it measured) down to a node
+    kept = [at[v] for v in h._at]  # the target's labels, at the leaves' positions
+    leaf_rows = itemgetter(*kept) if len(kept) > 1 else lambda rows: tuple(rows[i] for i in kept)
     members = _closure(h._rows, h._at, budget)  # the target's orbit, drawn as leaves need it
     orbit = dict(islice(members, 2))
     members = members if len(orbit) == 2 else None  # one member (every Bell target): finished
-    ranks = None  # the target's pair cut-ranks, built on first use
 
     def lookup(rows: tuple[int, ...]):
         """Orbit path to a leaf, drawing members until it appears; None outside the orbit."""
-        nonlocal members, ranks
+        nonlocal members
+        rows = leaf_rows(rows)
         path = orbit.get(rows)
         if path is not None or members is None:
             return path
-        ranks = ranks or _pair_ranks(h._rows, h._at)
-        if _pair_ranks(rows, h._at) != ranks:
+        if _pair_ranks(rows, h._at) != ranks or len(orbit) >= _SHORT_DRAW and refuted(rows):
             return None
         for member, path in members:
             orbit[member] = path
             if member == rows:
                 return path
+            if len(orbit) == _SHORT_DRAW and refuted(rows):
+                return None
         members = None
         return None
 
+    def refuted(rows: tuple[int, ...]) -> bool:
+        return _lc_equivalent_rows(rows, h._rows, h._at) is False
+
     def search(rows: tuple[int, ...], depth: int):
         """Orbit path of the first hit below ``rows``; ``choices`` leads to it."""
+        nonlocal spent
         if depth == len(to_measure):
             return lookup(rows)
-        if rows in failed:
+        if rows in failed[depth]:
             return None
-        at = ats[depth]
-        if depth and _any_equivalent(rows, at, conflicts):  # the root was checked above
-            failed.add(rows)
+        if depth and _any_equivalent(rows, conflicts):  # the root was checked above
+            failed[depth].add(rows)
+            spent += 1
             return None
-        if len(failed) + depth >= budget:  # every failed or pruned graph, ``depth`` above this
+        if spent + depth >= budget:  # every failed or pruned graph, ``depth`` above this
             raise BudgetExceededError(f"search exceeds node budget {budget}; refusing to answer")
-        v = to_measure[depth]
-        mask = rows[at[v]]
-        nbr = (mask & -mask).bit_length() - 1 if mask else None
-        for choice in ((MEASURE_Z, None), (MEASURE_Y, None), (MEASURE_X, nbr)):
-            choices.append(choice)
-            hit = search(_apply_rows(rows, at, choice[0], v, choice[1]), depth + 1)
+        tried = None
+        for basis, child in zip(_BASES, _measure_rows(rows, at, to_measure[depth])):
+            if child is tried:  # y is z on one neighbor, and x is too on none
+                continue
+            tried = child
+            choices.append((basis, rows))
+            hit = search(child, depth + 1)
             if hit is not None:
                 return hit
             choices.pop()
-        failed.add(rows)
+        failed[depth].add(rows)
+        spent += 1
         return None
 
     try:
@@ -121,27 +136,38 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return Decision(UNKNOWN, "budget-exhausted")
     if hit is None:
         return Decision(NO, "brute-force")
+    steps = []
+    for v, (basis, rows) in zip(to_measure, choices):
+        row = rows[at[v]]  # x goes through the smallest neighbor
+        steps.append(Step(basis, v, (row & -row).bit_length() - 1 if basis == MEASURE_X and row else None))
     # each local complement is an involution, so the recorded path from the
     # target reverses into a path back to it
-    witness = (*(Step(op, v, nbr) for v, (op, nbr) in zip(to_measure, choices)),
-               *(Step(LC, v) for v in reversed(hit)))
+    witness = (*steps, *(Step(LC, v) for v in reversed(hit)))
     if replay(g, witness) != h:
         raise RuntimeError("witness replay mismatch; this is a bug")
     return Decision(YES, "brute-force" if to_measure else "lc-equivalence", witness)
 
 
-def _conflict_pairs(h: Graph) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Target label pairs that foliage persistence keeps apart.
+_BASES = (MEASURE_Z, MEASURE_Y, MEASURE_X)
+# target-orbit members drawn before the exact test is asked at a leaf: a
+# budget of at most ``_SHORT_DRAW - 2`` runs out at the same leaves as drawing
+# the orbit to its end would, so small budgets decide as without the test
+_SHORT_DRAW = 32
+
+
+def _conflict_pairs(h: Graph, ranks: list[int], at: dict[int, int]) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Target label pairs that foliage persistence keeps apart, at the positions of ``at``.
 
     These are the pairs u < v of ``h`` in different canonical blocks, not
-    both isolated: one end isolated, or a pair cut-rank of 2. Each is in
-    ``foliage._pair`` form, so a search node tests them on its rows.
+    both isolated: one end isolated, or a pair cut-rank of 2 (``ranks`` is
+    ``h``'s pair cut-rank table). Each is in ``foliage._pair`` form, so a
+    search node tests them on its rows.
     """
     labels, rows = h.vertices, h._rows
     pairs = [(labels[i], labels[j], rows[i], rows[j]) for i in range(h.n) for j in range(i + 1, h.n)]
     return tuple(
-        _pair(u, v)
-        for (u, v, row_u, row_v), rank in zip(pairs, _pair_ranks(rows, h._at))
+        _pair(at, u, v)
+        for (u, v, row_u, row_v), rank in zip(pairs, ranks)
         if (rank == 2 if row_u and row_v else row_u or row_v)
     )
 

@@ -9,8 +9,7 @@ omitted only when the measured vertex is isolated).
 
 from __future__ import annotations
 
-from .graph import (Graph, _delete_rows, _lc_rows, _Record, _set, _x_rows, delete_vertex, local_complement,
-                    measure_x, measure_y, measure_z)
+from .graph import Graph, _Record, _set, delete_vertex, local_complement, measure_x, measure_y, measure_z
 
 LC = "lc"
 DELETE = "delete"
@@ -61,17 +60,6 @@ def apply_step(g: Graph, step: Step) -> Graph:
     if step.neighbor is None and g.neighbors(step.vertex):
         raise ValueError(f"x-measurement of non-isolated vertex {step.vertex} needs its neighbor recorded")
     return measure_x(g, step.vertex, step.neighbor)
-
-
-def _apply_rows(rows: tuple[int, ...], at: dict[int, int], op: str, vertex: int, neighbor=None):
-    """``apply_step`` in the rows kernel of ``graph.py``, unchecked: the step must apply."""
-    if op == LC:
-        return _lc_rows(rows, at, vertex)
-    if op == MEASURE_Y:
-        rows = _lc_rows(rows, at, vertex)
-    elif op == MEASURE_X and neighbor is not None:
-        return _x_rows(rows, at, vertex, neighbor)
-    return _delete_rows(rows, at, vertex)
 
 
 def replay(g: Graph, steps) -> Graph:

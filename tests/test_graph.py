@@ -56,6 +56,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vertex labels must be integers in 1..64"):
             Graph(labels)
 
+    @pytest.mark.parametrize("labels", [[1, True], [True, 1], [1, 1.0, 2], [2.0], [1, "2"]])
+    def test_checks_every_label_before_merging_duplicates(self, labels):
+        # ``True`` and ``1.0`` hash as ``1``: a set of the labels once merged
+        # them away unchecked
+        with pytest.raises(ValueError, match="vertex labels must be integers in 1..64"):
+            Graph(labels)
+
+    def test_repeated_int_labels_merge(self):
+        assert Graph([2, 1, 2], [(1, 2)]) == Graph(2, [(1, 2)])
+
+    @pytest.mark.parametrize("edge", [(1.0, 2), (2, 1.0), (1, 1.0), (1, "2")])
+    def test_rejects_endpoint_that_is_not_an_int(self, edge):
+        # ``1.0`` was found in the label dict, then ``1 << 1.0`` raised TypeError
+        with pytest.raises(UnknownVertexError, match="unknown vertex label"):
+            Graph([1, 2], [edge])
+
     @pytest.mark.parametrize("edge", [(True, 2), (2, True), (False, 2)])
     def test_rejects_bool_endpoint(self, edge):
         with pytest.raises(UnknownVertexError, match="unknown vertex label"):

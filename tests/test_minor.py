@@ -12,6 +12,7 @@ from graphmin import (
     Partition,
     Step,
     canonical_foliage_partition,
+    connected_components,
     decide_vertex_minor,
     delete_vertex,
     extract_foliage_graph,
@@ -30,8 +31,9 @@ from graphmin import (
     target_reduce,
 )
 from graphmin.foliage import _any_equivalent
-from graphmin.minor import NO, UNKNOWN, YES, Decision, _conflict_pairs
-from graphmin.ops import _apply_rows, apply_step, steps_to_json
+from graphmin.graph import _measure_rows, _pair_ranks
+from graphmin.minor import _SHORT_DRAW, NO, UNKNOWN, YES, Decision, _conflict_pairs
+from graphmin.ops import apply_step, steps_to_json
 from graphmin.orbit import BudgetExceededError, _closure, lc_orbit_paths
 
 
@@ -105,6 +107,12 @@ class TestDecide:
             with pytest.raises(ValueError, match="node budget must be positive"):
                 decide_vertex_minor(g, h, budget)
 
+    @pytest.mark.parametrize("budget", [2.5, 100.0, "5"])
+    def test_explicit_budget_that_is_not_an_int_is_a_value_error(self, budget):
+        # ``node_budget=2.5`` once ran a search, and ``"5"`` raised TypeError
+        with pytest.raises(ValueError, match="node budget must be an integer"):
+            decide_vertex_minor(ring_graph(7), path_graph(6), budget)
+
     def test_agrees_with_shuffled_order_oracle(self, rng):
         # the enumeration fixes the measurement order; a shuffled-order
         # reimplementation must land on the same answers up to seven vertices
@@ -169,11 +177,13 @@ def _graph_keyed_decide(g, h, budget):
     drawn before the search. An orbit member not drawn yet is drawn up to,
     which needs its rank to be at most the budget. A leaf outside the orbit
     is a miss once the orbit is finished, or when its pair cut-ranks
-    (``conftest.cut_rank``) differ from the target's; otherwise it finishes
-    the orbit, which needs the orbit to hold at most the budget members.
+    (``conftest.cut_rank``) differ from the target's; otherwise it draws the
+    first ``_SHORT_DRAW`` members (finishing a smaller orbit, which needs the
+    orbit to hold at most the budget members), and the exact test then
+    refutes it.
     """
-    conflicts = _conflict_pairs(h)
-    if _any_equivalent(g._rows, g._at, conflicts):
+    ranks = pair_rank_table(h)
+    if _any_equivalent(g._rows, _conflict_pairs(h, ranks, g._at)):
         return Decision(NO, "brute-force")
     surplus = sorted(set(g.vertices) - set(h.vertices))
     failed, steps = set(), []
@@ -193,9 +203,14 @@ def _graph_keyed_decide(g, h, budget):
                 raise BudgetExceededError("orbit budget")
             drawn = i + 1
             return orbit[graph]
-        if len(orbit) > budget:
-            raise BudgetExceededError("orbit budget")
-        drawn, finished = len(orbit), True
+        if len(orbit) < _SHORT_DRAW:
+            if len(orbit) > budget:
+                raise BudgetExceededError("orbit budget")
+            drawn, finished = len(orbit), True
+        elif drawn < _SHORT_DRAW:
+            if _SHORT_DRAW - 1 > budget:
+                raise BudgetExceededError("orbit budget")
+            drawn = _SHORT_DRAW
         return None
 
     def search(graph, depth):
@@ -203,7 +218,7 @@ def _graph_keyed_decide(g, h, budget):
             return lookup(graph)
         if graph in failed:
             return None
-        if depth and _any_equivalent(graph._rows, graph._at, conflicts):
+        if depth and _any_equivalent(graph._rows, _conflict_pairs(h, ranks, graph._at)):
             failed.add(graph)
             return None
         if len(failed) + depth >= budget:
@@ -238,14 +253,15 @@ CROSSED_PAIRS_ON_RING_9 = Graph([1, 3, 5, 7], [(1, 5), (3, 7)])
 
 
 def _count_rewrites(monkeypatch):
-    """Record every rewrite the decider's search applies; returns the live list."""
+    """Record every rewrite the decider's search applies, three per measured
+    graph (its z, y and x children); returns the live list."""
     calls = []
 
-    def counting(rows, at, *step):
-        calls.append(step)
-        return _apply_rows(rows, at, *step)
+    def counting(rows, at, v):
+        calls.extend((basis, v) for basis in ("measure_z", "measure_y", "measure_x"))
+        return _measure_rows(rows, at, v)
 
-    monkeypatch.setattr("graphmin.minor._apply_rows", counting)
+    monkeypatch.setattr("graphmin.minor._measure_rows", counting)
     return calls
 
 
@@ -416,10 +432,12 @@ class TestOrbitEntry:
 
     def test_cut_rank_refuted_leaves_would_close_the_orbit(self, monkeypatch):
         # the same "no" with every pair cut-rank table made equal (so
-        # persistence prunes nothing either): the first leaf that misses then
-        # draws until the orbit ends, so the count above is the filter's doing
+        # persistence prunes nothing either) and the exact test unable to
+        # tell: the first leaf that misses then draws until the orbit ends,
+        # so the count above is the filter's doing
         drawn = _count_draws(monkeypatch)
         monkeypatch.setattr("graphmin.minor._pair_ranks", lambda rows, at: [])
+        monkeypatch.setattr("graphmin.minor._lc_equivalent_rows", lambda rows, other, at: None)
         assert decide_vertex_minor(*CUT_RANK_NO).answer == NO
         assert len(drawn) == len(lc_orbit_paths(CUT_RANK_NO[1])) == 30
 
@@ -480,6 +498,60 @@ class TestLazyOrbit:
         assert answers == {YES, NO} and deepest >= 4
 
 
+def _constructed_minor(rng, n):
+    """A random connected source on 1..n and a target made by three random
+    Pauli measurements with no isolated vertex, as the benchmark's
+    ``vm_decide`` constructs its known-yes queries."""
+    while True:
+        p = rng.uniform(0.3, 0.7)
+        g = Graph(n, [pair for pair in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+        if len(connected_components(g)) > 1:
+            continue
+        h = g
+        for v in rng.sample(g.vertices, 3):
+            nbrs = sorted(h.neighbors(v))
+            op = rng.choice(("measure_z", "measure_y", "measure_x"))
+            h = apply_step(h, Step(op, v, rng.choice(nbrs) if op == "measure_x" and nbrs else None))
+        if all(h.neighbor_mask(v) for v in h.vertices):
+            return g, h
+
+
+def test_draws_exactly_the_members_its_hits_need_on_a_vm_decide_like_corpus(monkeypatch):
+    # each decision draws the target's first two members, then up to its
+    # hit's rank; a leaf outside the orbit whose pair cut-ranks equal the
+    # target's adds the short draw (the first ``_SHORT_DRAW`` members), after
+    # which the exact test refutes it. No decision draws more, so none closes
+    # an orbit its hit does not reach
+    drawn = _count_draws(monkeypatch)
+    current = {}
+
+    def filtered(rows, at):  # the decider's one call per leaf it cannot look up
+        table = _pair_ranks(rows, at)
+        if rows not in current["orbit"] and table == current["ranks"]:
+            current["passed"] = True
+        return table
+
+    monkeypatch.setattr("graphmin.minor._pair_ranks", filtered)
+    rng = random.Random(19)
+    spared = 0  # decisions that would draw the whole orbit without the exact test
+    for i in range(240):
+        g, h = _constructed_minor(rng, (7, 8, 9, 8)[i % 4])
+        members = lc_orbit_paths(h)
+        paths = [path for _, path in members.values()]
+        orbit = {member._rows for member in members}
+        for source in (g, source_reduce(g, set(h.vertices))[0]):
+            del drawn[:]
+            current.update(orbit=orbit, ranks=pair_rank_table(h), passed=False)
+            d = decide_vertex_minor(source, h)
+            assert d.answer == YES
+            surplus = source.n - h.n
+            need = paths.index(tuple(step.vertex for step in reversed(d.witness[surplus:]))) + 1
+            need = max(need, min(2, len(orbit)), min(_SHORT_DRAW, len(orbit)) if current["passed"] else 0)
+            assert len(drawn) == need, (source, h)
+            spared += current["passed"] and need < len(orbit)
+    assert spared >= 20
+
+
 def _two_pair_targets(labels):
     """Every placement of two pairs on ``labels``, with and without the
     second pair's edge (its ends then isolated in the target)."""
@@ -533,7 +605,8 @@ class TestPersistencePruning:
             h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep), p=0.3).edges()
                              if a in keep and b in keep])
             block_fates = {class_persistence_check(g, h, block) for block in canonical_foliage_partition(g)}
-            assert _any_equivalent(g._rows, g._at, _conflict_pairs(h)) == (ClassFate.VIOLATION in block_fates)
+            conflicts = _conflict_pairs(h, pair_rank_table(h), g._at)
+            assert _any_equivalent(g._rows, conflicts) == (ClassFate.VIOLATION in block_fates)
             fates |= block_fates
         assert fates == set(ClassFate)
 

@@ -3,7 +3,8 @@ import pytest
 import random
 
 from graphmin import Graph, Step, apply_step, path_graph, replay
-from graphmin.ops import _apply_rows, steps_from_json, steps_to_json
+from graphmin.graph import _delete_rows, _lc_rows, _measure_rows, _x_rows
+from graphmin.ops import steps_from_json, steps_to_json
 
 
 def test_step_rejects_unknown_kind():
@@ -76,6 +77,29 @@ def _reference_step(adj, step):
     return adj
 
 
+def _kernel_step(rows, at, step):
+    """``step`` in the rows kernel of ``graph.py``: a measurement is the
+    search's child from ``_measure_rows`` (x through a neighbor other than the
+    smallest by ``_x_rows``), the measured row zeroed in place and then dropped.
+    A child changes only the rows of the measured vertex, its neighbors and,
+    for x, the neighbors of the one measured through."""
+    if step.op == "lc":
+        return _lc_rows(rows, at, step.vertex)
+    if step.op == "delete":
+        return _delete_rows(rows, at, step.vertex)
+    i, mask = at[step.vertex], rows[at[step.vertex]]
+    near = mask | 1 << step.vertex
+    if step.op == "measure_x" and step.neighbor is not None:
+        near |= rows[at[step.neighbor]]
+    if step.op == "measure_x" and step.neighbor not in (None, (mask & -mask).bit_length() - 1):
+        child = _x_rows(rows, at, step.vertex, step.neighbor)
+    else:
+        child = _measure_rows(rows, at, step.vertex)[("measure_z", "measure_y", "measure_x").index(step.op)]
+    assert child[i] == 0 and len(child) == len(rows)
+    assert all(new == old or near >> v & 1 for v, old, new in zip(at, rows, child))
+    return child[:i] + child[i + 1:]
+
+
 def test_rows_rewrites_match_apply_step():
     # every kind of step on graphs with scattered labels up to 64, through
     # ``apply_step`` and through the bare kernel, against the definitions;
@@ -96,7 +120,7 @@ def test_rows_rewrites_match_apply_step():
             step = Step(op, v, rng.choice(nbrs) if op == "measure_x" and nbrs else None)
             g = apply_step(g, step)
             adj = _reference_step(adj, step)
-            rows = _apply_rows(rows, at, step.op, step.vertex, step.neighbor)
+            rows = _kernel_step(rows, at, step)
             at = g._at
             expected = Graph(sorted(adj), [(a, b) for a in adj for b in adj[a] if a < b])
             assert g == expected and list(at) == sorted(adj)

@@ -20,9 +20,11 @@ from graphmin import (
     Step,
 )
 from graphmin import orbit
-from graphmin.graph import _pair_ranks
+from graphmin.graph import _graph, _pair_ranks
+from graphmin.lcequiv import _lc_equivalent_rows
+from graphmin.orbit import _closure
 
-from conftest import fig2, random_graph
+from conftest import all_graphs, fig2, random_graph
 
 
 def _graph_closure(g, node_budget):
@@ -93,6 +95,17 @@ def test_budget_exhaustion_raises():
         lc_orbit(path_graph(6), node_budget=3)
 
 
+@pytest.mark.parametrize("budget", [1.5, 2.0, "3", [4]])
+def test_explicit_budget_that_is_not_an_int_is_a_value_error(budget):
+    # a float once ran as a budget ("orbit exceeds node budget 1.5"), and a
+    # string raised TypeError from the comparison
+    g = path_graph(4)
+    for call in (lambda: lc_orbit(g, budget), lambda: lc_path(g, g, budget),
+                 lambda: lc_equivalent(g, g, budget)):
+        with pytest.raises(ValueError, match="node budget must be an integer"):
+            call()
+
+
 @pytest.mark.parametrize("budget", [0, -1, True, False])
 def test_explicit_budget_below_one_or_bool_is_a_value_error(budget):
     g = path_graph(4)
@@ -161,17 +174,20 @@ def test_closure_matches_graph_closure_at_the_budget_boundary(budget):
 
 
 @pytest.mark.parametrize("budget", [4, 5])
-def test_outsider_with_equal_cut_ranks_runs_the_whole_closure(budget):
+def test_outsider_with_equal_cut_ranks_is_refuted_without_a_closure(budget, monkeypatch):
     # 3-leaf stars centred at 1, one on 2, 4, 5 and one on 2, 3, 4: equal
-    # pair cut-rank tables, not LC-equivalent; the first orbit has 5 members
+    # pair cut-rank tables, not LC-equivalent; the first orbit has 5 members.
+    # The exact test refutes the pair, so budget 4 no longer runs out
     g, outside = Graph(5, [(1, 2), (1, 4), (1, 5)]), Graph(5, [(1, 2), (1, 3), (1, 4)])
     assert _pair_ranks(g._rows, g._at) == _pair_ranks(outside._rows, outside._at)
     assert len(lc_orbit(g)) == 5
-    if budget < 5:
-        with pytest.raises(BudgetExceededError):
-            lc_path(g, outside, budget)
-    else:
-        assert lc_path(g, outside, budget) is None
+
+    def no_closure(*args):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(orbit, "_closure", no_closure)
+    assert lc_path(g, outside, budget) is None
+    assert not lc_equivalent(g, outside, budget)
 
 
 def test_differing_cut_ranks_refute_before_any_closure(monkeypatch):
@@ -257,3 +273,112 @@ def test_foliage_partition_constant_across_orbit():
         g = random_graph(rng, 6)
         part = canonical_foliage_partition(g)
         assert all(canonical_foliage_partition(m) == part for m in lc_orbit(g))
+
+
+def _scattered_graph(rng, n):
+    labels = sorted(rng.sample(range(1, 65), n))
+    p = rng.choice((0.2, 0.4, 0.6))
+    return Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < p])
+
+
+def _rows_orbit(g, budget):
+    """``_closure``'s (member, path) pairs as graphs, and whether it ran out of budget."""
+    found = []
+    try:
+        found.extend((_graph(rows, g._at), path) for rows, path in _closure(g._rows, g._at, budget))
+    except BudgetExceededError:
+        return found, True
+    return found, False
+
+
+def test_closure_skips_change_nothing_against_plain_bfs():
+    # the closure skips the last path vertex and the smaller vertices not
+    # adjacent to it; the reference expands every vertex of every member
+    rng = random.Random(19)
+    exhausted, largest = set(), 0
+    for i in range(1500):
+        g = _scattered_graph(rng, 7 if i % 50 == 0 else rng.randint(1, 6))
+        for budget in (1, 2, 5, 17, 1 << 20):
+            expected = _reference_orbit(g, budget)
+            assert _rows_orbit(g, budget) == expected, (g, budget)
+            exhausted.add(expected[1])
+        largest = max(largest, len(expected[0]))
+    assert exhausted == {True, False} and largest > 1000
+
+
+def _graphs_on(labels):
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    return [Graph(labels, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+            for mask in range(1 << len(pairs))]
+
+
+def test_exact_test_agrees_with_orbit_membership_on_four_vertices():
+    graphs = list(all_graphs(4))
+    orbits = {g: lc_orbit(g) for g in graphs}
+    equivalent = 0
+    for g in graphs:
+        for h in graphs:
+            assert _lc_equivalent_rows(g._rows, h._rows, g._at) is (h in orbits[g]), (g, h)
+            equivalent += h in orbits[g]
+    assert len(graphs) == 64 and 64 < equivalent < 64 * 64
+
+
+def test_exact_test_agrees_with_orbit_membership_on_five_scattered_labels():
+    # every graph on five labels, grouped into orbits; pairs with equal pair
+    # cut-rank tables are the ones the decider and ``lc_path`` ask about
+    rng = random.Random(7)
+    graphs = _graphs_on([3, 17, 40, 41, 64])
+    cls = {}
+    for g in graphs:
+        if g not in cls:
+            cls.update(dict.fromkeys(lc_orbit(g), len(cls)))
+    tables = {g: _pair_ranks(g._rows, g._at) for g in graphs}
+    verdicts = set()
+    pairs = 0
+    while pairs < 3000:
+        g, h = rng.choice(graphs), rng.choice(graphs)
+        if tables[g] != tables[h]:
+            continue
+        pairs += 1
+        verdict = _lc_equivalent_rows(g._rows, h._rows, g._at)
+        assert verdict is (cls[g] == cls[h]), (g, h)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_exact_test_never_refutes_an_orbit_member():
+    # random pairs with n <= 8, the second a random local-complement walk
+    # from the first, so their pair cut-rank tables are equal
+    rng = random.Random(23)
+    for _ in range(2000):
+        g = _scattered_graph(rng, rng.randint(1, 8))
+        h = g
+        for _ in range(rng.randint(0, 8)):
+            h = local_complement(h, rng.choice(h.vertices))
+        assert _pair_ranks(g._rows, g._at) == _pair_ranks(h._rows, h._at)
+        assert _lc_equivalent_rows(g._rows, h._rows, g._at) is True, (g, h)
+        assert _lc_equivalent_rows(h._rows, g._rows, g._at) is True, (h, g)
+
+
+def test_exact_test_cannot_tell_past_its_solution_space_and_the_closure_answers(monkeypatch):
+    # the 12-vertex star has 13 free variables, past the 10 the test searches:
+    # it answers None, and ``lc_equivalent`` and ``lc_path`` fall back to the closure
+    star = Graph(12, [(1, v) for v in range(2, 13)])
+    other = Graph(12, [(2, v) for v in range(1, 13) if v != 2])
+    assert _lc_equivalent_rows(star._rows, star._rows, star._at) is None
+    assert _lc_equivalent_rows(star._rows, other._rows, star._at) is None
+    assert lc_equivalent(star, other) and lc_path(star, other) == (1, 2)
+    monkeypatch.setattr(orbit, "_closure", lambda *args: iter(()))
+    assert not lc_equivalent(star, other)  # the answer did come from the closure
+
+
+def test_lc_equivalent_answers_without_a_closure_when_the_exact_test_decides(monkeypatch):
+    ring, path = ring_graph(10), path_graph(10)  # ring 10's orbit has 22,484 members
+    far = local_complement(local_complement(ring, 3), 7)
+
+    def no_closure(*args):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(orbit, "_closure", no_closure)
+    assert lc_equivalent(ring, far, node_budget=1) and lc_equivalent(far, ring, node_budget=1)
+    assert not lc_equivalent(ring, path, node_budget=1)

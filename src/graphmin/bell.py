@@ -30,7 +30,8 @@ class BellQuery(_Record):
     """Two disjoint vertex pairs on a named topology.
 
     ``size`` fixes a line or ring on labels 1..n; ``tree`` supplies an
-    explicit graph instead. The four endpoints must be distinct and alive.
+    explicit graph instead. The four endpoints must be distinct, alive
+    ``int`` labels (not ``bool``).
     """
 
     __slots__ = ("topology", "pair_a", "pair_b", "size", "tree")
@@ -52,6 +53,9 @@ class BellQuery(_Record):
             if size > MAX_LABEL:
                 raise ValueError(f"{topology} queries need n <= {MAX_LABEL}, got {size}")
             alive = set(range(1, size + 1))
+        for v in (*pair_a, *pair_b):  # ``True`` and ``1.0`` would pass as ``1`` below
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"endpoints must be integer labels, got {v!r}")
         marked = set(pair_a) | set(pair_b)
         if len(marked) != 4:
             raise ValueError("the four endpoints must be distinct")

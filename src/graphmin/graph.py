@@ -126,7 +126,8 @@ class Graph:
         return tuple([(a, b) for a, row in zip(self._at, self._rows) for b in _bits(row >> a + 1 << a + 1)])
 
     def has_vertex(self, a: int) -> bool:
-        return a in self._at and not isinstance(a, bool)  # ``True == 1`` hashes alike
+        # an ``int`` label only: ``True`` and ``1.0`` equal ``1`` and hash alike
+        return isinstance(a, int) and not isinstance(a, bool) and a in self._at
 
     def has_edge(self, a: int, b: int) -> bool:
         row = self.neighbor_mask(a)
@@ -145,7 +146,7 @@ class Graph:
         return self.neighbor_mask(a).bit_count()
 
     def _require(self, a: int) -> None:
-        if a not in self._at or isinstance(a, bool):
+        if not self.has_vertex(a):
             raise UnknownVertexError(f"unknown vertex label {a}")
 
     # -- value semantics ----------------------------------------------------
@@ -196,22 +197,21 @@ def complete_graph(n: int) -> Graph:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, sorted by minimum label."""
-    seen = 0
-    comps = []
-    for start in g._at:
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
+    return [frozenset(_bits(comp)) for comp in _components(g._rows, g._at, sum(1 << v for v in g._at))]
+
+
+def _components(rows: tuple[int, ...], at: dict[int, int], live: int):
+    """Yield, by minimum label, the bitmask of each component that meets ``live``, grown breadth first."""
+    while live:
+        comp = frontier = live & -live
         while frontier:
-            nxt = 0
+            reach = 0
             for v in _bits(frontier):
-                nxt |= g._rows[g._at[v]]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(frozenset(_bits(comp)))
-    return comps
+                reach |= rows[at[v]]
+            frontier = reach & ~comp
+            comp |= reach
+        live &= ~comp
+        yield comp
 
 
 # -- rewrites -----------------------------------------------------------------
@@ -255,7 +255,7 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
         return delete_vertex(g, a)
     if b is None:
         b = (nbrs & -nbrs).bit_length() - 1
-    elif isinstance(b, bool) or not (b > 0 and nbrs >> b & 1):  # a negative shift would raise
+    elif not (g.has_vertex(b) and nbrs >> b & 1):  # a negative or float shift would raise
         g._require(b)
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
     rows, i = _x_rows(g._rows, g._at, a, b), g._at[a]

@@ -23,10 +23,9 @@ from operator import itemgetter
 from .foliage import (Partition, _any_equivalent, _pair, _row_groups, _star_centers, foliage_equivalent,
                       foliage_graph)
 from .graph import Graph, _measure_rows, _pair_ranks
-from .lcequiv import _lc_equivalent_rows
 from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step, replay
 # the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays
-from .orbit import BudgetExceededError, _budget, _closure, lc_orbit_paths
+from .orbit import BudgetExceededError, _budget, _closure, _lc_equivalent_rows, lc_orbit_paths
 
 
 def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> Decision:
@@ -44,7 +43,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     members drawn is a miss when its pair cut-ranks (LC-invariant) differ
     from the target's. Otherwise the orbit's closure advances until the
     leaf appears or ``_SHORT_DRAW`` members are drawn; then a leaf that the
-    exact GF(2) test (``lcequiv._lc_equivalent_rows``) refutes is a miss, and
+    exact GF(2) test (``orbit._lc_equivalent_rows``) refutes is a miss, and
     the closure goes on until the leaf appears or, where that test cannot
     tell, until the orbit ends.
 
@@ -57,10 +56,10 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     remembered as failed. Only failures are remembered or pruned, so the
     first hit, and the witness, are those of enumerating all 3^k assignments.
 
-    ``node_budget`` (default ``GRAPHMIN_BUDGET``) bounds the number of the
-    target's orbit members generated and, separately, the number of distinct
-    graphs the search measures or prunes. Running out of either yields
-    "unknown", never a wrong no.
+    ``node_budget`` (default 2^20) bounds the number of the target's orbit
+    members generated and, separately, the number of distinct graphs the
+    search measures or prunes. Running out of either yields "unknown", never
+    a wrong no.
     """
     g_labels, h_labels = set(g.vertices), set(h.vertices)
     if not h_labels <= g_labels:

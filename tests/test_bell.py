@@ -49,6 +49,20 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="outside"):
             line_query(5, (1, 2), (4, 6))
 
+    @pytest.mark.parametrize("query, pair_a, pair_b", [
+        (line_query, (True, 3), (4, 6)),  # once answered no, as if it were (1, 3)
+        (line_query, (1.0, 2), (4, 6)),  # once raised TypeError from ``range``
+        (ring_query, (True, 6), (2, 4)),  # once raised UnknownVertexError in the replay
+        (line_query, (1, 3), (4, "6")),
+    ], ids=["line-bool", "line-float", "ring-bool", "line-str"])
+    def test_endpoints_must_be_int_labels(self, query, pair_a, pair_b):
+        with pytest.raises(ValueError, match="endpoints must be integer labels"):
+            query(6 if query is line_query else 8, pair_a, pair_b)
+
+    def test_tree_endpoints_must_be_int_labels(self):
+        with pytest.raises(ValueError, match="endpoints must be integer labels, got True"):
+            tree_query(path_graph(6), (True, 3), (4, 6))
+
     @pytest.mark.parametrize("query", [line_query, ring_query])
     def test_size_above_label_cap_rejected(self, query):
         # a "no" placement once answered for a graph that cannot be built

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 from graphmin import (
     Graph,
     UnknownVertexError,
+    classify_block,
     complete_graph,
     connected_components,
     delete_vertex,
+    foliage_equivalent,
     local_complement,
     measure_x,
     measure_y,
@@ -95,6 +97,26 @@ class TestConstruction:
     def test_has_vertex_is_false_for_bool(self):
         g = path_graph(3)
         assert g.has_vertex(1) and not g.has_vertex(True)
+
+    def test_has_vertex_is_false_for_float(self):
+        # ``1.0 in g._at`` holds, as ``1.0 == 1`` and they hash alike
+        g = path_graph(3)
+        assert not g.has_vertex(1.0) and not g.has_vertex(2.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: local_complement(g, 2.0),
+        lambda g: delete_vertex(g, 2.0),
+        lambda g: measure_x(g, 2.0),
+        lambda g: measure_x(g, 1, 2.0),
+        lambda g: foliage_equivalent(g, 2.0, 1),
+        lambda g: classify_block(g, [2.0]),
+    ], ids=["local_complement", "delete_vertex", "measure_x", "measure_x-neighbor",
+            "foliage_equivalent", "classify_block"])
+    def test_float_is_an_unknown_label(self, call):
+        # a float equal to a label once passed the label check: ``local_complement``
+        # returned a graph, and the others raised TypeError from ``1 << 2.0``
+        with pytest.raises(UnknownVertexError, match="unknown vertex label 2.0"):
+            call(path_graph(3))
 
     def test_duplicate_edges_merge(self):
         g = Graph(2, [(1, 2), (2, 1)])

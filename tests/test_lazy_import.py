@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since the test process itself has
 NumPy and every graphmin module loaded already.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -69,6 +70,15 @@ def test_readme_commands_load_only_what_they_use(tmp_path):
         assert "numpy" not in loaded, command
         if argv[0] in ("orbit", "bell") or "--replay" in argv:
             assert not loaded & {"graphmin.minor", "graphmin.foliage"}, command
+        # only the commands that decide LC-equivalence load it; ``reduce
+        # --protect`` runs ``graphmin.minor``, which imports the decider's orbit
+        if argv[0] in ("foliage", "bell", "verify-quantum") or "--replay" in argv:
+            assert "graphmin.orbit" not in loaded, command
+
+
+def test_lc_equivalence_has_one_module():
+    # the exact test lives in ``graphmin.orbit``; it once had a module of its own
+    assert importlib.util.find_spec("graphmin.lcequiv") is None
 
 
 def test_bare_import_loads_no_submodule():

@@ -359,8 +359,7 @@ def _decision_corpus():
             yield g, h, budget
 
 
-def test_decisions_match_pinned_digest(monkeypatch):
-    monkeypatch.delenv("GRAPHMIN_BUDGET", raising=False)
+def test_decisions_match_pinned_digest():
     digest = hashlib.sha256()
     answers = set()
     for g, h, budget in _decision_corpus():
@@ -373,11 +372,10 @@ def test_decisions_match_pinned_digest(monkeypatch):
     assert digest.hexdigest() == PINNED_DECISIONS_DIGEST
 
 
-def test_budgeted_rows_are_unknown_or_the_default_decision(monkeypatch):
+def test_budgeted_rows_are_unknown_or_the_default_decision():
     # a budget only stops a decision: an answered row has the default
     # budget's answer, rule and witness, and once a budget answers, every
     # larger one does too
-    monkeypatch.delenv("GRAPHMIN_BUDGET", raising=False)
     answered = unknown = 0
     for g, h, budget in _decision_corpus():
         if budget is None:

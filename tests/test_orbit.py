@@ -21,8 +21,7 @@ from graphmin import (
 )
 from graphmin import orbit
 from graphmin.graph import _graph, _pair_ranks
-from graphmin.lcequiv import _lc_equivalent_rows
-from graphmin.orbit import _closure
+from graphmin.orbit import _closure, _lc_equivalent_rows
 
 from conftest import all_graphs, fig2, random_graph
 
@@ -113,22 +112,6 @@ def test_explicit_budget_below_one_or_bool_is_a_value_error(budget):
         lc_orbit(g, budget)
     with pytest.raises(ValueError, match="node budget must be positive"):
         lc_path(g, g, budget)  # even when the source is the target
-
-
-@pytest.mark.parametrize("raw", ["0", "-3"])
-def test_env_budget_below_one_is_a_value_error(monkeypatch, raw):
-    monkeypatch.setenv("GRAPHMIN_BUDGET", raw)
-    with pytest.raises(ValueError, match="GRAPHMIN_BUDGET must be positive"):
-        lc_orbit(path_graph(4))
-
-
-@pytest.mark.parametrize("raw", ["1_000", " 12", "+12", "\u0661\u0662", "1e3"])
-def test_env_budget_is_a_plain_decimal(monkeypatch, raw):
-    # the rule of ``--budget`` and edge-list labels (``io.parse_decimal``):
-    # ``int`` would read each of these as a budget
-    monkeypatch.setenv("GRAPHMIN_BUDGET", raw)
-    with pytest.raises(ValueError, match="GRAPHMIN_BUDGET must be an integer"):
-        lc_orbit(path_graph(4))
 
 
 def test_budget_boundary_on_path4():

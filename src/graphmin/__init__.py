@@ -14,11 +14,12 @@ _PUBLIC = {  # module: the names it provides here, the module itself first
     "orbit": "orbit DEFAULT_NODE_BUDGET BudgetExceededError lc_equivalent lc_orbit lc_orbit_paths lc_path",
     "foliage": "foliage BlockShape FoliageGraph InvalidPartitionError Partition canonical_foliage_partition "
                "classify_block foliage_equivalent foliage_graph is_foliage_partition nth_foliage_graph singletons",
-    "minor": "minor decide_vertex_minor extract_foliage_graph source_reduce target_reduce",
+    "minor": "minor decide_vertex_minor",
     "bell": "bell BellQuery NotATreeError decide_bell decide_bell_line decide_bell_ring decide_bell_tree "
             "line_query ring_query tree_query",
     "io": "io FormatError parse_edge_list parse_graph6 read_graph write_edge_list",
-    # the module itself is not a name here: ``graphmin.quantum`` needs its own import
+    # these modules are not names here: ``graphmin.reduction`` and ``graphmin.quantum`` need their own import
+    "reduction": "extract_foliage_graph source_reduce target_reduce",
     "quantum": "StateCapError find_measurement_correction graph_state verify_lc_unitary verify_measurement",
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}

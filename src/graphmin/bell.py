@@ -30,8 +30,8 @@ class BellQuery(_Record):
     """Two disjoint vertex pairs on a named topology.
 
     ``size`` fixes a line or ring on labels 1..n; ``tree`` supplies an
-    explicit graph instead. The four endpoints must be distinct, alive
-    ``int`` labels (not ``bool``).
+    explicit graph instead. Each pair has two endpoints, and the four must
+    be distinct, alive ``int`` labels (not ``bool``).
     """
 
     __slots__ = ("topology", "pair_a", "pair_b", "size", "tree")
@@ -53,6 +53,8 @@ class BellQuery(_Record):
             if size > MAX_LABEL:
                 raise ValueError(f"{topology} queries need n <= {MAX_LABEL}, got {size}")
             alive = set(range(1, size + 1))
+        if len(pair_a) != 2 or len(pair_b) != 2:
+            raise ValueError(f"each pair needs exactly two endpoints, got {pair_a!r} and {pair_b!r}")
         for v in (*pair_a, *pair_b):  # ``True`` and ``1.0`` would pass as ``1`` below
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"endpoints must be integer labels, got {v!r}")

@@ -159,7 +159,7 @@ def _cmd_reduce(args) -> int:
         text = write_edge_list(replay(source, steps))
         _emit(args, "reduce", inputs, {"graph": text}, human=[text.rstrip("\n")])
         return 0
-    from .minor import source_reduce
+    from .reduction import source_reduce
     reduced, ops = source_reduce(source, set(args.protect))
     text, witness = write_edge_list(reduced), steps_to_json(ops)
     human = text.rstrip("\n").split("\n") + ["ops: " + json.dumps(witness)]

@@ -6,7 +6,9 @@ pair, nonempty). The equivalence classes form the canonical foliage
 partition, which local complementation never changes; any refinement of it
 is itself a usable foliage partition. Quotienting a graph by such a
 partition (blocks adjacent iff some cross-edge exists) yields the foliage
-graph, on which local complementation lifts blockwise.
+graph, on which local complementation lifts blockwise. The canonical
+partition is wrapped without ``Partition``'s checks, and the quotient's rows
+come from the blocks' neighborhoods, not from an edge list through ``Graph``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 
-from .graph import Graph, UnknownVertexError, _Record, _set
+from .graph import Graph, UnknownVertexError, _bits, _graph, _Record, _set
 
 
 class InvalidPartitionError(ValueError):
@@ -124,9 +126,9 @@ def canonical_foliage_partition(g: Graph) -> Partition:
     a degree-1 vertex joins its axil and every other leaf of that axil
     (equal one-bit rows); an axil of degree > 1 collects the vertices whose
     row is its own bit; any other vertex joins its twins, or is alone. The
-    relation is transitive and these cases never overlap, so each vertex
-    lands in exactly its class (the tests compare this against closing the
-    pairwise relation).
+    relation is transitive and these cases never overlap, so each vertex lands
+    in exactly its class, classes by minimum (the tests check this against
+    ``Partition`` and against closing the pairwise relation).
     """
     by_open, twins = _row_groups(g)
     blocks = []
@@ -141,15 +143,18 @@ def canonical_foliage_partition(g: Graph) -> Partition:
         else:  # twins, or v alone
             block = twins[v]
         placed.update(block)
-        blocks.append(block)
-    return Partition(blocks)
+        blocks.append(frozenset(block))
+    p = object.__new__(Partition)
+    _set(p, "_blocks", tuple(blocks))
+    return p
 
 
 def is_foliage_partition(g: Graph, w: Partition) -> bool:
     """True iff ``w`` partitions the alive set and refines the canonical partition."""
     if w.labels() != frozenset(g.vertices):
         raise InvalidPartitionError("partition does not cover the alive vertex set")
-    return w.refines(canonical_foliage_partition(g))
+    class_of = {v: block for block in canonical_foliage_partition(g).blocks for v in block}
+    return all(len({class_of[v] for v in block}) == 1 for block in w.blocks)
 
 
 class BlockShape(enum.Enum):
@@ -229,16 +234,12 @@ def foliage_graph(g: Graph, w: Partition | None = None, reps: Iterable[int] | No
     elif not is_foliage_partition(g, w):
         raise InvalidPartitionError("not a foliage partition of this graph")
     chosen = _check_representatives(w, reps)
-    masks = [sum(1 << v for v in block) for block in w.blocks]
-    edges = []
-    for i, bi in enumerate(w.blocks):
-        hit = 0
-        for v in bi:
-            hit |= g.neighbor_mask(v)
-        for j in range(i + 1, len(w.blocks)):
-            if hit & masks[j]:
-                edges.append((chosen[i], chosen[j]))
-    return FoliageGraph(w, chosen, Graph(chosen, edges))
+    rep_of = {v: rep for block, rep in zip(w.blocks, chosen) for v in block}
+    nbrs = {v: g.neighbor_mask(v) for v in rep_of}  # each member checked as a label (``True`` is not 1)
+    at = Graph(chosen)._at  # and each representative, by ``Graph``'s rule
+    rows = {rep: sum({1 << rep_of[u] for v in block for u in _bits(nbrs[v])} - {1 << rep})
+            for block, rep in zip(w.blocks, chosen)}
+    return FoliageGraph(w, chosen, _graph(tuple([rows[rep] for rep in at]), at))
 
 
 def nth_foliage_graph(g: Graph, depth: int) -> FoliageGraph:

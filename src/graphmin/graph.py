@@ -229,7 +229,7 @@ def local_complement(g: Graph, a: int) -> Graph:
 def delete_vertex(g: Graph, a: int) -> Graph:
     """Remove ``a`` and its incident edges; other labels survive unchanged."""
     g._require(a)
-    return _graph(_delete_rows(g._rows, g._at, a), _at_without(g._at, a))
+    return _without(g, _z_rows(g._rows, g._at, a), a)
 
 
 def measure_z(g: Graph, a: int) -> Graph:
@@ -248,28 +248,34 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     ``b`` defaults to the smallest neighbor of ``a``; all neighbor choices
     give LC-equivalent results. An isolated ``a`` measures like z.
     """
-    nbrs = g.neighbor_mask(a)
+    b = _x_neighbor(g.neighbor_mask(a), a, b, g._require)
+    return delete_vertex(g, a) if b is None else _without(g, _x_rows(g._rows, g._at, a, b), a)
+
+
+def _without(g: Graph, rows: tuple[int, ...], a: int) -> Graph:
+    """``rows``, at ``g``'s positions with ``a``'s row zeroed, as a graph without ``a``."""
+    i = g._at[a]
+    return _graph(rows[:i] + rows[i + 1:], {v: j - (v > a) for v, j in g._at.items() if v != a})
+
+
+def _x_neighbor(nbrs: int, a: int, b: int | None, require) -> int | None:
+    """The neighbor, ``b`` checked or else the smallest, that an x-measurement of ``a`` (row ``nbrs``) goes
+    through; None if ``a`` is isolated. ``require(b)`` raises for a dead ``b`` (a live neighbor's bit is set)."""
     if nbrs == 0:
         if b is not None:
             raise ValueError(f"vertex {a} is isolated; no neighbor {b} to route through")
-        return delete_vertex(g, a)
+        return None
     if b is None:
-        b = (nbrs & -nbrs).bit_length() - 1
-    elif not (g.has_vertex(b) and nbrs >> b & 1):  # a negative or float shift would raise
-        g._require(b)
+        return (nbrs & -nbrs).bit_length() - 1
+    if not (isinstance(b, int) and not isinstance(b, bool) and b > 0 and nbrs >> b & 1):
+        require(b)
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
-    rows, i = _x_rows(g._rows, g._at, a, b), g._at[a]
-    return _graph(rows[:i] + rows[i + 1:], _at_without(g._at, a))
+    return b
 
 
 # -- the rows kernel: a ``Graph``'s ``_rows`` and ``_at`` without the wrapper,
-# for the orbit closure and the search. On one label set, equal tuples are
-# equal graphs. ``_delete_rows`` aligns to the labels left; ``_x_rows`` and
-# ``_measure_rows`` zero the measured row in place.
-
-
-def _at_without(at: dict[int, int], a: int) -> dict[int, int]:
-    return {v: i - (v > a) for v, i in at.items() if v != a}
+# for the orbit closure, the search and ``ops.replay``. On one label set, equal
+# tuples are equal graphs. A measured or deleted row is zeroed in place.
 
 
 def _lc_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ...]:
@@ -282,9 +288,15 @@ def _lc_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ..
     return tuple(out)
 
 
-def _delete_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ...]:
-    out = [r & ~(1 << a) for r in rows]
-    del out[at[a]]
+def _z_rows(rows: tuple[int, ...], at: dict[int, int], a: int, y: bool = False) -> tuple[int, ...]:
+    """Deletion of ``a``, its row zeroed in place: ``_measure_rows``'s z child, or its y child if ``y``."""
+    nbrs = mask = rows[at[a]]
+    out, flip = list(rows), 1 << a | (nbrs if y else 0)  # y: a local complement at ``a`` first
+    while mask:
+        low = mask & -mask
+        out[at[low.bit_length() - 1]] ^= flip & ~low
+        mask ^= low
+    out[at[a]] = 0
     return tuple(out)
 
 

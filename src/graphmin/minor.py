@@ -1,29 +1,23 @@
-"""Vertex-minor decisions with witnesses, plus the reduction engines.
+"""Vertex-minor decisions with witnesses.
 
 A target H is a vertex-minor of a source G when some sequence of local
 complementations and deletions sends G to H; equivalently, some assignment
 of x/y/z measurement rewrites to the surplus vertices lands in the target's
 LC-orbit. The brute-force decider searches those assignments in canonical
 order, so answers and witnesses are deterministic; every yes carries a step
-sequence that replays to the target exactly.
-
-The reductions shrink instances while preserving the answer: deleting
-foliage vertices outside the target (source reduction), and jointly deleting
-a vertex that stays foliage-equivalent to a partner in both graphs (target
-reduction, one-directional). Both delete with one rule, ``_deletion_steps``.
-``extract_foliage_graph`` collapses a foliage partition onto representatives
-with a replayable witness.
+sequence that replays to the target exactly. A call runs on bitmask rows
+at the source's row positions and builds one graph, in the witness check
+(``ops.replay``). The reductions are in ``graphmin.reduction``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations, islice
 from operator import itemgetter
 
-from .foliage import (Partition, _any_equivalent, _pair, _row_groups, _star_centers, foliage_equivalent,
-                      foliage_graph)
+from .foliage import _any_equivalent, _pair
 from .graph import Graph, _measure_rows, _pair_ranks
-from .ops import DELETE, LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step, replay
+from .ops import LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step, replay
 # the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays
 from .orbit import BudgetExceededError, _budget, _closure, _lc_equivalent_rows, lc_orbit_paths
 
@@ -45,7 +39,8 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     leaf appears or ``_SHORT_DRAW`` members are drawn; then a leaf that the
     exact GF(2) test (``orbit._lc_equivalent_rows``) refutes is a miss, and
     the closure goes on until the leaf appears or, where that test cannot
-    tell, until the orbit ends.
+    tell, until the orbit ends. A miss is final, so a leaf reached again is
+    answered from the members drawn, without its cut-ranks.
 
     Foliage persistence prunes: if ``h`` is a vertex-minor of a graph, each
     foliage class of that graph, cut down to the labels of ``h``, lies inside
@@ -80,14 +75,16 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     members = _closure(h._rows, h._at, budget)  # the target's orbit, drawn as leaves need it
     orbit = dict(islice(members, 2))
     members = members if len(orbit) == 2 else None  # one member (every Bell target): finished
+    asked: set[tuple[int, ...]] = set()  # leaves looked up already: one not in ``orbit`` is a final miss
 
     def lookup(rows: tuple[int, ...]):
         """Orbit path to a leaf, drawing members until it appears; None outside the orbit."""
         nonlocal members
         rows = leaf_rows(rows)
         path = orbit.get(rows)
-        if path is not None or members is None:
+        if path is not None or members is None or rows in asked:
             return path
+        asked.add(rows)
         if _pair_ranks(rows, h._at) != ranks or len(orbit) >= _SHORT_DRAW and refuted(rows):
             return None
         for member, path in members:
@@ -162,103 +159,6 @@ def _conflict_pairs(h: Graph, ranks: list[int], at: dict[int, int]) -> tuple[tup
     ``h``'s pair cut-rank table). Each is in ``foliage._pair`` form, so a
     search node tests them on its rows.
     """
-    labels, rows = h.vertices, h._rows
-    pairs = [(labels[i], labels[j], rows[i], rows[j]) for i in range(h.n) for j in range(i + 1, h.n)]
-    return tuple(
-        _pair(at, u, v)
-        for (u, v, row_u, row_v), rank in zip(pairs, ranks)
-        if (rank == 2 if row_u and row_v else row_u or row_v)
-    )
-
-
-# -- the foliage reductions ------------------------------------------------------
-
-
-def _deletion_steps(g: Graph, v: int, w: int) -> tuple[Step, ...]:
-    """Steps deleting ``v``, which is foliage-equivalent to ``w`` in ``g``.
-
-    A leaf or twin ``v`` is deleted outright; when ``v`` is the axil of
-    leaf ``w`` (and not itself a leaf), the two are swapped first
-    (``lc v``, ``lc w``) so ``w`` inherits the adjacency.
-    """
-    if g.neighbor_mask(w) == 1 << v and g.neighbor_mask(v) != 1 << w:
-        return (Step(LC, v), Step(LC, w), Step(DELETE, v))
-    return (Step(DELETE, v),)
-
-
-def source_reduce(g: Graph, protected: set[int] | frozenset[int]) -> tuple[Graph, tuple[Step, ...]]:
-    """Greedily remove foliage vertices outside ``protected``.
-
-    Rules, in fixed order for reproducible witnesses: delete a twin, delete
-    a leaf, or swap an axil with the smallest of its leaves and delete it.
-    Each preserves vertex-minor answers for any target on the protected
-    labels that has no isolated vertices (the caller asserts that). Returns
-    the reduced graph and the steps applied.
-    """
-    protected = set(protected)
-    for v in protected:
-        if not isinstance(v, int) or isinstance(v, bool):  # ``True == 1.0 == 1`` in a set
-            raise ValueError(f"protected labels must be integers, got {v!r}")
-    unknown = protected - set(g.vertices)
-    if unknown:
-        raise ValueError(f"protected labels {sorted(unknown)} not in graph")
-    out = g
-    ops: list[Step] = []
-    while steps := _reduction_steps(out, protected):
-        ops.extend(steps)
-        out = replay(out, steps)
-    return out, tuple(ops)
-
-
-def _reduction_steps(g: Graph, protected: set[int]) -> tuple[Step, ...]:
-    """Steps of the first source-reduction rule that applies, else none."""
-    by_open, twins = _row_groups(g)
-    candidates = [(v, row) for v, row in zip(g._at, g._rows) if v not in protected]
-    pair = (next(((v, w) for v, _ in candidates for w in twins[v] if w != v), None)
-            or next(((v, row.bit_length() - 1) for v, row in candidates if row.bit_count() == 1), None)
-            or next(((v, by_open[1 << v][0]) for v, _ in candidates if 1 << v in by_open), None))
-    return _deletion_steps(g, *pair) if pair else ()
-
-
-def target_reduce(g: Graph, h: Graph, v: int, w: int) -> tuple[Graph, Graph]:
-    """Jointly delete ``v`` from source and target, given ``v ~ w`` in both.
-
-    Preserves the minor relation one-directionally: when the target was a
-    minor before, the reduced target is a minor of the reduced source. The
-    equivalence is recomputed here rather than trusted.
-    """
-    if v == w:
-        raise ValueError("target reduction needs two distinct vertices")
-    for graph, name in ((g, "source"), (h, "target")):
-        if not foliage_equivalent(graph, v, w):
-            raise ValueError(f"vertices {v} and {w} are not foliage-equivalent in the {name}")
-    return replay(g, _deletion_steps(g, v, w)), replay(h, _deletion_steps(h, v, w))
-
-
-# -- foliage-graph extraction ---------------------------------------------------
-
-
-def extract_foliage_graph(
-    g: Graph, w: Partition, reps: tuple[int, ...] | list[int]
-) -> tuple[Graph, tuple[Step, ...]]:
-    """Collapse each block of a foliage partition onto its representative.
-
-    Per block: a singleton needs nothing; a star swaps its axil with the
-    representative (two local complements, a no-op if they coincide) and
-    deletes the remaining leaves; a clique or anticlique of twins deletes
-    everyone but the representative. The result equals the quotient graph
-    labeled by the representatives, which is verified before returning.
-    """
-    fg = foliage_graph(g, w, reps)  # validates the partition and representatives
-    out = g
-    ops: list[Step] = []
-    for block, rep in zip(fg.partition.blocks, fg.representatives):
-        members = sorted(block)
-        centers = _star_centers(out, members)  # empty for twins; a singleton is its own center
-        steps = [Step(LC, centers[0]), Step(LC, rep)] if centers and rep not in centers else []
-        steps += [Step(DELETE, v) for v in members if v != rep]
-        out = replay(out, steps)
-        ops += steps
-    if out != fg.graph:
-        raise RuntimeError("block collapse does not match the quotient graph; this is a bug")
-    return out, tuple(ops)
+    pairs = combinations(zip(h._at, h._rows), 2)  # in the order of ``ranks``
+    return tuple([_pair(at, u, v) for ((u, row_u), (v, row_v)), rank in zip(pairs, ranks)
+                  if (rank == 2 if row_u and row_v else row_u or row_v)])

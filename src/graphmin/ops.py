@@ -4,12 +4,14 @@ A witness for a graph reduction is an ordered list of steps, each a local
 complementation, a deletion, or a Pauli-measurement rewrite. Replaying the
 list on the source graph must be defined at every step: targets alive, and
 an x-measurement's recorded neighbor alive and adjacent (the neighbor is
-omitted only when the measured vertex is isolated).
+omitted only when the measured vertex is isolated). ``replay`` is the one
+checked path: it rewrites the source's bitmask rows at fixed positions and
+builds one graph, at the end.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, _Record, _set, delete_vertex, local_complement, measure_x, measure_y, measure_z
+from .graph import Graph, UnknownVertexError, _graph, _lc_rows, _Record, _set, _without, _x_neighbor, _x_rows, _z_rows
 
 LC = "lc"
 DELETE = "delete"
@@ -50,24 +52,39 @@ class Decision(_Record):
         _set(self, "witness", witness)
 
 
-_ONE_VERTEX = {LC: local_complement, DELETE: delete_vertex, MEASURE_Z: measure_z, MEASURE_Y: measure_y}
-
-
 def apply_step(g: Graph, step: Step) -> Graph:
-    if step.op in _ONE_VERTEX:
-        return _ONE_VERTEX[step.op](g, step.vertex)
-    # measure_x: a recorded neighbor is mandatory unless the vertex was isolated
-    if step.neighbor is None and g.neighbors(step.vertex):
-        raise ValueError(f"x-measurement of non-isolated vertex {step.vertex} needs its neighbor recorded")
-    return measure_x(g, step.vertex, step.neighbor)
+    return replay(g, (step,))
 
 
 def replay(g: Graph, steps) -> Graph:
-    """Apply ``steps`` in order, validating each against the current graph."""
-    out = g
+    """Apply ``steps`` in order; each raises what its ``graph`` rewrite would raise there.
+
+    As in the search, a deleted or measured row is zeroed in place and its label's
+    bit set in ``gone``; the graph built at the end keeps ``g``'s ``_at`` if none went."""
+    rows, at, gone = g._rows, g._at, 0  # ``gone``: the bits of the labels deleted or measured so far
+
+    def require(v) -> None:
+        if not (g.has_vertex(v) and not gone >> v & 1):
+            raise UnknownVertexError(f"unknown vertex label {v}")
+
     for step in steps:
-        out = apply_step(out, step)
-    return out
+        op, a = step.op, step.vertex
+        require(a)
+        if op == LC:
+            rows = _lc_rows(rows, at, a)
+        elif op == MEASURE_X:
+            nbrs = rows[at[a]]
+            if step.neighbor is None and nbrs:
+                raise ValueError(f"x-measurement of non-isolated vertex {a} needs its neighbor recorded")
+            b = _x_neighbor(nbrs, a, step.neighbor, require)
+            rows = rows if b is None else _x_rows(rows, at, a, b)  # an isolated row is zero already
+        else:
+            rows = _z_rows(rows, at, a, op == MEASURE_Y)
+        gone |= (op != LC) << a  # every step but a local complement removes its label
+    if not gone & gone - 1:  # no label went, or one
+        return _without(g, rows, gone.bit_length() - 1) if gone else _graph(rows, at)
+    alive = [v for v in at if not gone >> v & 1]  # a gone label's bit is clear in every row
+    return _graph(tuple([rows[at[v]] for v in alive]), {v: i for i, v in enumerate(alive)})
 
 
 def steps_to_json(steps) -> list[dict]:

@@ -63,6 +63,15 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="endpoints must be integer labels, got True"):
             tree_query(path_graph(6), (True, 3), (4, 6))
 
+    @pytest.mark.parametrize("query, graph", [
+        (line_query, 6),  # once accepted, then raised "too many values to unpack" when decided
+        (ring_query, 8),  # the same
+        (tree_query, path_graph(6)),  # once raised TypeError from ``_tree_path`` when decided
+    ], ids=["line", "ring", "tree"])
+    def test_each_pair_has_two_endpoints(self, query, graph):
+        with pytest.raises(ValueError, match=r"two endpoints, got \(1, 2, 3\) and \(5,\)$"):
+            query(graph, (1, 2, 3), (5,))
+
     @pytest.mark.parametrize("query", [line_query, ring_query])
     def test_size_above_label_cap_rejected(self, query):
         # a "no" placement once answered for a graph that cannot be built

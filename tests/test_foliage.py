@@ -8,6 +8,7 @@ from graphmin import (
     Graph,
     InvalidPartitionError,
     Partition,
+    UnknownVertexError,
     canonical_foliage_partition,
     classify_block,
     complete_graph,
@@ -188,6 +189,88 @@ class TestIsFoliagePartition:
             merged = [b for k, b in enumerate(blocks) if k not in (i, j)]
             merged.append(blocks[i] | blocks[j])
             assert not is_foliage_partition(g, Partition(merged))
+
+
+def _corpus():
+    """Every graph on at most 5 vertices, then random graphs on scattered labels."""
+    for n in range(6):
+        yield from all_graphs(n)
+    rng = random.Random(2103)
+    for _ in range(600):
+        labels = rng.sample(range(1, 65), rng.randint(1, 12))
+        p = rng.choice([0.1, 0.3, 0.6, 0.9])
+        yield Graph(labels, [pair for pair in combinations(labels, 2) if rng.random() < p])
+
+
+def _random_coarsening(rng, partition):
+    """Merge random groups of ``partition``'s blocks."""
+    blocks = list(partition.blocks)
+    if not blocks:
+        return partition
+    rng.shuffle(blocks)
+    cuts = sorted(rng.sample(range(1, len(blocks)), rng.randint(0, len(blocks) - 1)))
+    return Partition([frozenset().union(*blocks[i:j]) for i, j in zip([0] + cuts, cuts + [len(blocks)])])
+
+
+def edge_list_quotient(g, w, reps):
+    """The quotient as ``foliage_graph`` built it before it wrapped rows: an
+    edge list through ``Graph``, blocks adjacent iff some cross-edge exists."""
+    masks = [sum(1 << v for v in block) for block in w.blocks]
+    edges = []
+    for i, block in enumerate(w.blocks):
+        hit = 0
+        for v in block:
+            hit |= g.neighbor_mask(v)
+        edges += [(reps[i], reps[j]) for j in range(i + 1, len(w.blocks)) if hit & masks[j]]
+    return Graph(reps, edges)
+
+
+class TestUncheckedBuilds:
+    """What the partition and quotient builders no longer check on each call."""
+
+    def test_canonical_blocks_are_a_partition_in_order(self):
+        for g in _corpus():
+            canon = canonical_foliage_partition(g)
+            blocks = canon.blocks
+            assert type(blocks) is tuple and all(type(b) is frozenset and b for b in blocks), g
+            assert sum(map(len, blocks)) == g.n and frozenset().union(*blocks) == set(g.vertices), g
+            assert [min(b) for b in blocks] == sorted(min(b) for b in blocks), g
+            assert canon == Partition(blocks) and hash(canon) == hash(Partition(blocks)), g
+
+    def test_refinement_check_agrees_with_partition_refines(self):
+        rng, answers = random.Random(2104), set()
+        for g in _corpus():
+            canon = canonical_foliage_partition(g)
+            for w in (random_refinement(rng, canon), _random_coarsening(rng, canon),
+                      _random_coarsening(rng, random_refinement(rng, canon)), singletons(g)):
+                answers.add(is_foliage_partition(g, w))
+                assert is_foliage_partition(g, w) == w.refines(canon), (g, w)
+        assert answers == {True, False}
+
+    def test_quotient_equals_the_edge_list_build(self):
+        rng = random.Random(2105)
+        for g in _corpus():
+            for w in (None, random_refinement(rng, canonical_foliage_partition(g))):
+                blocks = (w or canonical_foliage_partition(g)).blocks
+                reps = [rng.choice(sorted(b)) for b in blocks]
+                rng.shuffle(reps)
+                fg = foliage_graph(g, w, reps)
+                expected = edge_list_quotient(g, fg.partition, fg.representatives)
+                assert fg.graph == expected and fg.graph._at == expected._at, (g, w, reps)
+                assert foliage_graph(g, w).graph == edge_list_quotient(g, fg.partition, [min(b) for b in blocks])
+
+    @pytest.mark.parametrize("blocks, reps, error, message", [
+        ([{True}, {2}, {3}, {4}], None, UnknownVertexError, "unknown vertex label True"),
+        ([{1}, {2.0}, {3}, {4}], None, UnknownVertexError, "unknown vertex label 2.0"),  # once TypeError
+        ([{1}, {2}, {3}, {4}], [True, 2, 3, 4], ValueError, "vertex labels must be integers in 1..64, got True"),
+        ([{1}, {2}, {3}, {4}], [1, 2.0, 3, 4], ValueError, "vertex labels must be integers in 1..64, got 2.0"),
+    ], ids=["bool-member", "float-member", "bool-representative", "float-representative"])
+    def test_quotient_labels_are_checked(self, blocks, reps, error, message):
+        # the rows are wrapped unchecked, so a label equal to an alive one but
+        # not an ``int`` is refused on the way, as ``Graph`` refuses it
+        with pytest.raises(error) as caught:
+            foliage_graph(path_graph(4), Partition(blocks), reps)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestFoliageGraph:

@@ -70,10 +70,12 @@ def test_readme_commands_load_only_what_they_use(tmp_path):
         assert "numpy" not in loaded, command
         if argv[0] in ("orbit", "bell") or "--replay" in argv:
             assert not loaded & {"graphmin.minor", "graphmin.foliage"}, command
-        # only the commands that decide LC-equivalence load it; ``reduce
-        # --protect`` runs ``graphmin.minor``, which imports the decider's orbit
-        if argv[0] in ("foliage", "bell", "verify-quantum") or "--replay" in argv:
+        # only the commands that decide LC-equivalence load it, and only
+        # ``decide`` loads the decider: ``reduce --protect`` runs the
+        # reductions in ``graphmin.reduction``
+        if argv[0] not in ("orbit", "decide"):
             assert "graphmin.orbit" not in loaded, command
+            assert "graphmin.minor" not in loaded, command
 
 
 def test_lc_equivalence_has_one_module():

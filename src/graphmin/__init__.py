@@ -7,7 +7,7 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-_PUBLIC = {  # module: the names it provides here, the module itself first
+_PUBLIC = {  # module: the names it provides here, led by the module itself if that is a name here
     "graph": "graph MAX_LABEL Graph UnknownVertexError complete_graph connected_components delete_vertex "
              "local_complement measure_x measure_y measure_z path_graph ring_graph",
     "ops": "ops DELETE LC MEASURE_X MEASURE_Y MEASURE_Z Decision Step apply_step replay",

@@ -6,9 +6,8 @@ pair, nonempty). The equivalence classes form the canonical foliage
 partition, which local complementation never changes; any refinement of it
 is itself a usable foliage partition. Quotienting a graph by such a
 partition (blocks adjacent iff some cross-edge exists) yields the foliage
-graph, on which local complementation lifts blockwise. The canonical
-partition is wrapped without ``Partition``'s checks, and the quotient's rows
-come from the blocks' neighborhoods, not from an edge list through ``Graph``.
+graph, on which local complementation lifts blockwise. Partitions and quotients
+are read off the rows, not rebuilt through ``Partition`` or an edge-list ``Graph``.
 """
 
 from __future__ import annotations
@@ -150,11 +149,14 @@ def canonical_foliage_partition(g: Graph) -> Partition:
 
 
 def is_foliage_partition(g: Graph, w: Partition) -> bool:
-    """True iff ``w`` partitions the alive set and refines the canonical partition."""
-    if w.labels() != frozenset(g.vertices):
+    """True iff ``w`` partitions the alive set and refines the canonical partition, that is (the
+    relation being transitive) iff each member of a block is equivalent to the block's minimum."""
+    if (labels := w.labels()) != frozenset(g.vertices):
         raise InvalidPartitionError("partition does not cover the alive vertex set")
-    class_of = {v: block for block in canonical_foliage_partition(g).blocks for v in block}
-    return all(len({class_of[v] for v in block}) == 1 for block in w.blocks)
+    for v in labels:  # ``True`` and ``2.0`` equal alive labels but are not labels
+        g._require(v)
+    return all(_any_equivalent(g._rows, (_pair(g._at, u, v),))
+               for block in w.blocks for u in (min(block),) for v in block if v != u)
 
 
 class BlockShape(enum.Enum):
@@ -231,13 +233,12 @@ def foliage_graph(g: Graph, w: Partition | None = None, reps: Iterable[int] | No
     """
     if w is None:
         w = canonical_foliage_partition(g)
-    elif not is_foliage_partition(g, w):
+    elif not is_foliage_partition(g, w):  # which checks each member as a label
         raise InvalidPartitionError("not a foliage partition of this graph")
     chosen = _check_representatives(w, reps)
     rep_of = {v: rep for block, rep in zip(w.blocks, chosen) for v in block}
-    nbrs = {v: g.neighbor_mask(v) for v in rep_of}  # each member checked as a label (``True`` is not 1)
-    at = Graph(chosen)._at  # and each representative, by ``Graph``'s rule
-    rows = {rep: sum({1 << rep_of[u] for v in block for u in _bits(nbrs[v])} - {1 << rep})
+    at = Graph(chosen)._at  # each representative checked by ``Graph``'s rule
+    rows = {rep: sum({1 << rep_of[u] for v in block for u in _bits(g._rows[g._at[v]])} - {1 << rep})
             for block, rep in zip(w.blocks, chosen)}
     return FoliageGraph(w, chosen, _graph(tuple([rows[rep] for rep in at]), at))
 

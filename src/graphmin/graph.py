@@ -229,7 +229,8 @@ def local_complement(g: Graph, a: int) -> Graph:
 def delete_vertex(g: Graph, a: int) -> Graph:
     """Remove ``a`` and its incident edges; other labels survive unchanged."""
     g._require(a)
-    return _without(g, _z_rows(g._rows, g._at, a), a)
+    keep = ~(1 << a)
+    return _without(g, tuple([r & keep for r in g._rows]), a)
 
 
 def measure_z(g: Graph, a: int) -> Graph:
@@ -239,7 +240,8 @@ def measure_z(g: Graph, a: int) -> Graph:
 
 def measure_y(g: Graph, a: int) -> Graph:
     """y-basis measurement rewrite: local complement at ``a``, then delete it."""
-    return delete_vertex(local_complement(g, a), a)
+    g._require(a)
+    return _without(g, _z_rows(g._rows, g._at, a, True), a)
 
 
 def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
@@ -253,7 +255,7 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
 
 
 def _without(g: Graph, rows: tuple[int, ...], a: int) -> Graph:
-    """``rows``, at ``g``'s positions with ``a``'s row zeroed, as a graph without ``a``."""
+    """``rows``, at ``g``'s positions and without ``a``'s bit, as a graph without ``a``: its row is dropped."""
     i = g._at[a]
     return _graph(rows[:i] + rows[i + 1:], {v: j - (v > a) for v, j in g._at.items() if v != a})
 

@@ -39,8 +39,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     leaf appears or ``_SHORT_DRAW`` members are drawn; then a leaf that the
     exact GF(2) test (``orbit._lc_equivalent_rows``) refutes is a miss, and
     the closure goes on until the leaf appears or, where that test cannot
-    tell, until the orbit ends. A miss is final, so a leaf reached again is
-    answered from the members drawn, without its cut-ranks.
+    tell, until the orbit ends.
 
     Foliage persistence prunes: if ``h`` is a vertex-minor of a graph, each
     foliage class of that graph, cut down to the labels of ``h``, lies inside
@@ -56,16 +55,15 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     search measures or prunes. Running out of either yields "unknown", never
     a wrong no.
     """
-    g_labels, h_labels = set(g.vertices), set(h.vertices)
-    if not h_labels <= g_labels:
-        raise ValueError(f"target labels {sorted(h_labels - g_labels)} not in source")
+    if not h._at.keys() <= g._at.keys():
+        raise ValueError(f"target labels {sorted(h._at.keys() - g._at.keys())} not in source")
     budget = _budget(node_budget)
     at = g._at  # every depth keeps these row positions
     ranks = _pair_ranks(h._rows, h._at)
     conflicts = _conflict_pairs(h, ranks, at)
     if _any_equivalent(g._rows, conflicts):
         return Decision(NO, "brute-force")
-    to_measure = tuple(sorted(g_labels - h_labels))
+    to_measure = tuple([v for v in at if v not in h._at])  # ``at`` is in label order
     # one failed set per depth: a measured row is zero, like an isolated vertex's
     failed: list[set[tuple[int, ...]]] = [set() for _ in to_measure]
     spent = 0  # graphs in ``failed``
@@ -75,16 +73,14 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     members = _closure(h._rows, h._at, budget)  # the target's orbit, drawn as leaves need it
     orbit = dict(islice(members, 2))
     members = members if len(orbit) == 2 else None  # one member (every Bell target): finished
-    asked: set[tuple[int, ...]] = set()  # leaves looked up already: one not in ``orbit`` is a final miss
 
     def lookup(rows: tuple[int, ...]):
         """Orbit path to a leaf, drawing members until it appears; None outside the orbit."""
         nonlocal members
         rows = leaf_rows(rows)
         path = orbit.get(rows)
-        if path is not None or members is None or rows in asked:
+        if path is not None or members is None:
             return path
-        asked.add(rows)
         if _pair_ranks(rows, h._at) != ranks or len(orbit) >= _SHORT_DRAW and refuted(rows):
             return None
         for member, path in members:

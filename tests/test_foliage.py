@@ -247,6 +247,15 @@ class TestUncheckedBuilds:
                 assert is_foliage_partition(g, w) == w.refines(canon), (g, w)
         assert answers == {True, False}
 
+    @pytest.mark.parametrize("blocks", [[{True, 2}, {3, 4}], [{1, 2.0}, {3, 4}], [{1}, {2.0}, {3, 4}]],
+                             ids=["bool-minimum", "float-member", "float-singleton"])
+    def test_refinement_check_refuses_labels_that_are_not_int(self, blocks):
+        # the blocks cover ``path_graph(4)``'s labels by ``==``, but ``True`` and ``2.0`` are not labels
+        bad = next(v for b in blocks for v in b if type(v) is not int)
+        with pytest.raises(UnknownVertexError) as caught:
+            is_foliage_partition(path_graph(4), Partition(blocks))
+        assert str(caught.value) == f"unknown vertex label {bad}"
+
     def test_quotient_equals_the_edge_list_build(self):
         rng = random.Random(2105)
         for g in _corpus():

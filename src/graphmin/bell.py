@@ -18,7 +18,7 @@ always carries a witness that lands exactly on the two target edges.
 
 from __future__ import annotations
 
-from .graph import MAX_LABEL, Graph, _Record, _set, connected_components, path_graph, ring_graph
+from .graph import MAX_LABEL, Graph, _bits, _Record, _set, connected_components, path_graph, ring_graph
 from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, NO, YES, Decision, Step, replay
 
 
@@ -139,21 +139,14 @@ def decide_bell_line(query: BellQuery) -> Decision:
 # -- tree ---------------------------------------------------------------------
 
 
-def _tree_path(g: Graph, start: int, goal: int) -> list[int]:
-    parent = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in sorted(g.neighbors(v)):
-                if u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    return path[::-1]
+def _tree_path(g: Graph, start: int, goal: int) -> int:
+    """Bitmask of the path from ``start`` to ``goal`` in the tree ``g``: cut
+    every leaf but the two ends, round by round, until only the path is left."""
+    rows, at, ends = g._rows, g._at, 1 << start | 1 << goal
+    live = sum(1 << v for v in at)
+    while leaves := sum(1 << v for v in _bits(live & ~ends) if (rows[at[v]] & live).bit_count() < 2):
+        live ^= leaves
+    return live
 
 
 def decide_bell_tree(query: BellQuery) -> Decision:
@@ -162,12 +155,11 @@ def decide_bell_tree(query: BellQuery) -> Decision:
     if query.topology != "tree":
         raise ValueError(f"expected a tree query, got {query.topology}")
     g = query.tree
-    path_a = _tree_path(g, *query.pair_a)
-    path_b = _tree_path(g, *query.pair_b)
-    set_b = set(path_b)
-    if any(v in set_b or g.neighbors(v) & set_b for v in path_a):
+    path_a, path_b = _tree_path(g, *query.pair_a), _tree_path(g, *query.pair_b)
+    if path_a & path_b or any(g.neighbor_mask(v) & path_b for v in _bits(path_a)):
         return Decision(NO, "tree-adjacent-paths")
-    return _extraction(query, sorted(path_a[1:-1]) + sorted(path_b[1:-1]), "tree-extraction")
+    ends = sum(1 << v for v in (*query.pair_a, *query.pair_b))
+    return _extraction(query, [*_bits(path_a & ~ends), *_bits(path_b & ~ends)], "tree-extraction")
 
 
 # -- ring ---------------------------------------------------------------------

@@ -180,6 +180,8 @@ def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
     treats both identically, so the tie-break only affects labeling.
     """
     members = sorted(set(block))
+    if not members:
+        raise InvalidPartitionError("empty block")
     for v in members:
         g._require(v)
     if len(members) == 1:

@@ -11,11 +11,12 @@ never mutated, so a local complement and every member of an orbit share the
 ``_at`` of the graph they came from. Local complementation is a masked XOR
 over the neighborhood. Graphs are immutable values: every rewrite returns a
 new graph, so results can be shared, hashed, and memoized freely. Equality
-is "same labels and same edges": the same rows on the same label set. The
-rewrites are the kernel functions at the end of this module, which the
-orbit closure and the vertex-minor search also run on bare rows tuples. The
-search keeps every row at its position: ``_measure_rows`` zeroes the
-measured row in place, so one ``_at`` serves every depth.
+is "same labels and same edges": the same rows on the same label set. Each
+rewrite is written once, on bare rows tuples, by ``_lc_rows``, ``_z_rows``
+(deletion, or y) and ``_x_rows`` at the end of this module; they keep every
+row at its position and zero a removed row in place. The graph rewrites,
+``ops.replay``, the orbit closure and the search's ``_measure_rows`` call
+them, and ``_drop`` builds the graph without the removed labels.
 """
 
 from __future__ import annotations
@@ -229,8 +230,7 @@ def local_complement(g: Graph, a: int) -> Graph:
 def delete_vertex(g: Graph, a: int) -> Graph:
     """Remove ``a`` and its incident edges; other labels survive unchanged."""
     g._require(a)
-    keep = ~(1 << a)
-    return _without(g, tuple([r & keep for r in g._rows]), a)
+    return _drop(_z_rows(g._rows, g._at, a), g._at, 1 << a)
 
 
 def measure_z(g: Graph, a: int) -> Graph:
@@ -241,7 +241,7 @@ def measure_z(g: Graph, a: int) -> Graph:
 def measure_y(g: Graph, a: int) -> Graph:
     """y-basis measurement rewrite: local complement at ``a``, then delete it."""
     g._require(a)
-    return _without(g, _z_rows(g._rows, g._at, a, True), a)
+    return _drop(_z_rows(g._rows, g._at, a, True), g._at, 1 << a)
 
 
 def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
@@ -251,13 +251,15 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     give LC-equivalent results. An isolated ``a`` measures like z.
     """
     b = _x_neighbor(g.neighbor_mask(a), a, b, g._require)
-    return delete_vertex(g, a) if b is None else _without(g, _x_rows(g._rows, g._at, a, b), a)
+    return delete_vertex(g, a) if b is None else _drop(_x_rows(g._rows, g._at, a, b), g._at, 1 << a)
 
 
-def _without(g: Graph, rows: tuple[int, ...], a: int) -> Graph:
-    """``rows``, at ``g``'s positions and without ``a``'s bit, as a graph without ``a``: its row is dropped."""
-    i = g._at[a]
-    return _graph(rows[:i] + rows[i + 1:], {v: j - (v > a) for v, j in g._at.items() if v != a})
+def _drop(rows: tuple[int, ...], at: dict[int, int], gone: int) -> Graph:
+    """``rows`` on ``at`` as the graph without the labels set in ``gone`` (clear in every row); ``at`` if none."""
+    if not gone:
+        return _graph(rows, at)
+    alive = [v for v in at if not gone >> v & 1]
+    return _graph(tuple([rows[at[v]] for v in alive]), {v: i for i, v in enumerate(alive)})
 
 
 def _x_neighbor(nbrs: int, a: int, b: int | None, require) -> int | None:
@@ -275,8 +277,8 @@ def _x_neighbor(nbrs: int, a: int, b: int | None, require) -> int | None:
     return b
 
 
-# -- the rows kernel: a ``Graph``'s ``_rows`` and ``_at`` without the wrapper,
-# for the orbit closure, the search and ``ops.replay``. On one label set, equal
+# -- the rows kernel: a ``Graph``'s ``_rows`` and ``_at`` without the wrapper, for the
+# rewrites above, the orbit closure, the search and ``ops.replay``. On one label set, equal
 # tuples are equal graphs. A measured or deleted row is zeroed in place.
 
 
@@ -291,7 +293,7 @@ def _lc_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ..
 
 
 def _z_rows(rows: tuple[int, ...], at: dict[int, int], a: int, y: bool = False) -> tuple[int, ...]:
-    """Deletion of ``a``, its row zeroed in place: ``_measure_rows``'s z child, or its y child if ``y``."""
+    """Deletion of ``a``, its row zeroed in place; with ``y``, a local complement at ``a`` first."""
     nbrs = mask = rows[at[a]]
     out, flip = list(rows), 1 << a | (nbrs if y else 0)  # y: a local complement at ``a`` first
     while mask:
@@ -327,28 +329,17 @@ def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[
 
 
 def _measure_rows(rows: tuple[int, ...], at: dict[int, int], a: int):
-    """The z, y and x children of measuring ``a`` (x through its smallest neighbor).
+    """The z, y and x children of measuring ``a`` (x through its smallest neighbor):
+    ``_z_rows``, ``_z_rows`` with ``y`` and ``_x_rows``.
 
-    Each keeps every row at its position, with ``a``'s row zeroed, and
-    touches only the rows of ``a``'s neighbors (and, for x, of that
-    neighbor's). y is z itself when ``a`` has one neighbor, and all three
-    are ``rows`` itself when it has none.
+    y is z itself when ``a`` has one neighbor, and all three are ``rows``
+    itself when it has none; the search skips a child that ``is`` one tried.
     """
     nbrs = rows[at[a]]
     if not nbrs:
         return rows, rows, rows
-    bit = 1 << a
-    z, y = list(rows), list(rows)
-    z[at[a]] = y[at[a]] = 0
-    mask = nbrs
-    while mask:
-        low = mask & -mask
-        i = at[low.bit_length() - 1]
-        z[i] = rows[i] ^ bit
-        y[i] = z[i] ^ nbrs ^ low
-        mask ^= low
-    z, low = tuple(z), nbrs & -nbrs
-    return z, z if nbrs == low else tuple(y), _x_rows(rows, at, a, low.bit_length() - 1)
+    z, low = _z_rows(rows, at, a), nbrs & -nbrs
+    return z, z if nbrs == low else _z_rows(rows, at, a, True), _x_rows(rows, at, a, low.bit_length() - 1)
 
 
 def _pair_ranks(rows: tuple[int, ...], at: dict[int, int]) -> list[int]:

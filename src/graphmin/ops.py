@@ -11,7 +11,7 @@ builds one graph, at the end.
 
 from __future__ import annotations
 
-from .graph import Graph, UnknownVertexError, _graph, _lc_rows, _Record, _set, _without, _x_neighbor, _x_rows, _z_rows
+from .graph import Graph, UnknownVertexError, _drop, _lc_rows, _Record, _set, _x_neighbor, _x_rows, _z_rows
 
 LC = "lc"
 DELETE = "delete"
@@ -60,7 +60,7 @@ def replay(g: Graph, steps) -> Graph:
     """Apply ``steps`` in order; each raises what its ``graph`` rewrite would raise there.
 
     As in the search, a deleted or measured row is zeroed in place and its label's
-    bit set in ``gone``; the graph built at the end keeps ``g``'s ``_at`` if none went."""
+    bit set in ``gone``; ``_drop`` builds the graph at the end, on ``g``'s ``_at`` if none went."""
     rows, at, gone = g._rows, g._at, 0  # ``gone``: the bits of the labels deleted or measured so far
 
     def require(v) -> None:
@@ -81,10 +81,7 @@ def replay(g: Graph, steps) -> Graph:
         else:
             rows = _z_rows(rows, at, a, op == MEASURE_Y)
         gone |= (op != LC) << a  # every step but a local complement removes its label
-    if not gone & gone - 1:  # no label went, or one
-        return _without(g, rows, gone.bit_length() - 1) if gone else _graph(rows, at)
-    alive = [v for v in at if not gone >> v & 1]  # a gone label's bit is clear in every row
-    return _graph(tuple([rows[at[v]] for v in alive]), {v: i for i, v in enumerate(alive)})
+    return _drop(rows, at, gone)
 
 
 def steps_to_json(steps) -> list[dict]:

@@ -174,6 +174,24 @@ class TestTree:
             slow = decide_vertex_minor(g, bell_target(pair_a, pair_b)).answer
             assert fast == slow
 
+    def test_agrees_with_brute_force_on_scattered_labels(self):
+        # Prufer trees relabelled into 1..64, so a label's row position is not label - 1;
+        # one pair is a tree edge, which makes a yes likely, and every yes witness replays
+        rng, answers = random.Random(2201), []
+        for _ in range(160):
+            n = rng.randint(6, 9)
+            tree = prufer_tree(tuple(rng.randint(1, n) for _ in range(n - 2)), n)
+            name = dict(zip(range(1, n + 1), rng.sample(range(1, 65), n)))
+            g = Graph(name.values(), [(name[a], name[b]) for a, b in tree.edges()])
+            pair_a = tuple(rng.sample(rng.choice(g.edges()), 2))
+            pair_b = tuple(rng.sample(sorted(set(g.vertices) - set(pair_a)), 2))
+            d = decide_bell_tree(tree_query(g, pair_a, pair_b))
+            assert d.answer == decide_vertex_minor(g, bell_target(pair_a, pair_b)).answer, (g, pair_a, pair_b)
+            if d.answer == YES:
+                assert replay(g, d.witness) == bell_target(pair_a, pair_b)
+            answers.append(d.answer)
+        assert answers.count(YES) >= 20 and answers.count(NO) >= 20
+
 
 def _c4(n):
     return n * (n - 1) * (n - 2) * (n - 3) // 24

@@ -342,6 +342,11 @@ class TestClassifyBlock:
         with pytest.raises(ValueError):
             classify_block(path_graph(4), {1, 2, 3})
 
+    def test_empty_block_raises(self):
+        # an empty member list passes every shape test vacuously; it is refused as ``Partition`` refuses it
+        with pytest.raises(InvalidPartitionError, match="^empty block$"):
+            classify_block(path_graph(4), [])
+
 
 class TestLiftedLocalComplement:
     def test_eight_vertex_example_at_vertex_3(self):

@@ -106,10 +106,29 @@ def _kernel_step(rows, at, step):
     return child[:i] + child[i + 1:]
 
 
+def test_measure_rows_shares_children_only_where_the_search_skips_them():
+    # the search skips a child that ``is`` the one tried before it: y is z for a
+    # vertex with one neighbor, and all three are the rows themselves for an
+    # isolated vertex; otherwise each child is its own tuple
+    for n in range(6):
+        for g in all_graphs(n):
+            rows, at = g._rows, g._at
+            for a in g.vertices:
+                z, y, x = children = _measure_rows(rows, at, a)
+                degree = g.degree(a)
+                assert [child is rows for child in children] == [degree == 0] * 3
+                assert (y is z) == (degree < 2) and (x is z) == (x is y) == (degree == 0)
+                if degree:
+                    smallest = min(g.neighbors(a))
+                    assert (z, y, x) == (_z_rows(rows, at, a), _z_rows(rows, at, a, True),
+                                         _x_rows(rows, at, a, smallest))
+
+
 def test_rows_rewrites_match_apply_step():
     # every kind of step on graphs with scattered labels up to 64, through
-    # ``apply_step`` and through the bare kernel, against the definitions;
-    # each rows tuple stays aligned to the ascending labels of its graph
+    # ``apply_step``, through the ``graph`` rewrite it names and through the
+    # bare kernel, against the definitions; each rows tuple stays aligned to
+    # the ascending labels of its graph
     rng = random.Random(43)
     kinds = set()
     for _ in range(300):
@@ -124,13 +143,14 @@ def test_rows_rewrites_match_apply_step():
             op = rng.choice(("lc", "delete", "measure_z", "measure_y", "measure_x"))
             nbrs = sorted(g.neighbors(v))
             step = Step(op, v, rng.choice(nbrs) if op == "measure_x" and nbrs else None)
+            named = reference_apply_step(g, step)  # the ``graph`` rewrite the step names
             g = apply_step(g, step)
             adj = _reference_step(adj, step)
             rows = _kernel_step(rows, at, step)
             at = g._at
             expected = Graph(sorted(adj), [(a, b) for a in adj for b in adj[a] if a < b])
-            assert g == expected and list(at) == sorted(adj)
-            assert rows == g._rows == expected._rows
+            assert g == expected == named and list(at) == list(named._at) == sorted(adj)
+            assert rows == g._rows == named._rows == expected._rows
             kinds.add((op, step.neighbor is None))
     assert len(kinds) == 6  # x through a neighbor and x of an isolated vertex among them
 

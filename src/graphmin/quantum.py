@@ -17,6 +17,14 @@ exceeds 4 in magnitude (the tests measure it), far inside a byte. States
 match up to global phase iff they are proportional over Z[i], and a
 zero-probability outcome is exactly zero. Qubit order is ascending vertex
 label; the smallest label is the most significant bit of the index.
+
+Each state is built once while it is recent: ``_build`` is a memo of the 16
+most recently used states, keyed by the graph (its rows and label set, as
+``Graph`` compares) and the layout, the labels of the indices it is built on.
+The layout matters because a measured image is built on its parent's
+indices. Every check on one (graph, vertex) pair draws on five states: the
+graph, its local complement and its z, y and x images. ``STATE_CAP`` is
+checked on every call, before the lookup.
 """
 
 from __future__ import annotations
@@ -57,12 +65,21 @@ def _masks(n: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, int], ..
 def _state(g: Graph, at: dict[int, int]) -> int:
     """Real part of ``g``'s state (the imaginary part is 0) on the indices of ``at``,
     where a label ``g`` lacks (it was measured) has its bit clear in every nonzero
-    field. Per vertex, its ``bits`` AND the XOR of its larger-labelled neighbors'
-    ``bits`` is XORed into one int of 2^n sign bits, which ``_spread`` makes fields."""
+    field. The cap is checked on every call, then the state is looked up in the memo."""
     n = len(at)
     if n > STATE_CAP:
         raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")
-    (masks, keep, _, rows), signs = _masks(n), 0
+    return _build(g, tuple(at))
+
+
+@functools.lru_cache(maxsize=16)
+def _build(g: Graph, layout: tuple[int, ...]) -> int:
+    """``_state`` for the ``at`` whose labels, in position order, are ``layout`` (every
+    ``_at`` maps its labels, ascending, to 0..n-1). Per vertex, its ``bits`` AND the
+    XOR of its larger-labelled neighbors' ``bits`` is XORed into one int of 2^n sign
+    bits, which ``_spread`` makes fields."""
+    at = dict(zip(layout, range(len(layout))))
+    (masks, keep, _, rows), signs = _masks(len(at)), 0
     for v, row in zip(g._at, g._rows):
         up = 0
         for u in _bits(row >> v + 1 << v + 1):
@@ -151,8 +168,8 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
     same indices. The image is built only when some outcome asked for is possible."""
     if basis not in ("x", "y", "z"):
         raise ValueError(f"unknown basis {basis!r}")
-    for outcome in outcomes:
-        if outcome not in (+1, -1):
+    for outcome in outcomes:  # an ``int`` only: ``True`` and ``1.0`` equal ``1``
+        if not isinstance(outcome, int) or isinstance(outcome, bool) or outcome not in (+1, -1):
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     n, at = g.n, g._at
     neighbors = tuple(sorted(g.neighbors(a)))

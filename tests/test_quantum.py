@@ -15,6 +15,7 @@ from graphmin import (
     delete_vertex,
     graph_state,
     measure_x,
+    measure_z,
     path_graph,
     verify_lc_unitary,
     verify_measurement,
@@ -207,6 +208,11 @@ class TestMeasurements:
         with pytest.raises(ValueError):
             find_measurement_correction(Graph(2), 1, "w", +1)
 
+    @pytest.mark.parametrize("outcome", [True, False, 1.0, -1.0, 0, 2])
+    def test_rejects_an_outcome_that_is_not_an_int_of_plus_or_minus_one(self, outcome):
+        with pytest.raises(ValueError, match=r"outcome must be \+1 or -1"):
+            find_measurement_correction(fig2(), 2, "z", outcome)
+
     def test_exhaustive_small_graphs_both_outcomes(self):
         for n in range(1, 5):
             for g in all_graphs(n):
@@ -374,6 +380,58 @@ class TestStatesPerCheck:
     def test_find_measurement_correction_builds_two_states(self, built, basis, outcome):
         assert find_measurement_correction(fig2(), 2, basis, outcome) is not None
         assert len(built) == 2
+
+
+class TestStateMemo:
+    """``quantum._build`` keeps the recent states, keyed by graph and layout."""
+
+    @staticmethod
+    def build(g, layout):
+        return quantum._build.__wrapped__(g, layout)  # the same code without the memo
+
+    def test_the_cap_is_checked_on_a_cached_state(self, monkeypatch):
+        g = complete_graph(5)
+        graph_state(g)
+        monkeypatch.setattr(quantum, "STATE_CAP", 4)
+        with pytest.raises(StateCapError):
+            graph_state(g)
+        with pytest.raises(StateCapError):
+            verify_lc_unitary(g, 1)
+        with pytest.raises(UnknownVertexError):  # an unknown vertex is reported before the cap
+            verify_lc_unitary(g, 9)
+        with pytest.raises(UnknownVertexError):
+            find_measurement_correction(g, 9, "z", +1)
+
+    def test_equal_rows_on_two_label_sets_are_two_states(self):
+        one, other, at = Graph([1, 2]), Graph([3, 4]), Graph(4)._at
+        assert one._rows == other._rows and hash(one) == hash(other)
+        assert quantum._state(one, at) == self.build(one, tuple(at))
+        assert quantum._state(other, at) == self.build(other, tuple(at))
+        assert quantum._state(one, at) != quantum._state(other, at)
+
+    def test_an_image_has_one_state_per_layout(self):
+        g = path_graph(3)
+        image = measure_z(g, 2)
+        assert find_measurement_correction(g, 2, "z", -1) == {1: "SS", 3: "SS"}  # image on g's layout
+        assert_bit_identical(image)  # image on its own layout
+        assert quantum._state(image, g._at) == self.build(image, tuple(g._at))
+        assert quantum._state(image, image._at) == self.build(image, tuple(image._at))
+        assert quantum._state(image, g._at) != quantum._state(image, image._at)
+
+    def test_a_cached_graph_state_is_bit_identical(self):
+        quantum._build.cache_clear()
+        for _ in range(2):
+            assert_bit_identical(fig2())
+        assert quantum._build.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_one_vertex_sweep_builds_five_states(self):
+        # fig2 at 2: the graph, its local complement and three distinct images
+        quantum._build.cache_clear()
+        assert verify_lc_unitary(fig2(), 2)
+        for basis in "xyz":
+            for outcome in (+1, -1):
+                assert find_measurement_correction(fig2(), 2, basis, outcome) is not None
+        assert quantum._build.cache_info().misses == 5
 
 
 def _correction_corpus():

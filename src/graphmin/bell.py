@@ -48,6 +48,8 @@ class BellQuery(_Record):
         else:
             if size is None:
                 raise ValueError(f"{topology} topology needs a size")
+            if not isinstance(size, int) or isinstance(size, bool):  # ``True`` would be a line of 1
+                raise ValueError(f"{topology} size must be an integer, got {size!r}")
             if topology == "ring" and size < 4:
                 raise ValueError(f"ring queries need n >= 4, got {size}")
             if size > MAX_LABEL:

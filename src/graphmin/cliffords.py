@@ -10,10 +10,11 @@ The measurement byproducts are that paper's closed forms for Pauli
 measurements: after measuring vertex a, the projected state equals the
 measured graph's state up to a product of single-qubit Cliffords on the
 old neighborhood (for x, also on the routing neighbor's neighbors), fixed
-by the basis and the outcome. Each gate carries its name as a word over H
-and S, the leftmost letter applied last, with global phase dropped. Each
-matrix drops a scalar (powers of sqrt(2) and e^{i pi/4}) to leave entries in
-{0, 1, -1, 1j, -1j}; the oracle compares states only up to such a scalar.
+by the basis and the outcome; it is the identity for z+ and at an isolated
+vertex. Each gate carries its name as a word over H and S, the leftmost
+letter applied last, with global phase dropped. Each matrix drops a scalar
+(powers of sqrt(2) and e^{i pi/4}) to leave entries in {0, 1, -1, 1j, -1j};
+the oracle compares states only up to such a scalar.
 """
 
 from __future__ import annotations
@@ -31,27 +32,20 @@ _ROOT_MINUS_IY = ("HSS", ((1, -1), (1, 1)))  # exp(-i pi/4 Y), times sqrt(2)
 _ROOT_PLUS_IY = ("SSH", ((1, 1), (-1, 1)))  # exp(+i pi/4 Y), times sqrt(2)
 
 
-def measurement_correction_candidates(basis: str, outcome: int, neighbors: tuple[int, ...],
-                                      special: int | None, special_nbrs: tuple[int, ...]):
-    """The byproduct rule: identity first, then the closed form, if any.
+def measurement_byproduct(basis: str, outcome: int, neighbors: tuple[int, ...],
+                          special: int | None, special_nbrs: tuple[int, ...]) -> dict:
+    """The closed-form byproduct of one outcome, as a {vertex: (word, 2x2 matrix)} map.
 
-    Yields {vertex: (word, 2x2 matrix)} maps. ``special`` is the routing
-    neighbor of an x measurement; ``special_nbrs`` are its neighbors in the
-    pre-measurement graph. The + outcome of z has no closed form, and x at
-    an isolated vertex has none either.
+    ``special`` is the routing neighbor of an x measurement; ``special_nbrs``
+    are its neighbors in the pre-measurement graph. The map is empty for z+
+    and at an isolated vertex, and only there does the identity match.
     """
-    yield {}
     if basis == "z":
-        if outcome == -1:
-            yield {b: _Z for b in neighbors}
-    elif basis == "y":
-        root = _ROOT_MINUS_IZ if outcome == +1 else _ROOT_PLUS_IZ
-        yield {b: root for b in neighbors}
-    elif special is not None:
-        if outcome == +1:
-            corr = {special: _ROOT_PLUS_IY}
-            corr.update((b, _Z) for b in neighbors if b != special and b not in special_nbrs)
-        else:
-            corr = {special: _ROOT_MINUS_IY}
-            corr.update((b, _Z) for b in special_nbrs if b not in neighbors)
-        yield corr
+        return dict.fromkeys(neighbors, _Z) if outcome == -1 else {}
+    if basis == "y":
+        return dict.fromkeys(neighbors, _ROOT_MINUS_IZ if outcome == +1 else _ROOT_PLUS_IZ)
+    if special is None:
+        return {}
+    if outcome == +1:
+        return {special: _ROOT_PLUS_IY, **{b: _Z for b in neighbors if b != special and b not in special_nbrs}}
+    return {special: _ROOT_MINUS_IY, **{b: _Z for b in special_nbrs if b not in neighbors}}

@@ -148,15 +148,20 @@ def canonical_foliage_partition(g: Graph) -> Partition:
     return p
 
 
+def _one_class(g: Graph, block) -> bool:
+    """Whether ``block`` lies in one foliage class: each member is equivalent to its minimum."""
+    u = min(block)
+    return all(_any_equivalent(g._rows, (_pair(g._at, u, v),)) for v in block if v != u)
+
+
 def is_foliage_partition(g: Graph, w: Partition) -> bool:
-    """True iff ``w`` partitions the alive set and refines the canonical partition, that is (the
-    relation being transitive) iff each member of a block is equivalent to the block's minimum."""
+    """True iff ``w`` partitions the alive set and each block lies inside one foliage
+    class, that is iff ``w`` refines the canonical partition."""
     if (labels := w.labels()) != frozenset(g.vertices):
         raise InvalidPartitionError("partition does not cover the alive vertex set")
     for v in labels:  # ``True`` and ``2.0`` equal alive labels but are not labels
         g._require(v)
-    return all(_any_equivalent(g._rows, (_pair(g._at, u, v),))
-               for block in w.blocks for u in (min(block),) for v in block if v != u)
+    return all(_one_class(g, block) for block in w.blocks)
 
 
 class BlockShape(enum.Enum):
@@ -172,7 +177,8 @@ def _star_centers(g: Graph, members: list[int]) -> list[int]:
 
 
 def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
-    """The shape of one foliage block: singleton, star, clique, or anticlique.
+    """The shape of a set inside one foliage class (else ValueError): singleton, star, clique, or
+    anticlique. Twins of one class are all adjacent or all apart, so two members settle the last two.
 
     Degenerate overlaps resolve in that order: a two-vertex block with an
     edge reports star when both endpoints have degree 1 in ``g`` (a mutual
@@ -184,17 +190,13 @@ def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
         raise InvalidPartitionError("empty block")
     for v in members:
         g._require(v)
+    if not _one_class(g, members):
+        raise ValueError(f"block {members} is not a valid foliage class shape")
     if len(members) == 1:
         return BlockShape.SINGLETON
     if _star_centers(g, members):
         return BlockShape.STAR
-    edges_inside = sum(1 for i, v in enumerate(members) for w in members[i + 1:] if g.has_edge(v, w))
-    full = len(members) * (len(members) - 1) // 2
-    if edges_inside == full:
-        return BlockShape.CLIQUE
-    if edges_inside == 0:
-        return BlockShape.ANTICLIQUE
-    raise ValueError(f"block {members} is not a valid foliage class shape")
+    return BlockShape.CLIQUE if g.has_edge(*members[:2]) else BlockShape.ANTICLIQUE
 
 
 class FoliageGraph(_Record):
@@ -251,6 +253,8 @@ def nth_foliage_graph(g: Graph, depth: int) -> FoliageGraph:
     The returned blocks are flattened back to original vertices, so the
     result partitions the alive set of ``g`` no matter how deep it went.
     """
+    if not isinstance(depth, int) or isinstance(depth, bool):  # ``True`` would run as 1
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     members: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in g.vertices}

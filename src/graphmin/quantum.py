@@ -4,8 +4,8 @@ Builds actual graph states (plus state with a controlled-Z per edge) and
 checks that local complementation and the measurement rewrites track the
 real quantum operations: the complemented graph's state equals a local
 Clifford applied to the original, and each Pauli measurement outcome leaves
-the measured graph's state up to the identity or the closed-form byproduct
-of ``cliffords``, nothing else.
+the measured graph's state up to the one closed-form byproduct of
+``cliffords`` (empty for z+ and at an isolated vertex), nothing else.
 
 The arithmetic is exact. With the global scalar (powers of sqrt(2) and of
 e^{i pi/4}) dropped, every gate is a matrix over {0, +-1, +-i} and every
@@ -156,7 +156,7 @@ _PROJECTORS = {("z", 1): ((1, 0), (0, 0)), ("z", -1): ((0, 1), (0, 0)), ("x", 1)
 
 
 class CorrectionSearchExhausted(RuntimeError):
-    """Neither the identity nor the closed-form byproduct matched an outcome.
+    """The closed-form byproduct did not match an outcome.
 
     The rule covers every realizable outcome, so this means the pinned
     conventions are inconsistent.
@@ -186,15 +186,14 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
     target = (_state(image, at), 0)
 
     def correction(post: tuple[int, int], outcome: int) -> dict[int, str]:
-        for candidate in cliffords.measurement_correction_candidates(basis, outcome, neighbors,
-                                                                     special, special_nbrs):
-            phi = target
-            for v, (_, gate) in candidate.items():
-                phi = _apply(phi, n, at[v], gate)
-            if _same_ray(post, phi, n):
-                return {v: word for v, (word, _) in candidate.items()}
-        raise CorrectionSearchExhausted(f"neither the identity nor the closed-form byproduct matches the "
-                                        f"{basis}{'+' if outcome > 0 else '-'} outcome at vertex {a}")
+        byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors, special, special_nbrs)
+        phi = target
+        for v, (_, gate) in byproduct.items():
+            phi = _apply(phi, n, at[v], gate)
+        if not _same_ray(post, phi, n):
+            raise CorrectionSearchExhausted(f"the closed-form byproduct does not match the "
+                                            f"{basis}{'+' if outcome > 0 else '-'} outcome at vertex {a}")
+        return {v: word for v, (word, _) in byproduct.items()}
 
     return [None if post is None else correction(post, outcome) for post, outcome in zip(posts, outcomes)]
 
@@ -203,11 +202,10 @@ def find_measurement_correction(g: Graph, a: int, basis: str, outcome: int) -> d
     """Byproduct correction making the measured state match the rewrite.
 
     Returns a {vertex: clifford-word} map (empty when none is needed), or
-    None when the outcome has probability zero. The identity is tried
-    first, then the closed form for the basis and outcome (see
-    ``cliffords``), so a closed form is reported even when a lighter
-    correction exists. Raises CorrectionSearchExhausted when neither
-    matches.
+    None when the outcome has probability zero. Only the closed form for the
+    basis and outcome (see ``cliffords``) is checked, so it is reported even
+    when a lighter correction exists. Raises CorrectionSearchExhausted when
+    it does not match.
     """
     return _corrections(g, a, basis, (outcome,))[0]
 
@@ -216,8 +214,8 @@ def verify_measurement(g: Graph, a: int, basis: str) -> bool:
     """Check both outcomes of a Pauli measurement against the graph rewrite.
 
     Every realizable outcome must match the measured graph's state up to
-    the identity or the closed-form byproduct; zero-probability outcomes
-    are vacuous. Returns False when an outcome matches neither candidate.
+    the closed-form byproduct; zero-probability outcomes are vacuous.
+    Returns False when an outcome does not match it.
     """
     try:
         _corrections(g, a, basis, (+1, -1))

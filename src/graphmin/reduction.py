@@ -1,7 +1,7 @@
 """Foliage reductions with replayable witnesses; they need no LC-equivalence or decider.
 
 ``source_reduce`` and ``target_reduce`` (one-directional) delete foliage vertices by one rule,
-``_deletion_steps``; ``extract_foliage_graph`` collapses a foliage partition onto representatives.
+``_deletion_steps``; ``extract_foliage_graph`` collapses a foliage partition onto representatives in one replay.
 """
 
 from __future__ import annotations
@@ -78,19 +78,19 @@ def extract_foliage_graph(g: Graph, w: Partition, reps: tuple[int, ...] | list[i
     Per block: a singleton needs nothing; a star swaps its axil with the
     representative (two local complements, a no-op if they coincide) and
     deletes the remaining leaves; a clique or anticlique of twins deletes
-    everyone but the representative. The result equals the quotient graph
-    labeled by the representatives, which is verified before returning.
+    everyone but the representative. Collapsing a block moves no star center of
+    another, so all blocks are planned on ``g`` and replayed once; the result must
+    equal the quotient graph labeled by the representatives.
     """
     fg = foliage_graph(g, w, reps)  # validates the partition and representatives
-    out = g
     ops: list[Step] = []
     for block, rep in zip(fg.partition.blocks, fg.representatives):
         members = sorted(block)
-        centers = _star_centers(out, members)  # empty for twins; a singleton is its own center
-        steps = [Step(LC, centers[0]), Step(LC, rep)] if centers and rep not in centers else []
-        steps += [Step(DELETE, v) for v in members if v != rep]
-        out = replay(out, steps)
-        ops += steps
+        centers = _star_centers(g, members)  # empty for twins; a singleton is its own center
+        if centers and rep not in centers:
+            ops += [Step(LC, centers[0]), Step(LC, rep)]
+        ops += [Step(DELETE, v) for v in members if v != rep]
+    out = replay(g, ops)
     if out != fg.graph:
         raise RuntimeError("block collapse does not match the quotient graph; this is a bug")
     return out, tuple(ops)

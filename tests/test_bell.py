@@ -90,6 +90,28 @@ class TestQueryValidation:
         with pytest.raises(NotATreeError):
             tree_query(Graph(4, [(1, 2), (3, 4)]), (1, 2), (3, 4))
 
+    def test_tree_query_rejects_disconnected_graph_with_tree_edge_count(self):
+        with pytest.raises(NotATreeError, match=r"^graph is not a tree \(disconnected\)$"):
+            tree_query(Graph(5, [(1, 2), (2, 3), (3, 1), (4, 5)]), (1, 2), (4, 5))
+
+    @pytest.mark.parametrize("query, size", [
+        (line_query, True),  # once a line of 1, so "endpoints [2, 3, 4] outside the graph"
+        (line_query, 6.0),  # once raised TypeError from ``range``
+        (ring_query, 4.0),  # the same
+    ], ids=["line-bool", "line-float", "ring-float"])
+    def test_size_must_be_an_int(self, query, size):
+        with pytest.raises(ValueError, match=f"^{query.__name__[:4]} size must be an integer, got {size!r}$"):
+            query(size, (1, 2), (3, 4))
+
+    @pytest.mark.parametrize("decide, query, message", [
+        (decide_bell_line, ring_query(6, (1, 2), (4, 5)), "expected a line query, got ring"),
+        (decide_bell_ring, line_query(6, (1, 2), (4, 5)), "expected a ring query, got line"),
+        (decide_bell_tree, line_query(6, (1, 2), (4, 5)), "expected a tree query, got line"),
+    ], ids=["line", "ring", "tree"])
+    def test_decider_refuses_another_topology(self, decide, query, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decide(query)
+
     def test_topology_dispatch(self):
         assert decide_bell(line_query(6, (1, 2), (4, 5))).answer == YES
 

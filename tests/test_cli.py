@@ -207,6 +207,10 @@ class TestBellCommand:
         )
         assert_input_error(code, out, err, f"--n must be positive, got {n}")
 
+    def test_tree_without_graph_exits_1(self, capsys):
+        code, out, err = run(capsys, "bell", "--topology", "tree", "--pairA", "1", "2", "--pairB", "4", "5")
+        assert (code, out, err) == (1, "", "error: --topology tree needs --graph FILE\n")
+
     def test_size_above_label_cap_exits_1(self, capsys):
         code, out, err = run(
             capsys, "bell", "--topology", "line", "--n", "100",
@@ -304,6 +308,13 @@ class TestVerifyQuantumCommand:
         assert code == 0
         assert doc["result"]["ok"] is True
         assert set(doc["result"]["corrections"]) == {"y+", "y-"}
+
+    def test_isolated_x_has_no_byproduct_and_an_impossible_outcome(self, capsys, tmp_path):
+        f = tmp_path / "two.edges"
+        f.write_text("2\n")
+        code, out, err = run(capsys, "verify-quantum", f, "--op", "x", "--vertex", "1")
+        assert (code, err) == (0, "")
+        assert out == "measure x at 1: pass\n  x+: correction none\n  x-: outcome has probability 0\n"
 
     def test_vertex_out_of_range_exits_1(self, capsys):
         code, _, err = run(

@@ -105,6 +105,20 @@ class TestFoliageEquivalence:
                 assert twin_class[v] == sorted({v}.union(*(pair for pair in tw if v in pair))), (g, v)
 
 
+class TestPartitionChecks:
+    def test_empty_block_raises(self):
+        with pytest.raises(InvalidPartitionError, match="^empty block$"):
+            Partition([{1, 2}, set()])
+
+    def test_overlapping_blocks_raise(self):
+        with pytest.raises(InvalidPartitionError, match=r"^overlapping blocks at \[2, 3\]$"):
+            Partition([{1, 2, 3}, {2, 3, 4}])
+
+    def test_block_of_an_uncovered_label_raises(self):
+        with pytest.raises(UnknownVertexError, match="^vertex 5 not covered by partition$"):
+            Partition([{1, 2}, {3}]).block_of(5)
+
+
 class TestCanonicalPartition:
     def test_eight_vertex_example(self):
         assert canonical_foliage_partition(fig4a()) == Partition(
@@ -293,6 +307,20 @@ class TestFoliageGraph:
         assert fg.partition == Partition([{1, 2, 3, 4, 5, 6}, {7, 8}])
         assert fg.graph.edges() == ()
 
+    def test_wrong_number_of_representatives_raises(self):
+        with pytest.raises(ValueError, match="^expected 4 representatives, got 3$"):
+            foliage_graph(fig4a(), reps=[1, 4, 6])
+
+    def test_depth_below_one_raises(self):
+        with pytest.raises(ValueError, match="^depth must be >= 1, got 0$"):
+            nth_foliage_graph(fig4a(), 0)
+
+    @pytest.mark.parametrize("depth", [True, 2.0, "2"])
+    def test_depth_must_be_an_int(self, depth):
+        # ``True`` once ran as depth 1, and ``2.0`` raised TypeError from ``range``
+        with pytest.raises(ValueError, match=f"^depth must be an integer, got {depth!r}$"):
+            nth_foliage_graph(fig4a(), depth)
+
     def test_first_level_is_the_quotient(self, rng):
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.5, 0.8]))
@@ -320,6 +348,19 @@ class TestFoliageGraph:
         assert mapped == set(high.graph.edges())
 
 
+def edge_count_shape(g, members):
+    """``classify_block`` by the count of edges inside, as it was before it tested the
+    relation; None for a set with some but not all edges inside."""
+    if len(members) == 1:
+        return BlockShape.SINGLETON
+    if _star_centers(g, members):
+        return BlockShape.STAR
+    inside = sum(g.has_edge(v, w) for v, w in combinations(members, 2))
+    if inside == len(members) * (len(members) - 1) // 2:
+        return BlockShape.CLIQUE
+    return BlockShape.ANTICLIQUE if inside == 0 else None
+
+
 class TestClassifyBlock:
     def test_star_block(self):
         assert classify_block(fig4a(), {1, 2, 3}) is BlockShape.STAR
@@ -341,6 +382,24 @@ class TestClassifyBlock:
     def test_invalid_block_raises(self):
         with pytest.raises(ValueError):
             classify_block(path_graph(4), {1, 2, 3})
+
+    @pytest.mark.parametrize("block", [[2, 4], [1, 3], [1, 4], [1, 5]], ids=["2-4", "1-3", "1-4", "1-5"])
+    def test_inequivalent_independent_set_raises(self, block):
+        # no edge inside once read as an anticlique, though the two are not twins
+        with pytest.raises(ValueError, match=r"^block \[\d, \d\] is not a valid foliage class shape$"):
+            classify_block(path_graph(5), block)
+
+    def test_every_subset_of_a_class_keeps_its_edge_count_shape(self):
+        seen = set()
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for block in canonical_foliage_partition(g).blocks:
+                    for size in range(1, len(block) + 1):
+                        for members in combinations(sorted(block), size):
+                            shape = edge_count_shape(g, list(members))
+                            assert shape is not None and classify_block(g, members) is shape, (g, members)
+                            seen.add(shape)
+        assert seen == set(BlockShape)
 
     def test_empty_block_raises(self):
         # an empty member list passes every shape test vacuously; it is refused as ``Partition`` refuses it

@@ -16,6 +16,7 @@ from graphmin import (
     measure_y,
     measure_z,
     path_graph,
+    ring_graph,
 )
 from graphmin.orbit import lc_equivalent
 
@@ -117,6 +118,10 @@ class TestConstruction:
         # returned a graph, and the others raised TypeError from ``1 << 2.0``
         with pytest.raises(UnknownVertexError, match="unknown vertex label 2.0"):
             call(path_graph(3))
+
+    def test_ring_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="^ring needs at least 3 vertices, got 2$"):
+            ring_graph(2)
 
     def test_duplicate_edges_merge(self):
         g = Graph(2, [(1, 2), (2, 1)])

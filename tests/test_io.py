@@ -53,6 +53,10 @@ class TestEdgeList:
         with pytest.raises(FormatError, match="line 2"):
             parse_edge_list("3\n1 2 3\n")
 
+    def test_two_field_header_rejected(self):
+        with pytest.raises(FormatError, match="^line 1, column 1: expected a vertex count or 'vertices' header$"):
+            parse_edge_list("4 5\n1 2\n")
+
     def test_edge_outside_range_rejected(self):
         with pytest.raises(FormatError):
             parse_edge_list("2\n1 5\n")
@@ -110,6 +114,15 @@ class TestGraph6:
     def test_byte_out_of_range_rejected(self):
         with pytest.raises(FormatError):
             parse_graph6("A\x1f")
+
+    def test_byte_above_the_range_reports_its_column(self):
+        # "A\x1f" above is refused only as a truncated body: ``strip`` drops \x1f as whitespace
+        with pytest.raises(FormatError, match=r"^line 1, column 2: byte '\\x7f' outside graph6 range$"):
+            parse_graph6("A\x7f")
+
+    def test_eight_byte_size_form_rejected(self):
+        with pytest.raises(FormatError, match="^line 1, column 1: unsupported graph6 size encoding$"):
+            parse_graph6("~~??????")
 
     def test_read_graph_dispatch(self):
         assert read_graph("A_", "g6") == Graph(2, [(1, 2)])

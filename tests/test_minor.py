@@ -16,6 +16,7 @@ from graphmin import (
     decide_vertex_minor,
     delete_vertex,
     extract_foliage_graph,
+    foliage_graph,
     foliage_equivalent,
     is_foliage_partition,
     lc_equivalent,
@@ -30,10 +31,10 @@ from graphmin import (
     source_reduce,
     target_reduce,
 )
-from graphmin.foliage import _any_equivalent
+from graphmin.foliage import _any_equivalent, _star_centers
 from graphmin.graph import _measure_rows, _pair_ranks
 from graphmin.minor import _SHORT_DRAW, NO, UNKNOWN, YES, Decision, _conflict_pairs
-from graphmin.ops import apply_step, steps_to_json
+from graphmin.ops import DELETE, LC, apply_step, steps_to_json
 from graphmin.orbit import BudgetExceededError, _closure, lc_orbit_paths
 
 
@@ -745,6 +746,21 @@ class TestSourceReduce:
             agree += 1
 
 
+def per_block_collapse_steps(g, w, reps):
+    """``extract_foliage_graph``'s steps as it once planned them: each block's star
+    centers read on the graph the earlier blocks left, replayed block by block."""
+    fg = foliage_graph(g, w, reps)
+    out, ops = g, []
+    for block, rep in zip(fg.partition.blocks, fg.representatives):
+        members = sorted(block)
+        centers = _star_centers(out, members)
+        steps = [Step(LC, centers[0]), Step(LC, rep)] if centers and rep not in centers else []
+        steps += [Step(DELETE, v) for v in members if v != rep]
+        out = replay(out, steps)
+        ops += steps
+    return tuple(ops)
+
+
 class TestExtractFoliageGraph:
     def test_eleven_edge_example_collapses_to_three_edges(self):
         g = fig6()
@@ -777,6 +793,30 @@ class TestExtractFoliageGraph:
             reduced, ops = extract_foliage_graph(g, w, reps)
             assert reduced.vertices == tuple(sorted(reps))
             assert replay(g, ops) == reduced
+
+    def test_planning_on_the_source_gives_the_per_block_steps(self):
+        # collapsing one block moves no star center of another, so reading every
+        # block's centers on ``g`` gives the steps the per-block replay gave
+        rng = random.Random(3)
+        swaps = 0
+        for _ in range(1_500):
+            g = random_graph(rng, rng.randint(2, 10), rng.choice([0.15, 0.3, 0.5]))
+            w = canonical_foliage_partition(g)
+            if rng.random() < 0.5:
+                w = random_refinement(rng, w)
+            reps = [rng.choice(sorted(b)) for b in w.blocks]
+            _, ops = extract_foliage_graph(g, w, reps)
+            assert ops == per_block_collapse_steps(g, w, reps), (g, w, reps)
+            swaps += sum(step.op == LC for step in ops) // 2
+        assert swaps > 400
+
+    def test_replays_once(self, monkeypatch):
+        import graphmin.reduction as reduction
+
+        calls = []
+        monkeypatch.setattr(reduction, "replay", lambda g, steps: calls.append(steps) or replay(g, steps))
+        extract_foliage_graph(fig6(), canonical_foliage_partition(fig6()), (2, 4, 6, 8))
+        assert len(calls) == 1
 
 
 def foliage_source_reduce(g, h, w, reps):

@@ -15,6 +15,7 @@ from graphmin import (
     delete_vertex,
     graph_state,
     measure_x,
+    measure_y,
     measure_z,
     path_graph,
     verify_lc_unitary,
@@ -331,12 +332,9 @@ class TestClosedFormNames:
         seen = set()
         for basis in "xyz":
             for outcome in (+1, -1):
-                for candidate in cliffords.measurement_correction_candidates(
-                    basis, outcome, (1, 2, 3), 1, (4,)
-                ):
-                    for word, m in candidate.values():
-                        assert word == by_key[_phase_free_key(m)]
-                        seen.add(word)
+                for word, m in cliffords.measurement_byproduct(basis, outcome, (1, 2, 3), 1, (4,)).values():
+                    assert word == by_key[_phase_free_key(m)]
+                    seen.add(word)
         assert len(seen) == 5  # Z, both roots of iZ and both roots of iY
 
 
@@ -350,11 +348,47 @@ class TestByproductRule:
         assert quantum._same_ray(post, quantum._apply(image, 3, g._at[1], ((1, 1), (1, -1))), 3)
 
     def test_no_match_raises(self, monkeypatch):
-        monkeypatch.setattr(cliffords, "measurement_correction_candidates", lambda *args: iter([{}]))
+        monkeypatch.setattr(cliffords, "measurement_byproduct", lambda *args: {})
         assert find_measurement_correction(fig2(), 2, "z", +1) == {}
         with pytest.raises(CorrectionSearchExhausted, match="z- outcome at vertex 2"):
             find_measurement_correction(fig2(), 2, "z", -1)
         assert verify_measurement(fig2(), 2, "z") is False
+
+    def test_a_wrong_z_plus_byproduct_is_caught(self, monkeypatch):
+        # the identity is not tried first, so it cannot mask a wrong rule for z+
+        rule = cliffords.measurement_byproduct
+
+        def z_on_the_neighbors(basis, outcome, neighbors, *rest):
+            return dict.fromkeys(neighbors, cliffords._Z) if basis == "z" else rule(basis, outcome, neighbors, *rest)
+
+        monkeypatch.setattr(cliffords, "measurement_byproduct", z_on_the_neighbors)
+        assert verify_measurement(fig2(), 2, "z") is False
+
+    def test_identity_matches_exactly_where_the_closed_form_is_empty(self):
+        # graph-state amplitudes are nonzero and of one size, so no non-empty
+        # closed form fixes the measured state: one byproduct per outcome suffices
+        checked = nonempty = 0
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                psi = (quantum._state(g, g._at), 0)
+                for a in g.vertices:
+                    neighbors = tuple(sorted(g.neighbors(a)))
+                    for basis in "xyz":
+                        special = neighbors[0] if basis == "x" and neighbors else None
+                        special_nbrs = () if special is None else tuple(sorted(g.neighbors(special) - {a}))
+                        image = (measure_x(g, a, special) if basis == "x" else measure_y(g, a) if basis == "y"
+                                 else measure_z(g, a))
+                        target = (quantum._state(image, g._at), 0)
+                        for outcome in (+1, -1):
+                            post = quantum._apply(psi, n, g._at[a], quantum._PROJECTORS[basis, outcome])
+                            if post == (0, 0):
+                                continue
+                            byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors,
+                                                                        special, special_nbrs)
+                            assert quantum._same_ray(post, target, n) is not bool(byproduct), (g, a, basis, outcome)
+                            checked += 1
+                            nonempty += bool(byproduct)
+        assert checked == 32069 and nonempty > checked // 2
 
 
 class TestStatesPerCheck:

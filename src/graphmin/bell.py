@@ -144,9 +144,8 @@ def decide_bell_line(query: BellQuery) -> Decision:
 def _tree_path(g: Graph, start: int, goal: int) -> int:
     """Bitmask of the path from ``start`` to ``goal`` in the tree ``g``: cut
     every leaf but the two ends, round by round, until only the path is left."""
-    rows, at, ends = g._rows, g._at, 1 << start | 1 << goal
-    live = sum(1 << v for v in at)
-    while leaves := sum(1 << v for v in _bits(live & ~ends) if (rows[at[v]] & live).bit_count() < 2):
+    rows, live, ends = g._rows, g._alive, 1 << start | 1 << goal
+    while leaves := sum(1 << v for v in _bits(live & ~ends) if (rows[v] & live).bit_count() < 2):
         live ^= leaves
     return live
 

@@ -37,6 +37,9 @@ class Partition(_Record):
         for block in normalized:
             if not block:
                 raise InvalidPartitionError("empty block")
+            for v in block:  # before the blocks are ordered: ``min`` cannot order "2" against 1
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise UnknownVertexError(f"unknown vertex label {v}")
             if block & seen:
                 raise InvalidPartitionError(f"overlapping blocks at {sorted(block & seen)}")
             seen |= block
@@ -73,13 +76,13 @@ def singletons(g: Graph) -> Partition:
     return Partition([{v} for v in g.vertices])
 
 
-def _pair(at: dict[int, int], u: int, v: int) -> tuple[int, int, int, int, int]:
-    """A label pair as ``_any_equivalent`` reads it: (u's row position, v's, 1 << u, 1 << v, both bits)."""
-    return at[u], at[v], 1 << u, 1 << v, 1 << u | 1 << v
+def _pair(u: int, v: int) -> tuple[int, int, int, int, int]:
+    """A label pair as ``_any_equivalent`` reads it: (u, v, 1 << u, 1 << v, both bits)."""
+    return u, v, 1 << u, 1 << v, 1 << u | 1 << v
 
 
 def _any_equivalent(rows: tuple[int, ...], pairs) -> bool:
-    """Whether some pair of ``pairs`` (each from ``_pair``, at ``rows``' positions) is foliage-equivalent.
+    """Whether some pair of ``pairs`` (each from ``_pair``) is foliage-equivalent on ``rows``.
 
     That is, one row is the other's bit (leaf and axil, either way), or the
     rows agree outside the pair and are not empty there (twins). This is the
@@ -96,7 +99,7 @@ def _any_equivalent(rows: tuple[int, ...], pairs) -> bool:
 def foliage_equivalent(g: Graph, v: int, w: int) -> bool:
     g._require(v)
     g._require(w)
-    return v == w or _any_equivalent(g._rows, (_pair(g._at, v, w),))
+    return v == w or _any_equivalent(g._rows, (_pair(v, w),))
 
 
 def _row_groups(g: Graph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -109,12 +112,13 @@ def _row_groups(g: Graph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
     """
     by_open: dict[int, list[int]] = {}
     by_closed: dict[int, list[int]] = {}
-    for v, row in zip(g._at, g._rows):
+    labelled = [(v, g._rows[v]) for v in g.vertices]
+    for v, row in labelled:
         by_open.setdefault(row, []).append(v)
         by_closed.setdefault(row | 1 << v, []).append(v)
     twins = {v: by_open[row] if row and len(by_open[row]) > 1  # non-adjacent twins
              else by_closed[row | 1 << v] if row & row - 1  # adjacent twins
-             else [v] for v, row in zip(g._at, g._rows)}
+             else [v] for v, row in labelled}
     return by_open, twins
 
 
@@ -132,7 +136,8 @@ def canonical_foliage_partition(g: Graph) -> Partition:
     by_open, twins = _row_groups(g)
     blocks = []
     placed: set[int] = set()
-    for v, row in zip(g._at, g._rows):
+    for v in g.vertices:
+        row = g._rows[v]
         if v in placed:
             continue
         if row and not row & (row - 1):  # a leaf: its axil and the axil's other leaves
@@ -151,16 +156,14 @@ def canonical_foliage_partition(g: Graph) -> Partition:
 def _one_class(g: Graph, block) -> bool:
     """Whether ``block`` lies in one foliage class: each member is equivalent to its minimum."""
     u = min(block)
-    return all(_any_equivalent(g._rows, (_pair(g._at, u, v),)) for v in block if v != u)
+    return all(_any_equivalent(g._rows, (_pair(u, v),)) for v in block if v != u)
 
 
 def is_foliage_partition(g: Graph, w: Partition) -> bool:
     """True iff ``w`` partitions the alive set and each block lies inside one foliage
     class, that is iff ``w`` refines the canonical partition."""
-    if (labels := w.labels()) != frozenset(g.vertices):
+    if w.labels() != frozenset(g.vertices):  # ``Partition`` refused ``True`` and ``2.0``, equal to labels
         raise InvalidPartitionError("partition does not cover the alive vertex set")
-    for v in labels:  # ``True`` and ``2.0`` equal alive labels but are not labels
-        g._require(v)
     return all(_one_class(g, block) for block in w.blocks)
 
 
@@ -185,11 +188,12 @@ def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
     leaf-axil pair) and clique (adjacent twins) otherwise; the reduction
     treats both identically, so the tie-break only affects labeling.
     """
-    members = sorted(set(block))
+    members = set(block)
+    for v in members:  # before ``sorted``, which cannot order "2" against 1
+        g._require(v)
+    members = sorted(members)
     if not members:
         raise InvalidPartitionError("empty block")
-    for v in members:
-        g._require(v)
     if not _one_class(g, members):
         raise ValueError(f"block {members} is not a valid foliage class shape")
     if len(members) == 1:
@@ -237,14 +241,15 @@ def foliage_graph(g: Graph, w: Partition | None = None, reps: Iterable[int] | No
     """
     if w is None:
         w = canonical_foliage_partition(g)
-    elif not is_foliage_partition(g, w):  # which checks each member as a label
+    elif not is_foliage_partition(g, w):
         raise InvalidPartitionError("not a foliage partition of this graph")
     chosen = _check_representatives(w, reps)
     rep_of = {v: rep for block, rep in zip(w.blocks, chosen) for v in block}
-    at = Graph(chosen)._at  # each representative checked by ``Graph``'s rule
-    rows = {rep: sum({1 << rep_of[u] for v in block for u in _bits(g._rows[g._at[v]])} - {1 << rep})
-            for block, rep in zip(w.blocks, chosen)}
-    return FoliageGraph(w, chosen, _graph(tuple([rows[rep] for rep in at]), at))
+    alive = Graph(chosen)._alive  # each representative checked by ``Graph``'s rule
+    rows = [0] * alive.bit_length()
+    for block, rep in zip(w.blocks, chosen):
+        rows[rep] = sum({1 << rep_of[u] for v in block for u in _bits(g._rows[v])} - {1 << rep})
+    return FoliageGraph(w, chosen, _graph(tuple(rows), alive))
 
 
 def nth_foliage_graph(g: Graph, depth: int) -> FoliageGraph:

@@ -4,19 +4,18 @@ Vertices carry persistent integer labels in 1..MAX_LABEL. Deleting a vertex
 removes its label from the alive set; surviving labels are never renumbered,
 so a vertex keeps its identity across arbitrary rewrite sequences.
 
-A graph is one tuple of bitmask rows, row ``i`` for the ``i``-th smallest
-alive label (bit ``v`` of a label's row set iff ``{label, v}`` is an edge),
-plus ``_at``, the dict from each label to its row's position. ``_at`` is
-never mutated, so a local complement and every member of an orbit share the
-``_at`` of the graph they came from. Local complementation is a masked XOR
-over the neighborhood. Graphs are immutable values: every rewrite returns a
-new graph, so results can be shared, hashed, and memoized freely. Equality
-is "same labels and same edges": the same rows on the same label set. Each
-rewrite is written once, on bare rows tuples, by ``_lc_rows``, ``_z_rows``
-(deletion, or y) and ``_x_rows`` at the end of this module; they keep every
-row at its position and zero a removed row in place. The graph rewrites,
+A graph is one tuple of bitmask rows, ``rows[v]`` for label ``v`` (bit ``u``
+set iff ``{u, v}`` is an edge), plus ``_alive``, the bitmask of the alive
+labels. Row 0 and the rows of labels that are not alive are 0, and the tuple
+ends at the largest alive label, so equal graphs have equal tuples. Local
+complementation is a masked XOR over the neighborhood. Graphs are immutable
+values: every rewrite returns a new graph, so results can be shared, hashed,
+and memoized freely. Equality is "same labels and same edges": the same rows
+and the same alive mask. Each rewrite is written once, on bare rows tuples,
+by ``_lc_rows``, ``_z_rows`` (deletion, or y) and ``_x_rows`` at the end of
+this module; they zero a removed row in place. The graph rewrites,
 ``ops.replay``, the orbit closure and the search's ``_measure_rows`` call
-them, and ``_drop`` builds the graph without the removed labels.
+them, and ``_graph`` wraps the result on the labels left alive.
 """
 
 from __future__ import annotations
@@ -38,6 +37,11 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _live(mask: int, v) -> int:
+    """Whether ``v`` is an ``int`` label, not a ``bool``, with its bit in ``mask`` (``v > 0`` first: no shift < 0)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v > 0 and mask >> v & 1
 
 
 class _Record:
@@ -78,7 +82,7 @@ class _Record:
 class Graph:
     """Immutable labeled simple graph on a subset of labels 1..MAX_LABEL."""
 
-    __slots__ = ("_rows", "_at")
+    __slots__ = ("_rows", "_alive")
 
     def __init__(self, vertices: int | Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         """Build a graph on ``vertices`` (an int n means labels 1..n).
@@ -93,21 +97,22 @@ class Graph:
             labels = range(1, vertices + 1)
         else:
             labels = list(vertices)
+        alive = 0
         for v in labels:  # each label as given: a set would merge ``True`` or ``1.0`` into ``1``
             if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > MAX_LABEL:
                 raise ValueError(f"vertex labels must be integers in 1..{MAX_LABEL}, got {v!r}")
-        at = {v: i for i, v in enumerate(sorted(set(labels)))}
-        rows = [0] * len(at)
+            alive |= 1 << v
+        rows = [0] * alive.bit_length()
         for a, b in edges:
             for v in (a, b):
-                if not isinstance(v, int) or isinstance(v, bool) or v not in at:
+                if not _live(alive, v):
                     raise UnknownVertexError(f"unknown vertex label {v}")
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
-            rows[at[a]] |= 1 << b
-            rows[at[b]] |= 1 << a
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
         _set(self, "_rows", tuple(rows))
-        _set(self, "_at", at)
+        _set(self, "_alive", alive)
 
     __setattr__ = __delattr__ = _Record.__setattr__
 
@@ -116,19 +121,18 @@ class Graph:
     @property
     def n(self) -> int:
         """Number of alive vertices."""
-        return len(self._rows)
+        return self._alive.bit_count()
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(self._at)
+        return tuple([*_bits(self._alive)])  # a tuple of a generator resizes on every call
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (min, max) pairs, sorted."""
-        return tuple([(a, b) for a, row in zip(self._at, self._rows) for b in _bits(row >> a + 1 << a + 1)])
+        return tuple([(a, b) for a, row in enumerate(self._rows) for b in _bits(row >> a + 1 << a + 1)])
 
     def has_vertex(self, a: int) -> bool:
-        # an ``int`` label only: ``True`` and ``1.0`` equal ``1`` and hash alike
-        return isinstance(a, int) and not isinstance(a, bool) and a in self._at
+        return bool(_live(self._alive, a))
 
     def has_edge(self, a: int, b: int) -> bool:
         row = self.neighbor_mask(a)
@@ -141,13 +145,13 @@ class Graph:
     def neighbor_mask(self, a: int) -> int:
         """Neighborhood of ``a`` as a bitmask (bit v set iff v adjacent)."""
         self._require(a)
-        return self._rows[self._at[a]]
+        return self._rows[a]
 
     def degree(self, a: int) -> int:
         return self.neighbor_mask(a).bit_count()
 
     def _require(self, a: int) -> None:
-        if not self.has_vertex(a):
+        if not _live(self._alive, a):
             raise UnknownVertexError(f"unknown vertex label {a}")
 
     # -- value semantics ----------------------------------------------------
@@ -155,9 +159,9 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        # equal rows on two label sets are two graphs (``Graph([1, 2])`` and
-        # ``Graph([3, 4])`` both have rows ``(0, 0)``)
-        return self._rows == other._rows and (self._at is other._at or self._at.keys() == other._at.keys())
+        # equal rows on two label sets are two graphs (``Graph([3])`` and
+        # ``Graph([1, 3])`` both have rows ``(0, 0, 0, 0)``)
+        return self._alive == other._alive and self._rows == other._rows
 
     def __hash__(self) -> int:
         return hash(self._rows)
@@ -166,14 +170,14 @@ class Graph:
         return f"Graph({list(self.vertices)}, {list(self.edges())})"
 
     def __reduce__(self):  # copy, deepcopy and pickle
-        return _graph, (self._rows, self._at)
+        return _graph, (self._rows, self._alive)
 
 
-def _graph(rows: tuple[int, ...], at: dict[int, int]) -> Graph:
-    """Wrap a rows tuple aligned to ``at`` as a graph, trusting both."""
+def _graph(rows: tuple[int, ...], alive: int) -> Graph:
+    """Wrap ``rows`` as the graph on the labels of ``alive``, trusting both; cut after the largest one."""
     g = object.__new__(Graph)
-    _set(g, "_rows", rows)
-    _set(g, "_at", at)
+    _set(g, "_rows", rows[:alive.bit_length()])  # the whole tuple, not a copy, when nothing went
+    _set(g, "_alive", alive)
     return g
 
 
@@ -198,17 +202,17 @@ def complete_graph(n: int) -> Graph:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, sorted by minimum label."""
-    return [frozenset(_bits(comp)) for comp in _components(g._rows, g._at, sum(1 << v for v in g._at))]
+    return [frozenset(_bits(comp)) for comp in _components(g._rows, g._alive)]
 
 
-def _components(rows: tuple[int, ...], at: dict[int, int], live: int):
+def _components(rows: tuple[int, ...], live: int):
     """Yield, by minimum label, the bitmask of each component that meets ``live``, grown breadth first."""
     while live:
         comp = frontier = live & -live
         while frontier:
             reach = 0
             for v in _bits(frontier):
-                reach |= rows[at[v]]
+                reach |= rows[v]
             frontier = reach & ~comp
             comp |= reach
         live &= ~comp
@@ -224,13 +228,13 @@ def local_complement(g: Graph, a: int) -> Graph:
     Involutive: applying twice at the same vertex restores the graph.
     """
     g._require(a)
-    return _graph(_lc_rows(g._rows, g._at, a), g._at)
+    return _graph(_lc_rows(g._rows, a), g._alive)
 
 
 def delete_vertex(g: Graph, a: int) -> Graph:
     """Remove ``a`` and its incident edges; other labels survive unchanged."""
     g._require(a)
-    return _drop(_z_rows(g._rows, g._at, a), g._at, 1 << a)
+    return _graph(_z_rows(g._rows, a), g._alive ^ 1 << a)
 
 
 def measure_z(g: Graph, a: int) -> Graph:
@@ -241,7 +245,7 @@ def measure_z(g: Graph, a: int) -> Graph:
 def measure_y(g: Graph, a: int) -> Graph:
     """y-basis measurement rewrite: local complement at ``a``, then delete it."""
     g._require(a)
-    return _drop(_z_rows(g._rows, g._at, a, True), g._at, 1 << a)
+    return _graph(_z_rows(g._rows, a, True), g._alive ^ 1 << a)
 
 
 def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
@@ -250,61 +254,54 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     ``b`` defaults to the smallest neighbor of ``a``; all neighbor choices
     give LC-equivalent results. An isolated ``a`` measures like z.
     """
-    b = _x_neighbor(g.neighbor_mask(a), a, b, g._require)
-    return delete_vertex(g, a) if b is None else _drop(_x_rows(g._rows, g._at, a, b), g._at, 1 << a)
+    b = _x_neighbor(g.neighbor_mask(a), a, b, g._alive)
+    return delete_vertex(g, a) if b is None else _graph(_x_rows(g._rows, a, b), g._alive ^ 1 << a)
 
 
-def _drop(rows: tuple[int, ...], at: dict[int, int], gone: int) -> Graph:
-    """``rows`` on ``at`` as the graph without the labels set in ``gone`` (clear in every row); ``at`` if none."""
-    if not gone:
-        return _graph(rows, at)
-    alive = [v for v in at if not gone >> v & 1]
-    return _graph(tuple([rows[at[v]] for v in alive]), {v: i for i, v in enumerate(alive)})
-
-
-def _x_neighbor(nbrs: int, a: int, b: int | None, require) -> int | None:
+def _x_neighbor(nbrs: int, a: int, b: int | None, alive: int) -> int | None:
     """The neighbor, ``b`` checked or else the smallest, that an x-measurement of ``a`` (row ``nbrs``) goes
-    through; None if ``a`` is isolated. ``require(b)`` raises for a dead ``b`` (a live neighbor's bit is set)."""
+    through; None if ``a`` is isolated. A ``b`` not in ``alive`` is an unknown label."""
     if nbrs == 0:
         if b is not None:
             raise ValueError(f"vertex {a} is isolated; no neighbor {b} to route through")
         return None
     if b is None:
         return (nbrs & -nbrs).bit_length() - 1
-    if not (isinstance(b, int) and not isinstance(b, bool) and b > 0 and nbrs >> b & 1):
-        require(b)
+    if not _live(nbrs, b):
+        if not _live(alive, b):
+            raise UnknownVertexError(f"unknown vertex label {b}")
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
     return b
 
 
-# -- the rows kernel: a ``Graph``'s ``_rows`` and ``_at`` without the wrapper, for the
-# rewrites above, the orbit closure, the search and ``ops.replay``. On one label set, equal
-# tuples are equal graphs. A measured or deleted row is zeroed in place.
+# -- the rows kernel: a ``Graph``'s ``_rows`` without the wrapper, for the rewrites above,
+# the orbit closure, the search and ``ops.replay``. On one label set, equal tuples are
+# equal graphs. A measured or deleted row is zeroed in place, the tuple kept at its length.
 
 
-def _lc_rows(rows: tuple[int, ...], at: dict[int, int], a: int) -> tuple[int, ...]:
-    nbrs = mask = rows[at[a]]
+def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
+    nbrs = mask = rows[a]
     out = list(rows)
     while mask:
         low = mask & -mask
-        out[at[low.bit_length() - 1]] ^= nbrs ^ low
+        out[low.bit_length() - 1] ^= nbrs ^ low
         mask ^= low
     return tuple(out)
 
 
-def _z_rows(rows: tuple[int, ...], at: dict[int, int], a: int, y: bool = False) -> tuple[int, ...]:
+def _z_rows(rows: tuple[int, ...], a: int, y: bool = False) -> tuple[int, ...]:
     """Deletion of ``a``, its row zeroed in place; with ``y``, a local complement at ``a`` first."""
-    nbrs = mask = rows[at[a]]
+    nbrs = mask = rows[a]
     out, flip = list(rows), 1 << a | (nbrs if y else 0)  # y: a local complement at ``a`` first
     while mask:
         low = mask & -mask
-        out[at[low.bit_length() - 1]] ^= flip & ~low
+        out[low.bit_length() - 1] ^= flip & ~low
         mask ^= low
-    out[at[a]] = 0
+    out[a] = 0
     return tuple(out)
 
 
-def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[int, ...]:
+def _x_rows(rows: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """x-measurement of ``a`` through its neighbor ``b``, ``a``'s row zeroed in place.
 
     With Na = N(a) - {b} and Nb = N(b) - {a}, edges between two different sets
@@ -312,13 +309,13 @@ def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[
     to ``b`` iff it was adjacent to ``a``, ``b``'s row becomes Na, ``a`` goes.
     """
     bit_a, bit_b = 1 << a, 1 << b
-    na, nb = rows[at[a]] ^ bit_b, rows[at[b]] ^ bit_a
+    na, nb = rows[a] ^ bit_b, rows[b] ^ bit_a
     out = list(rows)
-    out[at[a]], out[at[b]] = 0, na
+    out[a], out[b] = 0, na
     mask, keep = na | nb, ~(bit_a | bit_b)
     while mask:
         low = mask & -mask
-        i = at[low.bit_length() - 1]
+        i = low.bit_length() - 1
         r = rows[i]
         if r & bit_a:
             out[i] = (r ^ nb ^ (na if r & bit_b else 0)) & keep | bit_b
@@ -328,28 +325,28 @@ def _x_rows(rows: tuple[int, ...], at: dict[int, int], a: int, b: int) -> tuple[
     return tuple(out)
 
 
-def _measure_rows(rows: tuple[int, ...], at: dict[int, int], a: int):
+def _measure_rows(rows: tuple[int, ...], a: int):
     """The z, y and x children of measuring ``a`` (x through its smallest neighbor):
     ``_z_rows``, ``_z_rows`` with ``y`` and ``_x_rows``.
 
     y is z itself when ``a`` has one neighbor, and all three are ``rows``
     itself when it has none; the search skips a child that ``is`` one tried.
     """
-    nbrs = rows[at[a]]
+    nbrs = rows[a]
     if not nbrs:
         return rows, rows, rows
-    z, low = _z_rows(rows, at, a), nbrs & -nbrs
-    return z, z if nbrs == low else _z_rows(rows, at, a, True), _x_rows(rows, at, a, low.bit_length() - 1)
+    z, low = _z_rows(rows, a), nbrs & -nbrs
+    return z, z if nbrs == low else _z_rows(rows, a, True), _x_rows(rows, a, low.bit_length() - 1)
 
 
-def _pair_ranks(rows: tuple[int, ...], at: dict[int, int]) -> list[int]:
-    """Cut-rank of every vertex pair, pairs in ``at`` order.
+def _pair_ranks(rows: tuple[int, ...], labels: tuple[int, ...]) -> list[int]:
+    """Cut-rank of every pair of ``labels`` (ascending), pairs in that order.
 
     That is the GF(2) rank of the pair's rows outside the pair, which local
     complementation keeps (Bouchet; Oum, "Rank-width and vertex-minors").
     Non-isolated u and v are foliage-equivalent iff their rank is below 2.
     """
-    bits = [1 << v for v in at]
+    own = [(rows[v], ~(1 << v)) for v in labels]  # each row, and the mask clearing its label
     return [2 if a and b and a != b else 1 if a or b else 0
-            for i, row in enumerate(rows) for j in range(i + 1, len(rows))
-            for a, b in ((row & ~bits[j], rows[j] & ~bits[i]),)]
+            for i, (row_u, not_u) in enumerate(own) for row_v, not_v in own[i + 1:]
+            for a, b in ((row_u & not_v, row_v & not_u),)]

@@ -90,7 +90,7 @@ def write_edge_list(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (optional >>graph6<< header, no sparse6)."""
-    data = text.strip()
+    data = text.strip(" \t\n\r\f\v")  # ASCII whitespace: ``str.strip`` also drops \x1c-\x1f
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
     if not data:

@@ -5,18 +5,17 @@ complementations and deletions sends G to H; equivalently, some assignment
 of x/y/z measurement rewrites to the surplus vertices lands in the target's
 LC-orbit. The brute-force decider searches those assignments in canonical
 order, so answers and witnesses are deterministic; every yes carries a step
-sequence that replays to the target exactly. A call runs on bitmask rows
-at the source's row positions and builds one graph, in the witness check
+sequence that replays to the target exactly. A call runs on the source's
+label-indexed bitmask rows and builds one graph, in the witness check
 (``ops.replay``). The reductions are in ``graphmin.reduction``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, islice
-from operator import itemgetter
 
 from .foliage import _any_equivalent, _pair
-from .graph import Graph, _measure_rows, _pair_ranks
+from .graph import Graph, _bits, _measure_rows, _pair_ranks
 from .ops import LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step, replay
 # the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays
 from .orbit import BudgetExceededError, _budget, _closure, _lc_equivalent_rows, lc_orbit_paths
@@ -29,8 +28,8 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     order, each in bases z, y, x (x through its smallest neighbor); the first
     measured graph in the target's LC-orbit wins, and the witness is those
     measurements plus the local complements back to ``h``. The search runs
-    on bare rows tuples in ``g``'s row positions, a measured row zeroed
-    (``graph._measure_rows``), and builds steps only for the witness. What
+    on bare rows tuples, a measured row zeroed (``graph._measure_rows``),
+    and builds steps only for the witness. What
     lies below a graph depends on it alone, so one whose three measurements
     all failed is remembered and skipped when reached again. The target's
     orbit is generated only as far as leaves need it: a leaf not among the
@@ -55,33 +54,32 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     search measures or prunes. Running out of either yields "unknown", never
     a wrong no.
     """
-    if not h._at.keys() <= g._at.keys():
-        raise ValueError(f"target labels {sorted(h._at.keys() - g._at.keys())} not in source")
+    if h._alive & ~g._alive:
+        raise ValueError(f"target labels {[*_bits(h._alive & ~g._alive)]} not in source")
     budget = _budget(node_budget)
-    at = g._at  # every depth keeps these row positions
-    ranks = _pair_ranks(h._rows, h._at)
-    conflicts = _conflict_pairs(h, ranks, at)
+    labels = h.vertices
+    ranks = _pair_ranks(h._rows, labels)
+    conflicts = _conflict_pairs(h, labels, ranks)
     if _any_equivalent(g._rows, conflicts):
         return Decision(NO, "brute-force")
-    to_measure = tuple([v for v in at if v not in h._at])  # ``at`` is in label order
+    to_measure = tuple([*_bits(g._alive & ~h._alive)])
     # one failed set per depth: a measured row is zero, like an isolated vertex's
     failed: list[set[tuple[int, ...]]] = [set() for _ in to_measure]
     spent = 0  # graphs in ``failed``
     choices: list[tuple[str, tuple[int, ...]]] = []  # (basis, the rows it measured) down to a node
-    kept = [at[v] for v in h._at]  # the target's labels, at the leaves' positions
-    leaf_rows = itemgetter(*kept) if len(kept) > 1 else lambda rows: tuple(rows[i] for i in kept)
-    members = _closure(h._rows, h._at, budget)  # the target's orbit, drawn as leaves need it
+    width = len(h._rows)  # a leaf's measured rows are zero, so its first ``width`` rows are a graph on ``labels``
+    members = _closure(h._rows, budget)  # the target's orbit, drawn as leaves need it
     orbit = dict(islice(members, 2))
     members = members if len(orbit) == 2 else None  # one member (every Bell target): finished
 
     def lookup(rows: tuple[int, ...]):
         """Orbit path to a leaf, drawing members until it appears; None outside the orbit."""
         nonlocal members
-        rows = leaf_rows(rows)
+        rows = rows[:width]
         path = orbit.get(rows)
         if path is not None or members is None:
             return path
-        if _pair_ranks(rows, h._at) != ranks or len(orbit) >= _SHORT_DRAW and refuted(rows):
+        if _pair_ranks(rows, labels) != ranks or len(orbit) >= _SHORT_DRAW and refuted(rows):
             return None
         for member, path in members:
             orbit[member] = path
@@ -93,7 +91,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return None
 
     def refuted(rows: tuple[int, ...]) -> bool:
-        return _lc_equivalent_rows(rows, h._rows, h._at) is False
+        return _lc_equivalent_rows(rows, h._rows) is False
 
     def search(rows: tuple[int, ...], depth: int):
         """Orbit path of the first hit below ``rows``; ``choices`` leads to it."""
@@ -109,7 +107,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         if spent + depth >= budget:  # every failed or pruned graph, ``depth`` above this
             raise BudgetExceededError(f"search exceeds node budget {budget}; refusing to answer")
         tried = None
-        for basis, child in zip(_BASES, _measure_rows(rows, at, to_measure[depth])):
+        for basis, child in zip(_BASES, _measure_rows(rows, to_measure[depth])):
             if child is tried:  # y is z on one neighbor, and x is too on none
                 continue
             tried = child
@@ -130,7 +128,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return Decision(NO, "brute-force")
     steps = []
     for v, (basis, rows) in zip(to_measure, choices):
-        row = rows[at[v]]  # x goes through the smallest neighbor
+        row = rows[v]  # x goes through the smallest neighbor
         steps.append(Step(basis, v, (row & -row).bit_length() - 1 if basis == MEASURE_X and row else None))
     # each local complement is an involution, so the recorded path from the
     # target reverses into a path back to it
@@ -147,14 +145,14 @@ _BASES = (MEASURE_Z, MEASURE_Y, MEASURE_X)
 _SHORT_DRAW = 32
 
 
-def _conflict_pairs(h: Graph, ranks: list[int], at: dict[int, int]) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Target label pairs that foliage persistence keeps apart, at the positions of ``at``.
+def _conflict_pairs(h: Graph, labels: tuple[int, ...], ranks: list[int]) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Target label pairs that foliage persistence keeps apart.
 
-    These are the pairs u < v of ``h`` in different canonical blocks, not
-    both isolated: one end isolated, or a pair cut-rank of 2 (``ranks`` is
-    ``h``'s pair cut-rank table). Each is in ``foliage._pair`` form, so a
-    search node tests them on its rows.
+    These are the pairs u < v of ``h`` (on ``labels``) in different canonical
+    blocks, not both isolated: one end isolated, or a pair cut-rank of 2
+    (``ranks`` is ``h``'s pair cut-rank table). Each is in ``foliage._pair``
+    form, so a search node tests them on its rows.
     """
-    pairs = combinations(zip(h._at, h._rows), 2)  # in the order of ``ranks``
-    return tuple([_pair(at, u, v) for ((u, row_u), (v, row_v)), rank in zip(pairs, ranks)
-                  if (rank == 2 if row_u and row_v else row_u or row_v)])
+    rows, pairs = h._rows, combinations(labels, 2)  # in the order of ``ranks``
+    return tuple([_pair(u, v) for (u, v), rank in zip(pairs, ranks)
+                  if (rank == 2 if rows[u] and rows[v] else rows[u] or rows[v])])

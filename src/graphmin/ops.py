@@ -5,13 +5,13 @@ complementation, a deletion, or a Pauli-measurement rewrite. Replaying the
 list on the source graph must be defined at every step: targets alive, and
 an x-measurement's recorded neighbor alive and adjacent (the neighbor is
 omitted only when the measured vertex is isolated). ``replay`` is the one
-checked path: it rewrites the source's bitmask rows at fixed positions and
-builds one graph, at the end.
+checked path: it rewrites the source's label-indexed bitmask rows and alive
+mask and builds one graph, at the end.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, UnknownVertexError, _drop, _lc_rows, _Record, _set, _x_neighbor, _x_rows, _z_rows
+from .graph import Graph, UnknownVertexError, _graph, _lc_rows, _live, _Record, _set, _x_neighbor, _x_rows, _z_rows
 
 LC = "lc"
 DELETE = "delete"
@@ -60,28 +60,24 @@ def replay(g: Graph, steps) -> Graph:
     """Apply ``steps`` in order; each raises what its ``graph`` rewrite would raise there.
 
     As in the search, a deleted or measured row is zeroed in place and its label's
-    bit set in ``gone``; ``_drop`` builds the graph at the end, on ``g``'s ``_at`` if none went."""
-    rows, at, gone = g._rows, g._at, 0  # ``gone``: the bits of the labels deleted or measured so far
-
-    def require(v) -> None:
-        if not (g.has_vertex(v) and not gone >> v & 1):
-            raise UnknownVertexError(f"unknown vertex label {v}")
-
+    bit cleared in ``alive``; ``_graph`` wraps the rows at the end."""
+    rows, alive = g._rows, g._alive
     for step in steps:
         op, a = step.op, step.vertex
-        require(a)
+        if not _live(alive, a):
+            raise UnknownVertexError(f"unknown vertex label {a}")
         if op == LC:
-            rows = _lc_rows(rows, at, a)
+            rows = _lc_rows(rows, a)
         elif op == MEASURE_X:
-            nbrs = rows[at[a]]
+            nbrs = rows[a]
             if step.neighbor is None and nbrs:
                 raise ValueError(f"x-measurement of non-isolated vertex {a} needs its neighbor recorded")
-            b = _x_neighbor(nbrs, a, step.neighbor, require)
-            rows = rows if b is None else _x_rows(rows, at, a, b)  # an isolated row is zero already
+            b = _x_neighbor(nbrs, a, step.neighbor, alive)
+            rows = rows if b is None else _x_rows(rows, a, b)  # an isolated row is zero already
         else:
-            rows = _z_rows(rows, at, a, op == MEASURE_Y)
-        gone |= (op != LC) << a  # every step but a local complement removes its label
-    return _drop(rows, at, gone)
+            rows = _z_rows(rows, a, op == MEASURE_Y)
+        alive ^= (op != LC) << a  # every step but a local complement removes its label
+    return _graph(rows, alive)
 
 
 def steps_to_json(steps) -> list[dict]:

@@ -12,7 +12,7 @@ diagonal A, B, C, D with a_v·d_v + b_v·c_v = 1 at every vertex v.
 (``_lc_equivalent_rows``) first, and close the orbit only for a path, or
 when the test cannot tell. The closure runs on the rows tuples of
 ``graph.py``'s kernel; a caller that asks for graphs gets each member's
-tuple wrapped as it is, sharing the source's label positions. Expansion
+tuple wrapped as it is, on the source's alive mask. Expansion
 order is ascending vertex label, which makes orbits, paths, and witnesses
 reproducible. A node budget comes only from the caller, else 2^20.
 """
@@ -41,11 +41,11 @@ def _budget(node_budget: int | None) -> int:
     return node_budget
 
 
-def _closure(rows: tuple[int, ...], at: dict[int, int], budget: int):
+def _closure(rows: tuple[int, ...], budget: int):
     """Yield ``(member rows, path)`` for the orbit of ``rows`` in discovery order.
 
-    ``rows`` and ``at`` are a graph in ``graph.py``'s rows kernel; it comes
-    first, with the empty path. Members are discovered breadth first,
+    ``rows`` is a graph's rows in ``graph.py``'s kernel; it comes first,
+    with the empty path. Members are discovered breadth first,
     expanding vertices in ascending label order, so every path is shortest
     and lexicographically first at its depth. Once the orbit holds
     ``budget`` members (resolved by ``_budget``), the next new member is
@@ -61,11 +61,11 @@ def _closure(rows: tuple[int, ...], at: dict[int, int], budget: int):
             # (its local complement gives back the parent) and each smaller
             # vertex not adjacent to it (its local complement commutes with
             # the last one, so an earlier member made the image)
-            skip = (2 << path[-1]) - 1 & ~member[at[path[-1]]] if path else 0
-            for v, row in zip(at, member):
+            skip = (2 << path[-1]) - 1 & ~member[path[-1]] if path else 0
+            for v, row in enumerate(member):
                 if row & (row - 1) == 0 or skip >> v & 1:  # under two neighbors, the image is ``member``
                     continue
-                image = _lc_rows(member, at, v)
+                image = _lc_rows(member, v)
                 if image in seen:
                     continue
                 over_budget = len(seen) >= budget
@@ -88,7 +88,7 @@ def lc_orbit_paths(g: Graph, node_budget: int | None = None) -> dict[Graph, tupl
     """
     if g.n == 0:
         raise ValueError("orbit of the empty graph is undefined")
-    return {(m := _graph(r, g._at)): (m, path) for r, path in _closure(g._rows, g._at, _budget(node_budget))}
+    return {(m := _graph(r, g._alive)): (m, path) for r, path in _closure(g._rows, _budget(node_budget))}
 
 
 def lc_orbit(g: Graph, node_budget: int | None = None) -> set[Graph]:
@@ -98,9 +98,9 @@ def lc_orbit(g: Graph, node_budget: int | None = None) -> set[Graph]:
 
 def _exact(g: Graph, h: Graph) -> bool | None:
     """LC-equivalence decided without a closure: labels, pair cut-ranks, then the exact test."""
-    if g.vertices != h.vertices or _pair_ranks(g._rows, g._at) != _pair_ranks(h._rows, h._at):
+    if g._alive != h._alive or _pair_ranks(g._rows, g.vertices) != _pair_ranks(h._rows, h.vertices):
         return False
-    return _lc_equivalent_rows(g._rows, h._rows, g._at)
+    return _lc_equivalent_rows(g._rows, h._rows)
 
 
 def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ...] | None:
@@ -114,7 +114,7 @@ def lc_path(g: Graph, h: Graph, node_budget: int | None = None) -> tuple[int, ..
     budget = _budget(node_budget)
     if _exact(g, h) is False:
         return None
-    return next((path for r, path in _closure(g._rows, g._at, budget) if r == h._rows), None)
+    return next((path for r, path in _closure(g._rows, budget) if r == h._rows), None)
 
 
 def lc_equivalent(g: Graph, h: Graph, node_budget: int | None = None) -> bool:
@@ -124,14 +124,14 @@ def lc_equivalent(g: Graph, h: Graph, node_budget: int | None = None) -> bool:
     """
     budget = _budget(node_budget)
     found = _exact(g, h)
-    return found if found is not None else any(r == h._rows for r, _ in _closure(g._rows, g._at, budget))
+    return found if found is not None else any(r == h._rows for r, _ in _closure(g._rows, budget))
 
 
 # -- the exact test -------------------------------------------------------------
 
 
-def _lc_equivalent_rows(rows: tuple[int, ...], other: tuple[int, ...], at: dict[int, int]) -> bool | None:
-    """Whether G (``rows``) and T (``other``) on the labels of ``at`` are LC-equivalent; None if it cannot tell.
+def _lc_equivalent_rows(rows: tuple[int, ...], other: tuple[int, ...]) -> bool | None:
+    """Whether G (``rows``) and T (``other``) on one label set are LC-equivalent; None if it cannot tell.
 
     Vertices isolated in both are dropped (their coefficients are free).
     Local complementation keeps components, so each component of G is a
@@ -147,8 +147,8 @@ def _lc_equivalent_rows(rows: tuple[int, ...], other: tuple[int, ...], at: dict[
     if live != other_live:
         return False
     verdict = True
-    for block in _components(rows, at, live):
-        solved = _solve_block([(1 << v, rows[at[v]], other[at[v]]) for v in _bits(block)], block)
+    for block in _components(rows, live):
+        solved = _solve_block([(1 << v, rows[v], other[v]) for v in _bits(block)], block)
         if solved is False:
             return False
         verdict = verdict and solved

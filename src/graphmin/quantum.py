@@ -16,14 +16,15 @@ mask, shift and add operations on the whole int. No field a check forms
 exceeds 4 in magnitude (the tests measure it), far inside a byte. States
 match up to global phase iff they are proportional over Z[i], and a
 zero-probability outcome is exactly zero. Qubit order is ascending vertex
-label; the smallest label is the most significant bit of the index.
+label (``_qubits``, graphmin's one map from labels to indices); the
+smallest label is the most significant bit of the index.
 
 Each state is built once while it is recent: ``_build`` is a memo of the 16
 most recently used states, keyed by the graph (its rows and label set, as
-``Graph`` compares) and the layout, the labels of the indices it is built on.
-The layout matters because a measured image is built on its parent's
-indices. Every check on one (graph, vertex) pair draws on five states: the
-graph, its local complement and its z, y and x images. ``STATE_CAP`` is
+``Graph`` compares) and the alive mask of the labels it is built on. The
+mask matters because a measured image is built on its parent's qubits.
+Every check on one (graph, vertex) pair draws on five states: the graph,
+its local complement and its z, y and x images. ``STATE_CAP`` is
 checked on every call, before the lookup.
 """
 
@@ -62,30 +63,34 @@ def _masks(n: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, int], ..
     return bits, ones, ones << 7, tuple((high, high & ones << 7) for high in (_spread(b) * 0xFF for b in bits))
 
 
-def _state(g: Graph, at: dict[int, int]) -> int:
-    """Real part of ``g``'s state (the imaginary part is 0) on the indices of ``at``,
+def _qubits(alive: int) -> dict[int, int]:
+    """The qubit of each label of ``alive``: labels in ascending order to 0..n-1."""
+    return {v: i for i, v in enumerate(_bits(alive))}
+
+
+def _state(g: Graph, alive: int) -> int:
+    """Real part of ``g``'s state (the imaginary part is 0) on the qubits of ``alive``,
     where a label ``g`` lacks (it was measured) has its bit clear in every nonzero
     field. The cap is checked on every call, then the state is looked up in the memo."""
-    n = len(at)
+    n = alive.bit_count()
     if n > STATE_CAP:
         raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")
-    return _build(g, tuple(at))
+    return _build(g, alive)
 
 
 @functools.lru_cache(maxsize=16)
-def _build(g: Graph, layout: tuple[int, ...]) -> int:
-    """``_state`` for the ``at`` whose labels, in position order, are ``layout`` (every
-    ``_at`` maps its labels, ascending, to 0..n-1). Per vertex, its ``bits`` AND the
-    XOR of its larger-labelled neighbors' ``bits`` is XORed into one int of 2^n sign
-    bits, which ``_spread`` makes fields."""
-    at = dict(zip(layout, range(len(layout))))
+def _build(g: Graph, alive: int) -> int:
+    """``_state`` on the qubits of ``alive``. Per vertex, its ``bits`` AND the XOR of
+    its larger-labelled neighbors' ``bits`` is XORed into one int of 2^n sign bits,
+    which ``_spread`` makes fields."""
+    at = _qubits(alive)
     (masks, keep, _, rows), signs = _masks(len(at)), 0
-    for v, row in zip(g._at, g._rows):
+    for v in _bits(g._alive):
         up = 0
-        for u in _bits(row >> v + 1 << v + 1):
+        for u in _bits(g._rows[v] >> v + 1 << v + 1):
             up ^= masks[at[u]]
         signs ^= up & masks[at[v]]
-    for v in at.keys() - g._at.keys():
+    for v in _bits(alive & ~g._alive):
         keep &= ~rows[at[v]][0]
     return keep - 2 * (_spread(signs) & keep)
 
@@ -94,7 +99,7 @@ def graph_state(g: Graph) -> tuple[complex, ...]:
     """State vector of ``g``, CZ per edge on the plus state: every amplitude is
     ``+-2^(-n/2)``, negative iff an odd number of edges have both endpoint bits set."""
     n, amp = g.n, 1 / math.sqrt(1 << g.n)
-    fields = (_state(g, g._at) + _masks(n)[2]).to_bytes(1 << n, "little")
+    fields = (_state(g, g._alive) + _masks(n)[2]).to_bytes(1 << n, "little")
     return tuple([complex((byte - 128) * amp) for byte in fields])
 
 
@@ -143,11 +148,11 @@ def verify_lc_unitary(g: Graph, a: int) -> bool:
     complemented graph, up to global phase.
     """
     g._require(a)
-    n, at = g.n, g._at
-    psi = _apply((_state(g, at), 0), n, at[a], cliffords.LC_AT_VERTEX)
-    for b in _bits(g._rows[at[a]]):
+    n, at = g.n, _qubits(g._alive)
+    psi = _apply((_state(g, g._alive), 0), n, at[a], cliffords.LC_AT_VERTEX)
+    for b in _bits(g._rows[a]):
         psi = _apply(psi, n, at[b], cliffords.LC_AT_NEIGHBOR)
-    return _same_ray(psi, (_state(local_complement(g, a), at), 0), n)
+    return _same_ray(psi, (_state(local_complement(g, a), g._alive), 0), n)
 
 
 # |0><e| for the eigenvector e of each outcome: the measured qubit's bit stays 0
@@ -171,19 +176,19 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
     for outcome in outcomes:  # an ``int`` only: ``True`` and ``1.0`` equal ``1``
         if not isinstance(outcome, int) or isinstance(outcome, bool) or outcome not in (+1, -1):
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    n, at = g.n, g._at
+    n, at = g.n, _qubits(g._alive)
     neighbors = tuple(sorted(g.neighbors(a)))
     special = neighbors[0] if basis == "x" and neighbors else None  # x routes through it
     special_nbrs = () if special is None else tuple(sorted(g.neighbors(special) - {a}))
 
-    psi = (_state(g, at), 0)
+    psi = (_state(g, g._alive), 0)
     posts = [_apply(psi, n, at[a], _PROJECTORS[basis, outcome]) for outcome in outcomes]
     posts = [None if post == (0, 0) else post for post in posts]
     if all(post is None for post in posts):
         return posts
 
     image = measure_x(g, a, special) if basis == "x" else measure_y(g, a) if basis == "y" else measure_z(g, a)
-    target = (_state(image, at), 0)
+    target = (_state(image, g._alive), 0)
 
     def correction(post: tuple[int, int], outcome: int) -> dict[int, str]:
         byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors, special, special_nbrs)

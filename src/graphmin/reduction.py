@@ -50,7 +50,7 @@ def source_reduce(g: Graph, protected: set[int] | frozenset[int]) -> tuple[Graph
 def _reduction_steps(g: Graph, protected: set[int]) -> tuple[Step, ...]:
     """Steps of the first source-reduction rule that applies, else none."""
     by_open, twins = _row_groups(g)
-    candidates = [(v, row) for v, row in zip(g._at, g._rows) if v not in protected]
+    candidates = [(v, g._rows[v]) for v in g.vertices if v not in protected]
     pair = (next(((v, w) for v, _ in candidates for w in twins[v] if w != v), None)
             or next(((v, row.bit_length() - 1) for v, row in candidates if row.bit_count() == 1), None)
             or next(((v, by_open[1 << v][0]) for v, _ in candidates if 1 << v in by_open), None))

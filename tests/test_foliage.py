@@ -270,6 +270,13 @@ class TestUncheckedBuilds:
             is_foliage_partition(path_graph(4), Partition(blocks))
         assert str(caught.value) == f"unknown vertex label {bad}"
 
+    @pytest.mark.parametrize("call", [lambda: classify_block(path_graph(3), [1, "2"]),
+                                      lambda: Partition([{1, "2"}, {3}])], ids=["classify_block", "Partition"])
+    def test_a_member_that_cannot_be_ordered_is_an_unknown_label(self, call):
+        # "2" is checked as a label before ``sorted`` or ``min`` tries to order it against 1
+        with pytest.raises(UnknownVertexError, match="^unknown vertex label 2$"):
+            call()
+
     def test_quotient_equals_the_edge_list_build(self):
         rng = random.Random(2105)
         for g in _corpus():
@@ -279,7 +286,7 @@ class TestUncheckedBuilds:
                 rng.shuffle(reps)
                 fg = foliage_graph(g, w, reps)
                 expected = edge_list_quotient(g, fg.partition, fg.representatives)
-                assert fg.graph == expected and fg.graph._at == expected._at, (g, w, reps)
+                assert fg.graph == expected and fg.graph._rows == expected._rows, (g, w, reps)
                 assert foliage_graph(g, w).graph == edge_list_quotient(g, fg.partition, [min(b) for b in blocks])
 
     @pytest.mark.parametrize("blocks, reps, error, message", [
@@ -499,11 +506,11 @@ class TestPairRanks:
             n, p = rng.randint(2, 8), rng.choice((0.3, 0.5, 0.7))
             labels = sorted(rng.sample(range(1, 65), n))
             g = Graph(labels, [pair for pair in combinations(labels, 2) if rng.random() < p])
-            table = _pair_ranks(g._rows, g._at)
+            table = _pair_ranks(g._rows, g.vertices)
             assert table == pair_rank_table(g)
             orbit = lc_orbit(g)
             for member in orbit:
-                assert _pair_ranks(member._rows, member._at) == table, (g, member)
+                assert _pair_ranks(member._rows, member.vertices) == table, (g, member)
             sizes.append(len(orbit))
             ranks |= set(table)
         assert ranks == {0, 1, 2} and max(sizes) > 500

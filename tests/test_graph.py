@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,15 +11,21 @@ from graphmin import (
     classify_block,
     complete_graph,
     connected_components,
+    decide_vertex_minor,
     delete_vertex,
     foliage_equivalent,
+    foliage_graph,
+    graph_state,
+    lc_path,
     local_complement,
     measure_x,
     measure_y,
     measure_z,
     path_graph,
+    replay,
     ring_graph,
 )
+from graphmin.ops import Step
 from graphmin.orbit import lc_equivalent
 
 from conftest import fig2, random_graph
@@ -100,7 +108,7 @@ class TestConstruction:
         assert g.has_vertex(1) and not g.has_vertex(True)
 
     def test_has_vertex_is_false_for_float(self):
-        # ``1.0 in g._at`` holds, as ``1.0 == 1`` and they hash alike
+        # ``1.0 == 1``, but a label is an ``int``
         g = path_graph(3)
         assert not g.has_vertex(1.0) and not g.has_vertex(2.0)
 
@@ -286,3 +294,72 @@ class TestRewriteInvariants:
                 assert not image.has_vertex(a)
                 for x, y in image.edges():
                     assert image.has_edge(y, x)
+
+
+def _relabel(g, labels):
+    """``g`` with its ``i``-th smallest label renamed to ``labels[i]``."""
+    name = dict(zip(g.vertices, labels))
+    return Graph(labels, [(name[a], name[b]) for a, b in g.edges()])
+
+
+class TestLabelIndexedRows:
+    """A graph's row for label ``v`` is ``rows[v]``; rows 0 and of labels not alive are 0,
+    and the tuple ends at the largest alive label, 64 at most."""
+
+    SCATTERED = (1, 33, 40, 64)
+    G = Graph(SCATTERED, [(1, 33), (33, 64), (40, 64)])
+    DENSE = _relabel(G, (1, 2, 3, 4))  # the same graph on labels 1..4, 64 as 4
+
+    def test_label_64_is_the_last_row(self):
+        assert len(self.G._rows) == 65 and self.G._rows[64] == 1 << 33 | 1 << 40
+        assert self.G._rows[0] == self.G._rows[2] == 0 and self.G.neighbors(64) == {33, 40}
+
+    @pytest.mark.parametrize("rewrite", [local_complement, delete_vertex, measure_z, measure_y, measure_x],
+                             ids=["lc", "delete", "z", "y", "x"])
+    def test_every_rewrite_at_label_64_is_the_rewrite_at_label_4(self, rewrite):
+        out, dense = rewrite(self.G, 64), rewrite(self.DENSE, 4)
+        labels = [v for v in self.SCATTERED if v in out.vertices]
+        assert out == _relabel(dense, labels) and out.vertices == tuple(labels)
+
+    def test_replay_decider_path_quotient_and_state_at_label_64(self):
+        steps = [Step("lc", 64), Step("measure_x", 33, 1), Step("lc", 40)]
+        assert replay(self.G, steps) == _relabel(replay(self.DENSE, [Step("lc", 4), Step("measure_x", 2, 1),
+                                                                  Step("lc", 3)]), (1, 40, 64))
+        h = Graph([1, 64], [(1, 64)])
+        decision = decide_vertex_minor(self.G, h)
+        assert decision.answer == "yes" and replay(self.G, decision.witness) == h
+        assert lc_path(self.G, local_complement(self.G, 64)) == (64,)
+        fg = foliage_graph(self.G)
+        assert fg.graph == _relabel(foliage_graph(self.DENSE).graph, fg.representatives)
+        assert graph_state(self.G) == graph_state(self.DENSE)
+
+    @pytest.mark.parametrize("remove", [
+        lambda g, v: delete_vertex(g, v),
+        lambda g, v: measure_y(g, v),
+        lambda g, v: measure_x(g, v),
+        lambda g, v: replay(g, [Step("delete", v)]),
+    ], ids=["delete_vertex", "measure_y", "measure_x", "replay"])
+    def test_removing_the_largest_label_equals_the_graph_built_directly(self, remove):
+        for g in (self.G, Graph([5, 9], [(5, 9)]), Graph([2, 7, 64], [(2, 64), (7, 64)])):
+            top = g.vertices[-1]
+            out = remove(g, top)
+            direct = Graph(out.vertices, out.edges())
+            assert out == direct and hash(out) == hash(direct) and out._rows == direct._rows
+            assert len(out._rows) == max(out.vertices) + 1 and not out.has_vertex(top)
+
+    @pytest.mark.parametrize("label", [0, -1, 65, 2 ** 70])
+    def test_has_vertex_is_false_outside_the_labels(self, label):
+        assert self.G.has_vertex(label) is False
+
+    def test_a_negative_label_is_unknown(self):
+        with pytest.raises(UnknownVertexError, match="^unknown vertex label -1$"):
+            self.G.neighbor_mask(-1)
+
+    def test_equal_rows_on_two_label_sets_are_two_graphs(self):
+        assert Graph([3])._rows == Graph([1, 3])._rows and Graph([3]) != Graph([1, 3])
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for g in (self.G, delete_vertex(self.G, 64), Graph([])):
+            for clone in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+                assert clone == g and hash(clone) == hash(g) and clone._rows == g._rows
+                assert clone._alive == g._alive and repr(clone) == repr(g)

@@ -112,11 +112,12 @@ class TestGraph6:
             parse_graph6("C")
 
     def test_byte_out_of_range_rejected(self):
-        with pytest.raises(FormatError):
+        # \x1f is a control character, not whitespace to strip: it is the byte at column 2
+        with pytest.raises(FormatError, match=r"^line 1, column 2: byte '\\x1f' outside graph6 range$"):
             parse_graph6("A\x1f")
 
     def test_byte_above_the_range_reports_its_column(self):
-        # "A\x1f" above is refused only as a truncated body: ``strip`` drops \x1f as whitespace
+        # the byte past the top of the range, as "A\x1f" above is the one below it
         with pytest.raises(FormatError, match=r"^line 1, column 2: byte '\\x7f' outside graph6 range$"):
             parse_graph6("A\x7f")
 

@@ -184,7 +184,7 @@ def _graph_keyed_decide(g, h, budget):
     refutes it.
     """
     ranks = pair_rank_table(h)
-    if _any_equivalent(g._rows, _conflict_pairs(h, ranks, g._at)):
+    if _any_equivalent(g._rows, _conflict_pairs(h, h.vertices, ranks)):
         return Decision(NO, "brute-force")
     surplus = sorted(set(g.vertices) - set(h.vertices))
     failed, steps = set(), []
@@ -219,7 +219,7 @@ def _graph_keyed_decide(g, h, budget):
             return lookup(graph)
         if graph in failed:
             return None
-        if depth and _any_equivalent(graph._rows, _conflict_pairs(h, ranks, graph._at)):
+        if depth and _any_equivalent(graph._rows, _conflict_pairs(h, h.vertices, ranks)):
             failed.add(graph)
             return None
         if len(failed) + depth >= budget:
@@ -258,9 +258,9 @@ def _count_rewrites(monkeypatch):
     graph (its z, y and x children); returns the live list."""
     calls = []
 
-    def counting(rows, at, v):
+    def counting(rows, v):
         calls.extend((basis, v) for basis in ("measure_z", "measure_y", "measure_x"))
-        return _measure_rows(rows, at, v)
+        return _measure_rows(rows, v)
 
     monkeypatch.setattr("graphmin.minor._measure_rows", counting)
     return calls
@@ -435,8 +435,8 @@ class TestOrbitEntry:
         # tell: the first leaf that misses then draws until the orbit ends,
         # so the count above is the filter's doing
         drawn = _count_draws(monkeypatch)
-        monkeypatch.setattr("graphmin.minor._pair_ranks", lambda rows, at: [])
-        monkeypatch.setattr("graphmin.minor._lc_equivalent_rows", lambda rows, other, at: None)
+        monkeypatch.setattr("graphmin.minor._pair_ranks", lambda rows, labels: [])
+        monkeypatch.setattr("graphmin.minor._lc_equivalent_rows", lambda rows, other: None)
         assert decide_vertex_minor(*CUT_RANK_NO).answer == NO
         assert len(drawn) == len(lc_orbit_paths(CUT_RANK_NO[1])) == 30
 
@@ -524,8 +524,8 @@ def test_draws_exactly_the_members_its_hits_need_on_a_vm_decide_like_corpus(monk
     drawn = _count_draws(monkeypatch)
     current = {}
 
-    def filtered(rows, at):  # the decider's one call per leaf it cannot look up
-        table = _pair_ranks(rows, at)
+    def filtered(rows, labels):  # the decider's one call per leaf it cannot look up
+        table = _pair_ranks(rows, labels)
         if rows not in current["orbit"] and table == current["ranks"]:
             current["passed"] = True
         return table
@@ -604,7 +604,7 @@ class TestPersistencePruning:
             h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep), p=0.3).edges()
                              if a in keep and b in keep])
             block_fates = {class_persistence_check(g, h, block) for block in canonical_foliage_partition(g)}
-            conflicts = _conflict_pairs(h, pair_rank_table(h), g._at)
+            conflicts = _conflict_pairs(h, h.vertices, pair_rank_table(h))
             assert _any_equivalent(g._rows, conflicts) == (ClassFate.VIOLATION in block_fates)
             fates |= block_fates
         assert fates == set(ClassFate)

@@ -82,28 +82,28 @@ def _reference_step(adj, step):
     return adj
 
 
-def _kernel_step(rows, at, step):
-    """``step`` in the rows kernel of ``graph.py``: a measurement is the
-    search's child from ``_measure_rows`` (x through a neighbor other than the
-    smallest by ``_x_rows``) and a deletion is ``_z_rows``, the measured row
-    zeroed in place and then dropped. A child changes only the rows of the
-    measured vertex, its neighbors and, for x, the neighbors of the one
-    measured through."""
+def _kernel_step(rows, alive, step):
+    """``step`` in the rows kernel of ``graph.py`` on a graph with labels ``alive``:
+    a measurement is the search's child from ``_measure_rows`` (x through a
+    neighbor other than the smallest by ``_x_rows``) and a deletion is
+    ``_z_rows``, the measured row zeroed in place and the tuple then cut after
+    the largest label left. A child changes only the rows of the measured
+    vertex, its neighbors and, for x, the neighbors of the one measured through."""
     if step.op == "lc":
-        return _lc_rows(rows, at, step.vertex)
-    i, mask = at[step.vertex], rows[at[step.vertex]]
+        return _lc_rows(rows, step.vertex)
+    i, mask = step.vertex, rows[step.vertex]
     near = mask | 1 << step.vertex
     if step.op == "measure_x" and step.neighbor is not None:
-        near |= rows[at[step.neighbor]]
+        near |= rows[step.neighbor]
     if step.op == "delete":
-        child = _z_rows(rows, at, step.vertex)
+        child = _z_rows(rows, step.vertex)
     elif step.op == "measure_x" and step.neighbor not in (None, (mask & -mask).bit_length() - 1):
-        child = _x_rows(rows, at, step.vertex, step.neighbor)
+        child = _x_rows(rows, step.vertex, step.neighbor)
     else:
-        child = _measure_rows(rows, at, step.vertex)[("measure_z", "measure_y", "measure_x").index(step.op)]
+        child = _measure_rows(rows, step.vertex)[("measure_z", "measure_y", "measure_x").index(step.op)]
     assert child[i] == 0 and len(child) == len(rows)
-    assert all(new == old or near >> v & 1 for v, old, new in zip(at, rows, child))
-    return child[:i] + child[i + 1:]
+    assert all(new == old or near >> v & 1 for v, (old, new) in enumerate(zip(rows, child)))
+    return child[:(alive ^ 1 << i).bit_length()]
 
 
 def test_measure_rows_shares_children_only_where_the_search_skips_them():
@@ -112,23 +112,23 @@ def test_measure_rows_shares_children_only_where_the_search_skips_them():
     # isolated vertex; otherwise each child is its own tuple
     for n in range(6):
         for g in all_graphs(n):
-            rows, at = g._rows, g._at
+            rows = g._rows
             for a in g.vertices:
-                z, y, x = children = _measure_rows(rows, at, a)
+                z, y, x = children = _measure_rows(rows, a)
                 degree = g.degree(a)
                 assert [child is rows for child in children] == [degree == 0] * 3
                 assert (y is z) == (degree < 2) and (x is z) == (x is y) == (degree == 0)
                 if degree:
                     smallest = min(g.neighbors(a))
-                    assert (z, y, x) == (_z_rows(rows, at, a), _z_rows(rows, at, a, True),
-                                         _x_rows(rows, at, a, smallest))
+                    assert (z, y, x) == (_z_rows(rows, a), _z_rows(rows, a, True),
+                                         _x_rows(rows, a, smallest))
 
 
 def test_rows_rewrites_match_apply_step():
     # every kind of step on graphs with scattered labels up to 64, through
     # ``apply_step``, through the ``graph`` rewrite it names and through the
-    # bare kernel, against the definitions; each rows tuple stays aligned to
-    # the ascending labels of its graph
+    # bare kernel, against the definitions; each rows tuple is indexed by the
+    # labels of its graph and ends at the largest one
     rng = random.Random(43)
     kinds = set()
     for _ in range(300):
@@ -137,7 +137,7 @@ def test_rows_rewrites_match_apply_step():
         g = Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
                            if rng.random() < p])
         adj = {v: g.neighbors(v) for v in g.vertices}
-        rows, at = g._rows, g._at
+        rows, alive = g._rows, g._alive
         while g.n and rng.random() < 0.9:
             v = rng.choice(g.vertices)
             op = rng.choice(("lc", "delete", "measure_z", "measure_y", "measure_x"))
@@ -146,10 +146,10 @@ def test_rows_rewrites_match_apply_step():
             named = reference_apply_step(g, step)  # the ``graph`` rewrite the step names
             g = apply_step(g, step)
             adj = _reference_step(adj, step)
-            rows = _kernel_step(rows, at, step)
-            at = g._at
+            rows = _kernel_step(rows, alive, step)
+            alive = g._alive
             expected = Graph(sorted(adj), [(a, b) for a in adj for b in adj[a] if a < b])
-            assert g == expected == named and list(at) == list(named._at) == sorted(adj)
+            assert g == expected == named and alive == named._alive == sum(1 << v for v in adj)
             assert rows == g._rows == named._rows == expected._rows
             kinds.add((op, step.neighbor is None))
     assert len(kinds) == 6  # x through a neighbor and x of an isolated vertex among them
@@ -207,7 +207,7 @@ def _assert_replay_matches_the_reference(g, rng, seen):
         seen.add((step.op, error and re.sub(r"[0-9.]+|True", "#", str(error))))
     good = steps[:len(graphs) - 1]
     assert replay(g, good) == graphs[-1], (g, good)
-    assert list(replay(g, good)._at) == list(graphs[-1].vertices)
+    assert replay(g, good)._alive == graphs[-1]._alive
     if error is not None:
         steps += [_random_step(rng, graphs[-1], dead) for _ in range(rng.randint(0, 2))]  # never reached
         with pytest.raises(type(error)) as caught:
@@ -263,8 +263,8 @@ def test_replay_errors_name_the_bad_step(steps, error, message):
         reference_apply_step(replay(g, steps[:-1]), steps[-1])
 
 
-def test_replay_without_deletion_keeps_the_label_positions():
+def test_replay_without_deletion_keeps_the_alive_labels():
     g = Graph([3, 9, 40], [(3, 9), (9, 40)])
     out = replay(g, [Step("lc", 9), Step("lc", 3)])
-    assert out._at is g._at and out == local_complement(local_complement(g, 9), 3)
+    assert out._alive == g._alive and out == local_complement(local_complement(g, 9), 3)
     assert replay(g, ()) == g and apply_step(g, Step("lc", 9)) == local_complement(g, 9)

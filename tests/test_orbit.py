@@ -162,7 +162,7 @@ def test_outsider_with_equal_cut_ranks_is_refuted_without_a_closure(budget, monk
     # pair cut-rank tables, not LC-equivalent; the first orbit has 5 members.
     # The exact test refutes the pair, so budget 4 no longer runs out
     g, outside = Graph(5, [(1, 2), (1, 4), (1, 5)]), Graph(5, [(1, 2), (1, 3), (1, 4)])
-    assert _pair_ranks(g._rows, g._at) == _pair_ranks(outside._rows, outside._at)
+    assert _pair_ranks(g._rows, g.vertices) == _pair_ranks(outside._rows, outside.vertices)
     assert len(lc_orbit(g)) == 5
 
     def no_closure(*args):
@@ -268,7 +268,7 @@ def _rows_orbit(g, budget):
     """``_closure``'s (member, path) pairs as graphs, and whether it ran out of budget."""
     found = []
     try:
-        found.extend((_graph(rows, g._at), path) for rows, path in _closure(g._rows, g._at, budget))
+        found.extend((_graph(rows, g._alive), path) for rows, path in _closure(g._rows, budget))
     except BudgetExceededError:
         return found, True
     return found, False
@@ -301,7 +301,7 @@ def test_exact_test_agrees_with_orbit_membership_on_four_vertices():
     equivalent = 0
     for g in graphs:
         for h in graphs:
-            assert _lc_equivalent_rows(g._rows, h._rows, g._at) is (h in orbits[g]), (g, h)
+            assert _lc_equivalent_rows(g._rows, h._rows) is (h in orbits[g]), (g, h)
             equivalent += h in orbits[g]
     assert len(graphs) == 64 and 64 < equivalent < 64 * 64
 
@@ -315,7 +315,7 @@ def test_exact_test_agrees_with_orbit_membership_on_five_scattered_labels():
     for g in graphs:
         if g not in cls:
             cls.update(dict.fromkeys(lc_orbit(g), len(cls)))
-    tables = {g: _pair_ranks(g._rows, g._at) for g in graphs}
+    tables = {g: _pair_ranks(g._rows, g.vertices) for g in graphs}
     verdicts = set()
     pairs = 0
     while pairs < 3000:
@@ -323,7 +323,7 @@ def test_exact_test_agrees_with_orbit_membership_on_five_scattered_labels():
         if tables[g] != tables[h]:
             continue
         pairs += 1
-        verdict = _lc_equivalent_rows(g._rows, h._rows, g._at)
+        verdict = _lc_equivalent_rows(g._rows, h._rows)
         assert verdict is (cls[g] == cls[h]), (g, h)
         verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -338,9 +338,9 @@ def test_exact_test_never_refutes_an_orbit_member():
         h = g
         for _ in range(rng.randint(0, 8)):
             h = local_complement(h, rng.choice(h.vertices))
-        assert _pair_ranks(g._rows, g._at) == _pair_ranks(h._rows, h._at)
-        assert _lc_equivalent_rows(g._rows, h._rows, g._at) is True, (g, h)
-        assert _lc_equivalent_rows(h._rows, g._rows, g._at) is True, (h, g)
+        assert _pair_ranks(g._rows, g.vertices) == _pair_ranks(h._rows, h.vertices)
+        assert _lc_equivalent_rows(g._rows, h._rows) is True, (g, h)
+        assert _lc_equivalent_rows(h._rows, g._rows) is True, (h, g)
 
 
 def test_exact_test_cannot_tell_past_its_solution_space_and_the_closure_answers(monkeypatch):
@@ -348,8 +348,8 @@ def test_exact_test_cannot_tell_past_its_solution_space_and_the_closure_answers(
     # it answers None, and ``lc_equivalent`` and ``lc_path`` fall back to the closure
     star = Graph(12, [(1, v) for v in range(2, 13)])
     other = Graph(12, [(2, v) for v in range(1, 13) if v != 2])
-    assert _lc_equivalent_rows(star._rows, star._rows, star._at) is None
-    assert _lc_equivalent_rows(star._rows, other._rows, star._at) is None
+    assert _lc_equivalent_rows(star._rows, star._rows) is None
+    assert _lc_equivalent_rows(star._rows, other._rows) is None
     assert lc_equivalent(star, other) and lc_path(star, other) == (1, 2)
     monkeypatch.setattr(orbit, "_closure", lambda *args: iter(()))
     assert not lc_equivalent(star, other)  # the answer did come from the closure

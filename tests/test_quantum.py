@@ -343,9 +343,10 @@ class TestByproductRule:
         g = path_graph(3)
         assert find_measurement_correction(g, 2, "x", +1) == {1: "SSH", 3: "SS"}
         # H on vertex 1 alone also maps the measured graph's state to the projection
-        post = quantum._apply((quantum._state(g, g._at), 0), 3, g._at[2], quantum._PROJECTORS["x", +1])
-        image = (quantum._state(measure_x(g, 2, 1), g._at), 0)
-        assert quantum._same_ray(post, quantum._apply(image, 3, g._at[1], ((1, 1), (1, -1))), 3)
+        at = quantum._qubits(g._alive)
+        post = quantum._apply((quantum._state(g, g._alive), 0), 3, at[2], quantum._PROJECTORS["x", +1])
+        image = (quantum._state(measure_x(g, 2, 1), g._alive), 0)
+        assert quantum._same_ray(post, quantum._apply(image, 3, at[1], ((1, 1), (1, -1))), 3)
 
     def test_no_match_raises(self, monkeypatch):
         monkeypatch.setattr(cliffords, "measurement_byproduct", lambda *args: {})
@@ -370,7 +371,7 @@ class TestByproductRule:
         checked = nonempty = 0
         for n in range(1, 6):
             for g in all_graphs(n):
-                psi = (quantum._state(g, g._at), 0)
+                psi, at = (quantum._state(g, g._alive), 0), quantum._qubits(g._alive)
                 for a in g.vertices:
                     neighbors = tuple(sorted(g.neighbors(a)))
                     for basis in "xyz":
@@ -378,9 +379,9 @@ class TestByproductRule:
                         special_nbrs = () if special is None else tuple(sorted(g.neighbors(special) - {a}))
                         image = (measure_x(g, a, special) if basis == "x" else measure_y(g, a) if basis == "y"
                                  else measure_z(g, a))
-                        target = (quantum._state(image, g._at), 0)
+                        target = (quantum._state(image, g._alive), 0)
                         for outcome in (+1, -1):
-                            post = quantum._apply(psi, n, g._at[a], quantum._PROJECTORS[basis, outcome])
+                            post = quantum._apply(psi, n, at[a], quantum._PROJECTORS[basis, outcome])
                             if post == (0, 0):
                                 continue
                             byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors,
@@ -397,9 +398,9 @@ class TestStatesPerCheck:
         calls = []
         build = quantum._state
 
-        def counting(g, at):
+        def counting(g, alive):
             calls.append(g)
-            return build(g, at)
+            return build(g, alive)
 
         monkeypatch.setattr(quantum, "_state", counting)
         return calls
@@ -417,11 +418,11 @@ class TestStatesPerCheck:
 
 
 class TestStateMemo:
-    """``quantum._build`` keeps the recent states, keyed by graph and layout."""
+    """``quantum._build`` keeps the recent states, keyed by graph and the alive mask of its qubits."""
 
     @staticmethod
-    def build(g, layout):
-        return quantum._build.__wrapped__(g, layout)  # the same code without the memo
+    def build(g, alive):
+        return quantum._build.__wrapped__(g, alive)  # the same code without the memo
 
     def test_the_cap_is_checked_on_a_cached_state(self, monkeypatch):
         g = complete_graph(5)
@@ -437,20 +438,20 @@ class TestStateMemo:
             find_measurement_correction(g, 9, "z", +1)
 
     def test_equal_rows_on_two_label_sets_are_two_states(self):
-        one, other, at = Graph([1, 2]), Graph([3, 4]), Graph(4)._at
+        one, other, alive = Graph([3]), Graph([1, 3]), Graph([1, 3])._alive
         assert one._rows == other._rows and hash(one) == hash(other)
-        assert quantum._state(one, at) == self.build(one, tuple(at))
-        assert quantum._state(other, at) == self.build(other, tuple(at))
-        assert quantum._state(one, at) != quantum._state(other, at)
+        assert quantum._state(one, alive) == self.build(one, alive)
+        assert quantum._state(other, alive) == self.build(other, alive)
+        assert quantum._state(one, alive) != quantum._state(other, alive)
 
     def test_an_image_has_one_state_per_layout(self):
         g = path_graph(3)
         image = measure_z(g, 2)
         assert find_measurement_correction(g, 2, "z", -1) == {1: "SS", 3: "SS"}  # image on g's layout
         assert_bit_identical(image)  # image on its own layout
-        assert quantum._state(image, g._at) == self.build(image, tuple(g._at))
-        assert quantum._state(image, image._at) == self.build(image, tuple(image._at))
-        assert quantum._state(image, g._at) != quantum._state(image, image._at)
+        assert quantum._state(image, g._alive) == self.build(image, g._alive)
+        assert quantum._state(image, image._alive) == self.build(image, image._alive)
+        assert quantum._state(image, g._alive) != quantum._state(image, image._alive)
 
     def test_a_cached_graph_state_is_bit_identical(self):
         quantum._build.cache_clear()

@@ -19,7 +19,7 @@ always carries a witness that lands exactly on the two target edges.
 from __future__ import annotations
 
 from .graph import MAX_LABEL, Graph, _bits, _Record, _set, connected_components, path_graph, ring_graph
-from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, NO, YES, Decision, Step, replay
+from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, NO, YES, Decision, Step, _witness
 
 
 class NotATreeError(ValueError):
@@ -102,20 +102,13 @@ def _require_tree(g: Graph) -> None:
         raise NotATreeError("graph is not a tree (disconnected)")
 
 
-def _checked(query: BellQuery, steps: list[Step], rule: str) -> Decision:
-    witness = tuple(steps)
-    if replay(query.graph(), witness) != query.target():
-        raise RuntimeError("extraction schedule replay mismatch; this is a bug")
-    return Decision(YES, rule, witness)
-
-
 def _extraction(query: BellQuery, interior: list[int], rule: str) -> Decision:
     """Measure z off both pair paths (ascending), then y along ``interior``
     in the order given, which contracts each path onto its pair."""
     kept = {*query.pair_a, *query.pair_b, *interior}
     steps = [Step(MEASURE_Z, v) for v in query.graph().vertices if v not in kept]
     steps += [Step(MEASURE_Y, v) for v in interior]
-    return _checked(query, steps, rule)
+    return Decision(YES, rule, _witness(query.graph(), steps, query.target()))
 
 
 # -- line ---------------------------------------------------------------------
@@ -171,12 +164,6 @@ def decide_bell_tree(query: BellQuery) -> Decision:
 SIX_CYCLE_FINISH = (Step(MEASURE_X, 2, 1), Step(MEASURE_X, 5, 4))
 
 
-def _three_consecutive(n: int, marked: set[int]) -> bool:
-    return any(
-        all((p + k - 1) % n + 1 in marked for k in range(3)) for p in range(1, n + 1)
-    )
-
-
 def decide_bell_ring(query: BellQuery) -> Decision:
     """Two Bell pairs from a ring: non-crossing and never three-in-a-row."""
     if query.topology != "ring":
@@ -187,8 +174,6 @@ def decide_bell_ring(query: BellQuery) -> Decision:
     before = sum(tour.index(v) < tour.index(p2) for v in query.pair_b)
     if before == 1:
         return Decision(NO, "ring-crossing")
-    if _three_consecutive(n, {p1, p2, *query.pair_b}):
-        return Decision(NO, "ring-three-consecutive")
 
     # Walk from p1 in the direction that meets p2 before the other pair, so
     # the tour reads p1, arc_p, p2, mid, q1, arc_q, q2, wrap.
@@ -196,7 +181,9 @@ def decide_bell_ring(query: BellQuery) -> Decision:
         tour = tour[:1] + tour[:0:-1]
     i, j, k = sorted(tour.index(v) for v in (p2, *query.pair_b))
     q1, q2 = tour[j], tour[k]
-    arc_p, mid, arc_q, wrap = tour[1:i], tour[i + 1:j], tour[j + 1:k], tour[k + 1:]
+    arc_p, mid, arc_q, wrap = gaps = tour[1:i], tour[i + 1:j], tour[j + 1:k], tour[k + 1:]
+    if any(not gaps[g - 1] and not gaps[g] for g in range(4)):  # two empty gaps in a row: three endpoints
+        return Decision(NO, "ring-three-consecutive")
 
     if mid and wrap:
         # both separating arcs have interior vertices: cut them out, then
@@ -215,7 +202,7 @@ def decide_bell_ring(query: BellQuery) -> Decision:
     steps += [Step(MEASURE_Y, v) for v in sorted(set(arc_q) - {keep_q})]
     relabel = dict(zip(range(1, 7), (p1, keep_p, p2, q1, keep_q, q2)))
     steps += [Step(s.op, relabel[s.vertex], relabel[s.neighbor]) for s in SIX_CYCLE_FINISH]
-    return _checked(query, steps, "ring-extraction")
+    return Decision(YES, "ring-extraction", _witness(query.graph(), steps, query.target()))
 
 
 def decide_bell(query: BellQuery) -> Decision:

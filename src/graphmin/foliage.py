@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 
-from .graph import Graph, UnknownVertexError, _bits, _graph, _Record, _set
+from .graph import Graph, UnknownVertexError, _bits, _graph, _Record, _set, _unknown
 
 
 class InvalidPartitionError(ValueError):
@@ -39,7 +39,7 @@ class Partition(_Record):
                 raise InvalidPartitionError("empty block")
             for v in block:  # before the blocks are ordered: ``min`` cannot order "2" against 1
                 if not isinstance(v, int) or isinstance(v, bool):
-                    raise UnknownVertexError(f"unknown vertex label {v}")
+                    raise _unknown(v)
             if block & seen:
                 raise InvalidPartitionError(f"overlapping blocks at {sorted(block & seen)}")
             seen |= block

@@ -31,6 +31,11 @@ class UnknownVertexError(ValueError):
     """Raised when an operation names a label that is not alive."""
 
 
+def _unknown(v) -> UnknownVertexError:
+    """The error for ``v``, a label that is not alive; ``repr`` tells ``"2"`` from ``2``."""
+    return UnknownVertexError(f"unknown vertex label {v!r}")
+
+
 def _bits(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -106,7 +111,7 @@ class Graph:
         for a, b in edges:
             for v in (a, b):
                 if not _live(alive, v):
-                    raise UnknownVertexError(f"unknown vertex label {v}")
+                    raise _unknown(v)
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
             rows[a] |= 1 << b
@@ -152,7 +157,7 @@ class Graph:
 
     def _require(self, a: int) -> None:
         if not _live(self._alive, a):
-            raise UnknownVertexError(f"unknown vertex label {a}")
+            raise _unknown(a)
 
     # -- value semantics ----------------------------------------------------
 
@@ -269,7 +274,7 @@ def _x_neighbor(nbrs: int, a: int, b: int | None, alive: int) -> int | None:
         return (nbrs & -nbrs).bit_length() - 1
     if not _live(nbrs, b):
         if not _live(alive, b):
-            raise UnknownVertexError(f"unknown vertex label {b}")
+            raise _unknown(b)
         raise ValueError(f"vertex {b} is not a neighbor of {a}")
     return b
 
@@ -326,7 +331,7 @@ def _x_rows(rows: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 
 
 def _measure_rows(rows: tuple[int, ...], a: int):
-    """The z, y and x children of measuring ``a`` (x through its smallest neighbor):
+    """The z, y and x children of measuring ``a`` (x through ``_x_neighbor``):
     ``_z_rows``, ``_z_rows`` with ``y`` and ``_x_rows``.
 
     y is z itself when ``a`` has one neighbor, and all three are ``rows``
@@ -335,8 +340,8 @@ def _measure_rows(rows: tuple[int, ...], a: int):
     nbrs = rows[a]
     if not nbrs:
         return rows, rows, rows
-    z, low = _z_rows(rows, a), nbrs & -nbrs
-    return z, z if nbrs == low else _z_rows(rows, a, True), _x_rows(rows, a, low.bit_length() - 1)
+    z, b = _z_rows(rows, a), _x_neighbor(nbrs, a, None, 0)
+    return z, z if nbrs == 1 << b else _z_rows(rows, a, True), _x_rows(rows, a, b)
 
 
 def _pair_ranks(rows: tuple[int, ...], labels: tuple[int, ...]) -> list[int]:

@@ -7,7 +7,7 @@ LC-orbit. The brute-force decider searches those assignments in canonical
 order, so answers and witnesses are deterministic; every yes carries a step
 sequence that replays to the target exactly. A call runs on the source's
 label-indexed bitmask rows and builds one graph, in the witness check
-(``ops.replay``). The reductions are in ``graphmin.reduction``.
+(``ops._witness``). The reductions are in ``graphmin.reduction``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import combinations, islice
 
 from .foliage import _any_equivalent, _pair
-from .graph import Graph, _bits, _measure_rows, _pair_ranks
-from .ops import LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step, replay
+from .graph import Graph, _bits, _measure_rows, _pair_ranks, _x_neighbor
+from .ops import LC, MEASURE_X, MEASURE_Y, MEASURE_Z, NO, UNKNOWN, YES, Decision, Step, _witness
 # the bench's traced runs wrap ``graphmin.minor.lc_orbit_paths``, so the name stays
 from .orbit import BudgetExceededError, _budget, _closure, _lc_equivalent_rows, lc_orbit_paths
 
@@ -126,15 +126,11 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return Decision(UNKNOWN, "budget-exhausted")
     if hit is None:
         return Decision(NO, "brute-force")
-    steps = []
-    for v, (basis, rows) in zip(to_measure, choices):
-        row = rows[v]  # x goes through the smallest neighbor
-        steps.append(Step(basis, v, (row & -row).bit_length() - 1 if basis == MEASURE_X and row else None))
+    steps = [Step(basis, v, _x_neighbor(rows[v], v, None, g._alive) if basis == MEASURE_X else None)
+             for v, (basis, rows) in zip(to_measure, choices)]
     # each local complement is an involution, so the recorded path from the
     # target reverses into a path back to it
-    witness = (*steps, *(Step(LC, v) for v in reversed(hit)))
-    if replay(g, witness) != h:
-        raise RuntimeError("witness replay mismatch; this is a bug")
+    witness = _witness(g, (*steps, *(Step(LC, v) for v in reversed(hit))), h)
     return Decision(YES, "brute-force" if to_measure else "lc-equivalence", witness)
 
 

@@ -11,7 +11,7 @@ mask and builds one graph, at the end.
 
 from __future__ import annotations
 
-from .graph import Graph, UnknownVertexError, _graph, _lc_rows, _live, _Record, _set, _x_neighbor, _x_rows, _z_rows
+from .graph import Graph, _graph, _lc_rows, _live, _Record, _set, _unknown, _x_neighbor, _x_rows, _z_rows
 
 LC = "lc"
 DELETE = "delete"
@@ -65,7 +65,7 @@ def replay(g: Graph, steps) -> Graph:
     for step in steps:
         op, a = step.op, step.vertex
         if not _live(alive, a):
-            raise UnknownVertexError(f"unknown vertex label {a}")
+            raise _unknown(a)
         if op == LC:
             rows = _lc_rows(rows, a)
         elif op == MEASURE_X:
@@ -78,6 +78,14 @@ def replay(g: Graph, steps) -> Graph:
             rows = _z_rows(rows, a, op == MEASURE_Y)
         alive ^= (op != LC) << a  # every step but a local complement removes its label
     return _graph(rows, alive)
+
+
+def _witness(g: Graph, steps, target: Graph) -> tuple[Step, ...]:
+    """``steps``, a constructed witness, as a tuple once it replays from ``g`` to ``target`` exactly."""
+    steps = tuple(steps)
+    if replay(g, steps) != target:
+        raise RuntimeError("a constructed witness does not replay to its target; this is a bug")
+    return steps
 
 
 def steps_to_json(steps) -> list[dict]:

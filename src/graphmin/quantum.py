@@ -34,7 +34,7 @@ import functools
 import math
 
 from . import cliffords
-from .graph import Graph, _bits, local_complement, measure_x, measure_y, measure_z
+from .graph import Graph, _bits, _x_neighbor, local_complement, measure_x, measure_y, measure_z
 
 STATE_CAP = 12
 
@@ -178,7 +178,7 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     n, at = g.n, _qubits(g._alive)
     neighbors = tuple(sorted(g.neighbors(a)))
-    special = neighbors[0] if basis == "x" and neighbors else None  # x routes through it
+    special = _x_neighbor(g._rows[a], a, None, g._alive) if basis == "x" else None  # x routes through it
     special_nbrs = () if special is None else tuple(sorted(g.neighbors(special) - {a}))
 
     psi = (_state(g, g._alive), 0)

@@ -93,6 +93,20 @@ def prufer_tree(seq: tuple[int, ...], n: int) -> Graph:
     return Graph(n, edges)
 
 
+def pair_placements(n: int):
+    """Every way to split four of the labels 1..n into two pairs: per 4-subset
+    (ascending), its smallest label paired with each other one in turn."""
+    for four in combinations(range(1, n + 1), 4):
+        anchor, *rest = four
+        for partner in rest:
+            yield (anchor, partner), tuple(v for v in rest if v != partner)
+
+
+def bell_target(pair_a, pair_b) -> Graph:
+    """The two Bell pairs ``pair_a`` and ``pair_b`` as a graph of two disjoint edges."""
+    return Graph(set(pair_a) | set(pair_b), [tuple(pair_a), tuple(pair_b)])
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance pass/fail lines after the captured test output."""
     try:

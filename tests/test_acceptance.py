@@ -38,7 +38,7 @@ from graphmin import (
 )
 from graphmin.minor import NO, YES
 
-from conftest import all_graphs, fig4a, fig6, prufer_tree, random_graph, random_refinement
+from conftest import all_graphs, bell_target, fig4a, fig6, pair_placements, prufer_tree, random_graph, random_refinement
 
 WITNESS_TALLY = {"replayed": 0, "suites_done": set()}
 REPORT_LINES: list[str] = []
@@ -48,18 +48,6 @@ def _report(number, label, started):
     line = f"ACCEPTANCE {number} {label}: PASS ({time.monotonic() - started:.1f}s)"
     REPORT_LINES.append(line)
     print(line)
-
-
-def pair_placements(n):
-    for four in itertools.combinations(range(1, n + 1), 4):
-        anchor, *rest = four
-        for partner in rest:
-            others = tuple(v for v in four if v not in (anchor, partner))
-            yield (anchor, partner), others
-
-
-def bell_target(pair_a, pair_b):
-    return Graph(set(pair_a) | set(pair_b), [tuple(pair_a), tuple(pair_b)])
 
 
 def _check_yes_witness(source, decision, target):

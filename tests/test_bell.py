@@ -24,20 +24,7 @@ from graphmin.bell import SIX_CYCLE_FINISH
 from graphmin.minor import NO, YES
 from graphmin.ops import steps_to_json
 
-from conftest import prufer_tree
-
-
-def bell_target(pair_a, pair_b):
-    return Graph(set(pair_a) | set(pair_b), [tuple(pair_a), tuple(pair_b)])
-
-
-def pair_placements(n):
-    for four in itertools.combinations(range(1, n + 1), 4):
-        rest = list(four)
-        anchor = rest[0]
-        for partner in rest[1:]:
-            others = [v for v in rest if v not in (anchor, partner)]
-            yield (anchor, partner), tuple(others)
+from conftest import bell_target, pair_placements, prufer_tree
 
 
 class TestQueryValidation:
@@ -219,7 +206,32 @@ def _c4(n):
     return n * (n - 1) * (n - 2) * (n - 3) // 24
 
 
+def _three_consecutive(n, marked):
+    """The reference for ``ring-three-consecutive``: three of ``marked`` on
+    consecutive ring positions, found by scanning all n positions."""
+    return any(all((p + k - 1) % n + 1 in marked for k in range(3)) for p in range(1, n + 1))
+
+
+def _crossing(n, pair_a, pair_b):
+    """Whether exactly one end of ``pair_b`` lies on the ring arc from ``pair_a[0]`` forward to ``pair_a[1]``."""
+    a1, a2 = pair_a
+    return sum(0 < (b - a1) % n < (a2 - a1) % n for b in pair_b) == 1
+
+
 class TestRing:
+    def test_three_consecutive_exactly_where_the_scan_flags_a_non_crossing_placement(self):
+        flagged = 0
+        for n in range(4, 15):
+            for pair_a, pair_b in pair_placements(n):
+                for query in ((pair_a, pair_b), (pair_b[::-1], pair_a)):  # both pairs leading, both ways round
+                    rule = decide_bell_ring(ring_query(n, *query)).rule
+                    crossing = _crossing(n, *query)
+                    assert (rule == "ring-crossing") == crossing, (n, query)
+                    three = not crossing and _three_consecutive(n, {*pair_a, *pair_b})
+                    assert (rule == "ring-three-consecutive") == three, (n, query)
+                    flagged += three
+        assert flagged > 1000
+
     def test_eight_ring_witness_replays(self):
         d = decide_bell_ring(ring_query(8, (1, 6), (2, 4)))
         assert d.answer == YES

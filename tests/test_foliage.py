@@ -274,7 +274,7 @@ class TestUncheckedBuilds:
                                       lambda: Partition([{1, "2"}, {3}])], ids=["classify_block", "Partition"])
     def test_a_member_that_cannot_be_ordered_is_an_unknown_label(self, call):
         # "2" is checked as a label before ``sorted`` or ``min`` tries to order it against 1
-        with pytest.raises(UnknownVertexError, match="^unknown vertex label 2$"):
+        with pytest.raises(UnknownVertexError, match="^unknown vertex label '2'$"):
             call()
 
     def test_quotient_equals_the_edge_list_build(self):

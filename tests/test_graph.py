@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from graphmin import (
     Graph,
+    Partition,
     UnknownVertexError,
     classify_block,
     complete_graph,
@@ -126,6 +127,30 @@ class TestConstruction:
         # returned a graph, and the others raised TypeError from ``1 << 2.0``
         with pytest.raises(UnknownVertexError, match="unknown vertex label 2.0"):
             call(path_graph(3))
+
+    # every site that names an unknown label prints it as ``repr`` does: only a
+    # ``str`` label reads differently from ``str``, so "2" is told from 2
+    @pytest.mark.parametrize("call", [
+        lambda v: Graph(3, [(1, v)]),
+        lambda v: path_graph(3).has_edge(1, v),
+        lambda v: measure_x(path_graph(3), 2, v),
+        lambda v: replay(path_graph(3), [Step("lc", v)]),
+    ], ids=["Graph-edge", "has_edge", "measure_x-neighbor", "replay"])
+    @pytest.mark.parametrize("label, text", [
+        ("2", "'2'"), (True, "True"), (2.0, "2.0"), (-1, "-1"), (99, "99"),
+    ], ids=["str", "bool", "float", "negative", "absent"])
+    def test_an_unknown_label_reads_as_its_repr(self, call, label, text):
+        with pytest.raises(UnknownVertexError) as caught:
+            call(label)
+        assert str(caught.value) == f"unknown vertex label {text}"
+
+    @pytest.mark.parametrize("label, text", [("2", "'2'"), (True, "True"), (2.0, "2.0")],
+                             ids=["str", "bool", "float"])
+    def test_a_partition_member_that_is_not_an_int_reads_as_its_repr(self, label, text):
+        # ``Partition`` knows no graph, so it refuses only members that are not ``int`` labels
+        with pytest.raises(UnknownVertexError) as caught:
+            Partition([{1}, {label, 3}])  # not with 1: a set merges ``True`` into 1
+        assert str(caught.value) == f"unknown vertex label {text}"
 
     def test_ring_needs_three_vertices(self):
         with pytest.raises(ValueError, match="^ring needs at least 3 vertices, got 2$"):

@@ -7,7 +7,7 @@ import pytest
 from graphmin import (Graph, Step, UnknownVertexError, apply_step, delete_vertex, local_complement, measure_x,
                       measure_y, measure_z, path_graph, replay)
 from graphmin.graph import _lc_rows, _measure_rows, _x_rows, _z_rows
-from graphmin.ops import steps_from_json, steps_to_json
+from graphmin.ops import _witness, steps_from_json, steps_to_json
 
 from conftest import all_graphs
 
@@ -261,6 +261,14 @@ def test_replay_errors_name_the_bad_step(steps, error, message):
     assert type(caught.value) is error and str(caught.value) == message
     with pytest.raises(error):
         reference_apply_step(replay(g, steps[:-1]), steps[-1])
+
+
+def test_a_constructed_witness_is_returned_only_if_it_replays_to_its_target():
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    steps = [Step("measure_y", 2), Step("delete", 4)]
+    assert _witness(g, iter(steps), Graph([1, 3], [(1, 3)])) == tuple(steps)
+    with pytest.raises(RuntimeError, match="does not replay to its target; this is a bug$"):
+        _witness(g, steps, Graph([1, 3]))
 
 
 def test_replay_without_deletion_keeps_the_alive_labels():

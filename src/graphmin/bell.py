@@ -38,6 +38,7 @@ class BellQuery(_Record):
 
     def __init__(self, topology: str, pair_a: tuple[int, int], pair_b: tuple[int, int],
                  size: int | None = None, tree: Graph | None = None):
+        pair_a, pair_b = tuple(pair_a), tuple(pair_b)  # a list-built query equals and hashes as the tuple-built one
         if topology not in ("line", "ring", "tree"):
             raise ValueError(f"unknown topology {topology!r}")
         if topology == "tree":
@@ -83,15 +84,15 @@ class BellQuery(_Record):
 
 
 def line_query(n: int, pair_a, pair_b) -> BellQuery:
-    return BellQuery("line", tuple(pair_a), tuple(pair_b), size=n)
+    return BellQuery("line", pair_a, pair_b, size=n)
 
 
 def ring_query(n: int, pair_a, pair_b) -> BellQuery:
-    return BellQuery("ring", tuple(pair_a), tuple(pair_b), size=n)
+    return BellQuery("ring", pair_a, pair_b, size=n)
 
 
 def tree_query(tree: Graph, pair_a, pair_b) -> BellQuery:
-    return BellQuery("tree", tuple(pair_a), tuple(pair_b), tree=tree)
+    return BellQuery("tree", pair_a, pair_b, tree=tree)
 
 
 def _require_tree(g: Graph) -> None:

@@ -129,16 +129,15 @@ def _cmd_decide(args) -> int:
 
 def _cmd_bell(args) -> int:
     from .bell import BellQuery, decide_bell
-    pair_a, pair_b = tuple(args.pairA), tuple(args.pairB)
     if args.topology == "tree":
         if not args.graph:
             raise ValueError("--topology tree needs --graph FILE")
-        query = BellQuery("tree", pair_a, pair_b, tree=_load(args.graph, args.format))
+        query = BellQuery("tree", args.pairA, args.pairB, tree=_load(args.graph, args.format))
     else:
         if args.n is None:
             raise ValueError(f"--topology {args.topology} needs --n")
-        query = BellQuery(args.topology, pair_a, pair_b, size=args.n)
-    inputs = (write_edge_list(query.graph()), repr(sorted(pair_a)), repr(sorted(pair_b)))
+        query = BellQuery(args.topology, args.pairA, args.pairB, size=args.n)
+    inputs = (write_edge_list(query.graph()), repr(sorted(query.pair_a)), repr(sorted(query.pair_b)))
     return _emit_decision(args, "bell", inputs, decide_bell(query), query.target())
 
 

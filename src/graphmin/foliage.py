@@ -29,47 +29,44 @@ class Partition(_Record):
     and hash equal regardless of input order.
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        normalized = [frozenset(b) for b in blocks]
+        normalized = []
         seen: set[int] = set()
-        for block in normalized:
-            if not block:
+        for members in map(tuple, blocks):
+            if not members:
                 raise InvalidPartitionError("empty block")
-            for v in block:  # before the blocks are ordered: ``min`` cannot order "2" against 1
+            for v in members:  # as given, before a set merges ``True`` into ``1`` or ``min`` meets "2" and 1
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise _unknown(v)
-            if block & seen:
+            if (block := frozenset(members)) & seen:
                 raise InvalidPartitionError(f"overlapping blocks at {sorted(block & seen)}")
             seen |= block
-        _set(self, "_blocks", tuple(sorted(normalized, key=min)))
-
-    @property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        return self._blocks
+            normalized.append(block)
+        _set(self, "blocks", tuple(sorted(normalized, key=min)))
 
     def labels(self) -> frozenset[int]:
-        return frozenset().union(*self._blocks)
+        return frozenset().union(*self.blocks)
 
     def block_of(self, v: int) -> frozenset[int]:
-        for b in self._blocks:
+        for b in self.blocks:
             if v in b:
                 return b
         raise UnknownVertexError(f"vertex {v} not covered by partition")
 
     def refines(self, other: Partition) -> bool:
         """Every block here sits inside a single block of ``other``."""
-        return all(any(mine <= theirs for theirs in other._blocks) for mine in self._blocks)
+        return all(any(mine <= theirs for theirs in other.blocks) for mine in self.blocks)
 
     def __iter__(self):
-        return iter(self._blocks)
+        return iter(self.blocks)
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self.blocks)
 
     def __repr__(self) -> str:
-        return "Partition(%s)" % ", ".join("{%s}" % ",".join(map(str, sorted(b))) for b in self._blocks)
+        return "Partition(%s)" % ", ".join("{%s}" % ",".join(map(str, sorted(b))) for b in self.blocks)
 
 
 def singletons(g: Graph) -> Partition:
@@ -149,7 +146,7 @@ def canonical_foliage_partition(g: Graph) -> Partition:
         placed.update(block)
         blocks.append(frozenset(block))
     p = object.__new__(Partition)
-    _set(p, "_blocks", tuple(blocks))
+    _set(p, "blocks", tuple(blocks))
     return p
 
 
@@ -188,10 +185,10 @@ def classify_block(g: Graph, block: Iterable[int]) -> BlockShape:
     leaf-axil pair) and clique (adjacent twins) otherwise; the reduction
     treats both identically, so the tie-break only affects labeling.
     """
-    members = set(block)
-    for v in members:  # before ``sorted``, which cannot order "2" against 1
+    members = list(block)
+    for v in members:  # as given, before a set merges ``True`` into ``1`` or ``sorted`` meets "2" and 1
         g._require(v)
-    members = sorted(members)
+    members = sorted(set(members))
     if not members:
         raise InvalidPartitionError("empty block")
     if not _one_class(g, members):

@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from operator import attrgetter
 
 MAX_LABEL = 64
-_set = object.__setattr__  # how ``Graph`` and the records set their fields, once
+_set = object.__setattr__  # how the records, ``Graph`` among them, set their fields, once
 
 
 class UnknownVertexError(ValueError):
@@ -84,7 +84,7 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class Graph:
+class Graph(_Record):
     """Immutable labeled simple graph on a subset of labels 1..MAX_LABEL."""
 
     __slots__ = ("_rows", "_alive")
@@ -118,8 +118,6 @@ class Graph:
             rows[b] |= 1 << a
         _set(self, "_rows", tuple(rows))
         _set(self, "_alive", alive)
-
-    __setattr__ = __delattr__ = _Record.__setattr__
 
     # -- accessors ---------------------------------------------------------
 
@@ -159,14 +157,8 @@ class Graph:
         if not _live(self._alive, a):
             raise _unknown(a)
 
-    # -- value semantics ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        # equal rows on two label sets are two graphs (``Graph([3])`` and
-        # ``Graph([1, 3])`` both have rows ``(0, 0, 0, 0)``)
-        return self._alive == other._alive and self._rows == other._rows
+    # -- value semantics: ``_Record``'s equality reads ``_rows`` and ``_alive``, since equal rows on
+    # two label sets are two graphs (``Graph([3])`` and ``Graph([1, 3])`` share rows and hash)
 
     def __hash__(self) -> int:
         return hash(self._rows)

@@ -32,10 +32,11 @@ def source_reduce(g: Graph, protected: set[int] | frozenset[int]) -> tuple[Graph
     labels that has no isolated vertices (the caller asserts that). Returns
     the reduced graph and the steps applied.
     """
-    protected = set(protected)
-    for v in protected:
-        if not isinstance(v, int) or isinstance(v, bool):  # ``True == 1.0 == 1`` in a set
+    protected = list(protected)
+    for v in protected:  # as given, before a set merges ``True`` and ``1.0`` into ``1``
+        if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"protected labels must be integers, got {v!r}")
+    protected = set(protected)
     unknown = protected - set(g.vertices)
     if unknown:
         raise ValueError(f"protected labels {sorted(unknown)} not in graph")

@@ -21,6 +21,7 @@ from graphmin import (
     path_graph,
     ring_graph,
     singletons,
+    source_reduce,
 )
 from graphmin.foliage import _row_groups, _star_centers
 from graphmin.graph import _pair_ranks
@@ -276,6 +277,18 @@ class TestUncheckedBuilds:
         # "2" is checked as a label before ``sorted`` or ``min`` tries to order it against 1
         with pytest.raises(UnknownVertexError, match="^unknown vertex label '2'$"):
             call()
+
+    @pytest.mark.parametrize("extra", [True, 1.0], ids=repr)
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda labels: Partition([labels, [2]]), UnknownVertexError, "unknown vertex label {!r}"),
+        (lambda labels: classify_block(path_graph(3), labels), UnknownVertexError, "unknown vertex label {!r}"),
+        (lambda labels: source_reduce(path_graph(5), labels), ValueError, "protected labels must be integers, got {!r}"),
+    ], ids=["Partition", "classify_block", "source_reduce"])
+    def test_members_are_checked_as_given(self, call, error, message, extra):
+        # each call refuses ``[extra]`` alone; beside ``1``, a set would merge ``extra`` into it
+        with pytest.raises(error) as caught:
+            call([1, extra])
+        assert str(caught.value) == message.format(extra)
 
     def test_quotient_equals_the_edge_list_build(self):
         rng = random.Random(2105)

@@ -3,7 +3,8 @@
 They construct positionally or by keyword with the same defaults and
 validation, compare equal only within one class, hash as the tuple of their
 fields, print as ``Class(field=value, ...)``, refuse assignment, and survive
-copy, deepcopy and pickle. They are not tuples.
+copy, deepcopy and pickle. They are not tuples. ``Graph`` and ``Partition``
+stand on the same base.
 """
 
 import copy
@@ -152,6 +153,31 @@ def test_graph_and_partition_refuse_assignment_and_deletion(value):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value == copy.copy(value)
+
+
+def test_graph_equals_only_a_graph():
+    class Sub(Graph):
+        pass
+
+    g = Graph([1, 2], [(1, 2)])
+    assert g != Sub([1, 2], [(1, 2)]) and Sub([1, 2], [(1, 2)]) != g
+    assert Sub([1, 2], [(1, 2)]) == Sub([1, 2], [(1, 2)])
+
+
+def test_partition_matches_on_its_one_field():
+    p = Partition([[3], [1, 2]])
+    assert Partition.__match_args__ == ("blocks",)
+    match p:
+        case Partition(blocks):
+            assert blocks == (frozenset({1, 2}), frozenset({3}))
+        case _:
+            pytest.fail(f"{p!r} matched no Partition pattern")
+
+
+def test_bell_query_holds_its_pairs_as_tuples():
+    from_lists, from_tuples = BellQuery("line", [1, 2], [4, 5], size=6), BellQuery("line", (1, 2), (4, 5), size=6)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert repr(from_lists) == "BellQuery(topology='line', pair_a=(1, 2), pair_b=(4, 5), size=6, tree=None)"
 
 
 @pytest.mark.parametrize("build, error, message", [

@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Standing mutant table: small wrong edits of graphmin that named tests must catch.
+
+Run from the repository root:
+
+    python tools/mutants.py
+
+Each mutant names a file, an exact old text, the new text that replaces it
+and the test ids that must fail. The script copies the repository to a
+temporary directory and first runs every listed id on the unchanged copy,
+where each must pass, so a misspelled id or a failing test is not counted
+as a kill. Then, for each mutant, it replaces the old text in the copy,
+runs pytest on that mutant's ids alone and puts the file back. A listed id
+of a parametrized test counts as failed when one of its cases fails.
+
+It exits 1 when an old text is not found exactly once, when a listed test
+fails on the unchanged copy, or when a mutant survives: some listed test
+did not fail.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+AS_GIVEN = "tests/test_foliage.py::TestUncheckedBuilds::test_members_are_checked_as_given"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    kills: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("Partition checks its members after a set merged them", "src/graphmin/foliage.py",
+           "        for members in map(tuple, blocks):\n",
+           "        for members in map(frozenset, blocks):\n",
+           (f"{AS_GIVEN}[Partition-True]", f"{AS_GIVEN}[Partition-1.0]")),
+    Mutant("classify_block checks its members after a set merged them", "src/graphmin/foliage.py",
+           "    members = list(block)\n",
+           "    members = set(block)\n",
+           (f"{AS_GIVEN}[classify_block-True]", f"{AS_GIVEN}[classify_block-1.0]")),
+    Mutant("source_reduce checks its labels after a set merged them", "src/graphmin/reduction.py",
+           "    protected = list(protected)\n",
+           "    protected = set(protected)\n",
+           (f"{AS_GIVEN}[source_reduce-True]", f"{AS_GIVEN}[source_reduce-1.0]")),
+    Mutant("Graph equality ignores the alive labels", "src/graphmin/graph.py",
+           '    __slots__ = ("_rows", "_alive")\n',
+           '    __slots__ = ("_rows", "_alive")\n\n'
+           "    def __eq__(self, other):\n"
+           "        return other.__class__ is self.__class__ and self._rows == other._rows\n",
+           ("tests/test_graph.py::TestLabelIndexedRows::test_equal_rows_on_two_label_sets_are_two_graphs",
+            "tests/test_quantum.py::TestStateMemo::test_equal_rows_on_two_label_sets_are_two_states")),
+    Mutant("_live shifts by a negative label", "src/graphmin/graph.py",
+           "and v > 0 and mask >> v & 1",
+           "and mask >> v & 1",
+           ("tests/test_graph.py::TestConstruction::test_an_unknown_label_reads_as_its_repr[negative-Graph-edge]",
+            "tests/test_graph.py::TestConstruction::test_an_unknown_label_reads_as_its_repr[negative-has_edge]",
+            "tests/test_graph.py::TestConstruction::test_an_unknown_label_reads_as_its_repr"
+            "[negative-measure_x-neighbor]",
+            "tests/test_graph.py::TestConstruction::test_an_unknown_label_reads_as_its_repr[negative-replay]",
+            "tests/test_graph.py::TestLabelIndexedRows::test_has_vertex_is_false_outside_the_labels[-1]",
+            "tests/test_graph.py::TestLabelIndexedRows::test_a_negative_label_is_unknown")),
+    Mutant("decide_bell_ring skips the gap pair (wrap, arc_p)", "src/graphmin/bell.py",
+           "for g in range(4))",
+           "for g in range(1, 4))",
+           ("tests/test_bell.py::TestRing::test_three_consecutive_exactly_where_the_scan_flags_a_non_crossing_placement",
+            "tests/test_bell.py::TestRing::test_agrees_with_brute_force_n6",
+            "tests/test_bell.py::test_decisions_match_pinned_digest")),
+    Mutant("classify_block does not test the foliage relation", "src/graphmin/foliage.py",
+           "    if not _one_class(g, members):\n"
+           '        raise ValueError(f"block {members} is not a valid foliage class shape")\n',
+           "",
+           ("tests/test_foliage.py::TestClassifyBlock::test_invalid_block_raises",
+            "tests/test_foliage.py::TestClassifyBlock::test_inequivalent_independent_set_raises")),
+)
+
+
+def run_tests(copy: Path, ids) -> tuple[int, set[str], str]:
+    """Run pytest on ``ids`` in ``copy``, importing its ``src``; the exit code, the failed ids, the output."""
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *ids],
+                          cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+                          capture_output=True, text=True)
+    return done.returncode, set(re.findall(r"^FAILED (\S+)", done.stdout, re.M)), done.stdout
+
+
+def failed(listed: str, failures: set[str]) -> bool:
+    return any(f == listed or f.startswith(listed + "[") for f in failures)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                                                  ".hypothesis", "*.egg-info"))
+        stale = [m for m in MUTANTS if (copy / m.path).read_text().count(m.old) != 1]
+        for m in stale:
+            print(f"STALE     {m.name}: the old text is not found exactly once in {m.path}")
+        if stale:
+            return 1
+        code, _, out = run_tests(copy, sorted({i for m in MUTANTS for i in m.kills}))
+        if code != 0:
+            print(out)
+            print("BASELINE  a listed test does not pass on the unchanged copy")
+            return 1
+        survivors = 0
+        for m in MUTANTS:
+            path = copy / m.path
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            _, failures, out = run_tests(copy, m.kills)
+            path.write_text(original)
+            passed = [i for i in m.kills if not failed(i, failures)]
+            if passed:
+                survivors += 1
+                print(out)
+                print(f"SURVIVED  {m.name}: these listed tests did not fail: {', '.join(passed)}")
+            else:
+                print(f"killed    {m.name} ({len(failures)} failed)")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

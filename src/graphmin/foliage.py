@@ -50,6 +50,8 @@ class Partition(_Record):
         return frozenset().union(*self.blocks)
 
     def block_of(self, v: int) -> frozenset[int]:
+        if not isinstance(v, int) or isinstance(v, bool):  # as given: ``True`` and ``3.0`` are found by ``in``
+            raise _unknown(v)
         for b in self.blocks:
             if v in b:
                 return b
@@ -223,8 +225,7 @@ def _check_representatives(w: Partition, reps: Iterable[int] | None) -> tuple[in
         raise ValueError(f"expected {len(w.blocks)} representatives, got {len(chosen)}")
     by_block: dict[frozenset[int], int] = {}
     for r in chosen:
-        block = w.block_of(r)
-        if block in by_block:
+        if (block := w.block_of(r)) in by_block:  # ``block_of`` refuses ``True`` and ``2.0``
             raise ValueError(f"two representatives ({by_block[block]}, {r}) for one block")
         by_block[block] = r
     return tuple(by_block[b] for b in w.blocks)
@@ -242,7 +243,7 @@ def foliage_graph(g: Graph, w: Partition | None = None, reps: Iterable[int] | No
         raise InvalidPartitionError("not a foliage partition of this graph")
     chosen = _check_representatives(w, reps)
     rep_of = {v: rep for block, rep in zip(w.blocks, chosen) for v in block}
-    alive = Graph(chosen)._alive  # each representative checked by ``Graph``'s rule
+    alive = sum(1 << rep for rep in chosen)
     rows = [0] * alive.bit_length()
     for block, rep in zip(w.blocks, chosen):
         rows[rep] = sum({1 << rep_of[u] for v in block for u in _bits(g._rows[v])} - {1 << rep})

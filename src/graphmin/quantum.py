@@ -15,9 +15,9 @@ indices ``x``: one signed byte-wide field per amplitude, so a gate is a few
 mask, shift and add operations on the whole int. No field a check forms
 exceeds 4 in magnitude (the tests measure it), far inside a byte. States
 match up to global phase iff they are proportional over Z[i], and a
-zero-probability outcome is exactly zero. Qubit order is ascending vertex
-label (``_qubits``, graphmin's one map from labels to indices); the
-smallest label is the most significant bit of the index.
+zero-probability outcome is exactly zero. The qubit of label ``v`` is the
+number of alive labels below it (``_qubit``, a popcount; graphmin keeps no
+label-to-index map), so the smallest label is the index's most significant bit.
 
 Each state is built once while it is recent: ``_build`` is a memo of the 16
 most recently used states, keyed by the graph (its rows and label set, as
@@ -63,17 +63,16 @@ def _masks(n: int) -> tuple[tuple[int, ...], int, int, tuple[tuple[int, int], ..
     return bits, ones, ones << 7, tuple((high, high & ones << 7) for high in (_spread(b) * 0xFF for b in bits))
 
 
-def _qubits(alive: int) -> dict[int, int]:
-    """The qubit of each label of ``alive``: labels in ascending order to 0..n-1."""
-    return {v: i for i, v in enumerate(_bits(alive))}
+def _qubit(alive: int, v: int) -> int:
+    """The qubit of label ``v`` of ``alive``: the alive labels below it, so ascending labels go to 0..n-1."""
+    return (alive & (1 << v) - 1).bit_count()
 
 
 def _state(g: Graph, alive: int) -> int:
     """Real part of ``g``'s state (the imaginary part is 0) on the qubits of ``alive``,
     where a label ``g`` lacks (it was measured) has its bit clear in every nonzero
     field. The cap is checked on every call, then the state is looked up in the memo."""
-    n = alive.bit_count()
-    if n > STATE_CAP:
+    if (n := alive.bit_count()) > STATE_CAP:
         raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")
     return _build(g, alive)
 
@@ -83,15 +82,14 @@ def _build(g: Graph, alive: int) -> int:
     """``_state`` on the qubits of ``alive``. Per vertex, its ``bits`` AND the XOR of
     its larger-labelled neighbors' ``bits`` is XORed into one int of 2^n sign bits,
     which ``_spread`` makes fields."""
-    at = _qubits(alive)
-    (masks, keep, _, rows), signs = _masks(len(at)), 0
+    (masks, keep, _, rows), signs = _masks(alive.bit_count()), 0
     for v in _bits(g._alive):
         up = 0
         for u in _bits(g._rows[v] >> v + 1 << v + 1):
-            up ^= masks[at[u]]
-        signs ^= up & masks[at[v]]
+            up ^= masks[_qubit(alive, u)]
+        signs ^= up & masks[_qubit(alive, v)]
     for v in _bits(alive & ~g._alive):
-        keep &= ~rows[at[v]][0]
+        keep &= ~rows[_qubit(alive, v)][0]
     return keep - 2 * (_spread(signs) & keep)
 
 
@@ -148,11 +146,11 @@ def verify_lc_unitary(g: Graph, a: int) -> bool:
     complemented graph, up to global phase.
     """
     g._require(a)
-    n, at = g.n, _qubits(g._alive)
-    psi = _apply((_state(g, g._alive), 0), n, at[a], cliffords.LC_AT_VERTEX)
+    n, alive = g.n, g._alive
+    psi = _apply((_state(g, alive), 0), n, _qubit(alive, a), cliffords.LC_AT_VERTEX)
     for b in _bits(g._rows[a]):
-        psi = _apply(psi, n, at[b], cliffords.LC_AT_NEIGHBOR)
-    return _same_ray(psi, (_state(local_complement(g, a), g._alive), 0), n)
+        psi = _apply(psi, n, _qubit(alive, b), cliffords.LC_AT_NEIGHBOR)
+    return _same_ray(psi, (_state(local_complement(g, a), alive), 0), n)
 
 
 # |0><e| for the eigenvector e of each outcome: the measured qubit's bit stays 0
@@ -176,25 +174,26 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
     for outcome in outcomes:  # an ``int`` only: ``True`` and ``1.0`` equal ``1``
         if not isinstance(outcome, int) or isinstance(outcome, bool) or outcome not in (+1, -1):
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    n, at = g.n, _qubits(g._alive)
-    neighbors = tuple(sorted(g.neighbors(a)))
-    special = _x_neighbor(g._rows[a], a, None, g._alive) if basis == "x" else None  # x routes through it
-    special_nbrs = () if special is None else tuple(sorted(g.neighbors(special) - {a}))
+    g._require(a)
+    n, alive, rows = g.n, g._alive, g._rows
+    neighbors = tuple(_bits(rows[a]))
+    special = _x_neighbor(rows[a], a, None, alive) if basis == "x" else None  # x routes through it
+    special_nbrs = () if special is None else tuple(_bits(rows[special] & ~(1 << a)))
 
-    psi = (_state(g, g._alive), 0)
-    posts = [_apply(psi, n, at[a], _PROJECTORS[basis, outcome]) for outcome in outcomes]
+    psi = (_state(g, alive), 0)
+    posts = [_apply(psi, n, _qubit(alive, a), _PROJECTORS[basis, outcome]) for outcome in outcomes]
     posts = [None if post == (0, 0) else post for post in posts]
     if all(post is None for post in posts):
         return posts
 
     image = measure_x(g, a, special) if basis == "x" else measure_y(g, a) if basis == "y" else measure_z(g, a)
-    target = (_state(image, g._alive), 0)
+    target = (_state(image, alive), 0)
 
     def correction(post: tuple[int, int], outcome: int) -> dict[int, str]:
         byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors, special, special_nbrs)
         phi = target
         for v, (_, gate) in byproduct.items():
-            phi = _apply(phi, n, at[v], gate)
+            phi = _apply(phi, n, _qubit(alive, v), gate)
         if not _same_ray(post, phi, n):
             raise CorrectionSearchExhausted(f"the closed-form byproduct does not match the "
                                             f"{basis}{'+' if outcome > 0 else '-'} outcome at vertex {a}")

@@ -283,9 +283,11 @@ class TestUncheckedBuilds:
         (lambda labels: Partition([labels, [2]]), UnknownVertexError, "unknown vertex label {!r}"),
         (lambda labels: classify_block(path_graph(3), labels), UnknownVertexError, "unknown vertex label {!r}"),
         (lambda labels: source_reduce(path_graph(5), labels), ValueError, "protected labels must be integers, got {!r}"),
-    ], ids=["Partition", "classify_block", "source_reduce"])
+        (lambda labels: Partition([labels[:1], [2]]).block_of(labels[1]), UnknownVertexError,
+         "unknown vertex label {!r}"),
+    ], ids=["Partition", "classify_block", "source_reduce", "block_of"])
     def test_members_are_checked_as_given(self, call, error, message, extra):
-        # each call refuses ``[extra]`` alone; beside ``1``, a set would merge ``extra`` into it
+        # each call refuses ``[extra]`` alone; beside ``1``, a set (or ``in`` a block) would merge ``extra`` into it
         with pytest.raises(error) as caught:
             call([1, extra])
         assert str(caught.value) == message.format(extra)
@@ -302,18 +304,18 @@ class TestUncheckedBuilds:
                 assert fg.graph == expected and fg.graph._rows == expected._rows, (g, w, reps)
                 assert foliage_graph(g, w).graph == edge_list_quotient(g, fg.partition, [min(b) for b in blocks])
 
-    @pytest.mark.parametrize("blocks, reps, error, message", [
-        ([{True}, {2}, {3}, {4}], None, UnknownVertexError, "unknown vertex label True"),
-        ([{1}, {2.0}, {3}, {4}], None, UnknownVertexError, "unknown vertex label 2.0"),  # once TypeError
-        ([{1}, {2}, {3}, {4}], [True, 2, 3, 4], ValueError, "vertex labels must be integers in 1..64, got True"),
-        ([{1}, {2}, {3}, {4}], [1, 2.0, 3, 4], ValueError, "vertex labels must be integers in 1..64, got 2.0"),
+    @pytest.mark.parametrize("blocks, reps, message", [
+        ([{True}, {2}, {3}, {4}], None, "unknown vertex label True"),
+        ([{1}, {2.0}, {3}, {4}], None, "unknown vertex label 2.0"),  # once TypeError
+        ([{1}, {2}, {3}, {4}], [True, 2, 3, 4], "unknown vertex label True"),  # once ValueError, from ``Graph``
+        ([{1}, {2}, {3}, {4}], [1, 2.0, 3, 4], "unknown vertex label 2.0"),
     ], ids=["bool-member", "float-member", "bool-representative", "float-representative"])
-    def test_quotient_labels_are_checked(self, blocks, reps, error, message):
-        # the rows are wrapped unchecked, so a label equal to an alive one but
-        # not an ``int`` is refused on the way, as ``Graph`` refuses it
-        with pytest.raises(error) as caught:
+    def test_quotient_labels_are_checked(self, blocks, reps, message):
+        # the rows are wrapped unchecked, so a label equal to an alive one but not an
+        # ``int`` is refused on the way: a member by ``Partition``, a representative by ``block_of``
+        with pytest.raises(UnknownVertexError) as caught:
             foliage_graph(path_graph(4), Partition(blocks), reps)
-        assert type(caught.value) is error and str(caught.value) == message
+        assert type(caught.value) is UnknownVertexError and str(caught.value) == message
 
 
 class TestFoliageGraph:

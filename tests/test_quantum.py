@@ -229,6 +229,33 @@ class TestMeasurements:
                     assert verify_measurement(g, a, basis)
 
 
+class TestScatteredLabels:
+    """The checks on labels spread over 1..64 against the same graph relabelled in order to 1..n."""
+
+    def test_x_at_a_vertex_of_four_scattered_labels(self):
+        g = Graph([3, 17, 40, 64], [(3, 17), (17, 40), (17, 64), (40, 64)])
+        assert find_measurement_correction(g, 17, "x", +1) == {3: "SSH", 40: "SS", 64: "SS"}
+        assert find_measurement_correction(g, 17, "x", -1) == {3: "HSS"}
+
+    def test_verdicts_and_corrections_match_the_graph_on_one_to_n(self):
+        rng, nonempty = random.Random(64), 0
+        for _ in range(40):
+            labels = sorted(rng.sample(range(1, 65), rng.randint(2, 7)))
+            g = random_graph(rng, len(labels), rng.uniform(0.2, 0.8))
+            spread = _relabel(g, labels)
+            for a in g.vertices:
+                v = labels[a - 1]
+                assert verify_lc_unitary(spread, v) == verify_lc_unitary(g, a), (spread, v)
+                for basis in "xyz":
+                    assert verify_measurement(spread, v, basis) == verify_measurement(g, a, basis), (spread, v)
+                    for outcome in (+1, -1):
+                        found = find_measurement_correction(spread, v, basis, outcome)
+                        back = None if found is None else {labels.index(u) + 1: w for u, w in found.items()}
+                        assert back == find_measurement_correction(g, a, basis, outcome), (spread, v, basis)
+                        nonempty += bool(found)
+        assert nonempty > 200
+
+
 def offset_fields(state, n):
     """Both parts of a packed state as bytes: byte x is field x plus 128."""
     size = 1 << n
@@ -343,10 +370,10 @@ class TestByproductRule:
         g = path_graph(3)
         assert find_measurement_correction(g, 2, "x", +1) == {1: "SSH", 3: "SS"}
         # H on vertex 1 alone also maps the measured graph's state to the projection
-        at = quantum._qubits(g._alive)
-        post = quantum._apply((quantum._state(g, g._alive), 0), 3, at[2], quantum._PROJECTORS["x", +1])
+        post = quantum._apply((quantum._state(g, g._alive), 0), 3, quantum._qubit(g._alive, 2),
+                              quantum._PROJECTORS["x", +1])
         image = (quantum._state(measure_x(g, 2, 1), g._alive), 0)
-        assert quantum._same_ray(post, quantum._apply(image, 3, at[1], ((1, 1), (1, -1))), 3)
+        assert quantum._same_ray(post, quantum._apply(image, 3, quantum._qubit(g._alive, 1), ((1, 1), (1, -1))), 3)
 
     def test_no_match_raises(self, monkeypatch):
         monkeypatch.setattr(cliffords, "measurement_byproduct", lambda *args: {})
@@ -371,7 +398,7 @@ class TestByproductRule:
         checked = nonempty = 0
         for n in range(1, 6):
             for g in all_graphs(n):
-                psi, at = (quantum._state(g, g._alive), 0), quantum._qubits(g._alive)
+                psi = (quantum._state(g, g._alive), 0)
                 for a in g.vertices:
                     neighbors = tuple(sorted(g.neighbors(a)))
                     for basis in "xyz":
@@ -381,7 +408,8 @@ class TestByproductRule:
                                  else measure_z(g, a))
                         target = (quantum._state(image, g._alive), 0)
                         for outcome in (+1, -1):
-                            post = quantum._apply(psi, n, at[a], quantum._PROJECTORS[basis, outcome])
+                            post = quantum._apply(psi, n, quantum._qubit(g._alive, a),
+                                                  quantum._PROJECTORS[basis, outcome])
                             if post == (0, 0):
                                 continue
                             byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors,

@@ -83,6 +83,31 @@ MUTANTS = (
            "",
            ("tests/test_foliage.py::TestClassifyBlock::test_invalid_block_raises",
             "tests/test_foliage.py::TestClassifyBlock::test_inequivalent_independent_set_raises")),
+    Mutant("Partition.block_of finds a label by in, unchecked", "src/graphmin/foliage.py",
+           "        if not isinstance(v, int) or isinstance(v, bool):"
+           "  # as given: ``True`` and ``3.0`` are found by ``in``\n"
+           "            raise _unknown(v)\n",
+           "",
+           (f"{AS_GIVEN}[block_of-True]", f"{AS_GIVEN}[block_of-1.0]",
+            "tests/test_foliage.py::TestUncheckedBuilds::test_quotient_labels_are_checked[bool-representative]",
+            "tests/test_foliage.py::TestUncheckedBuilds::test_quotient_labels_are_checked[float-representative]")),
+    Mutant("the state memo is looked up before the cap check", "src/graphmin/quantum.py",
+           "    if (n := alive.bit_count()) > STATE_CAP:\n"
+           '        raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")\n'
+           "    return _build(g, alive)\n",
+           "    return _capped(g, alive)\n\n\n"
+           "@functools.lru_cache(maxsize=16)\n"
+           "def _capped(g, alive):\n"
+           "    if (n := alive.bit_count()) > STATE_CAP:\n"
+           '        raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")\n'
+           "    return _build(g, alive)\n",
+           ("tests/test_quantum.py::TestStateMemo::test_the_cap_is_checked_on_a_cached_state",)),
+    Mutant("the qubit of label v is v - 1", "src/graphmin/quantum.py",
+           "    return (alive & (1 << v) - 1).bit_count()\n",
+           "    return v - 1\n",
+           ("tests/test_quantum.py::TestScatteredLabels::test_x_at_a_vertex_of_four_scattered_labels",
+            "tests/test_quantum.py::TestScatteredLabels::test_verdicts_and_corrections_match_the_graph_on_one_to_n",
+            "tests/test_quantum.py::TestGraphState::test_bit_identical_on_scattered_labels")),
 )
 
 

@@ -12,20 +12,22 @@ e^{i pi/4}) dropped, every gate is a matrix over {0, +-1, +-i} and every
 amplitude a small Gaussian integer. A state is a pair of Python ints, real
 and imaginary part, each the sum of ``a_x * 256**x`` over the amplitude
 indices ``x``: one signed byte-wide field per amplitude, so a gate is a few
-mask, shift and add operations on the whole int. No field a check forms
-exceeds 4 in magnitude (the tests measure it), far inside a byte. States
-match up to global phase iff they are proportional over Z[i], and a
-zero-probability outcome is exactly zero. The qubit of label ``v`` is the
-number of alive labels below it (``_qubit``, a popcount; graphmin keeps no
-label-to-index map), so the smallest label is the index's most significant bit.
+mask, shift and add operations on the whole int; ``diag(1, d)``, most gates of
+a check, touches only the set half and, on a real state, no imaginary part. No
+field a check forms exceeds 4 in magnitude (the tests measure it). States match
+up to global phase iff they are proportional over Z[i], read at the first
+nonzero field of one state with no bias, as it is 0 below; a zero-probability
+outcome is exactly zero. The qubit of label ``v`` is the number of alive labels
+below it (``_qubit``), so the smallest label is the index's most significant bit.
 
-Each state is built once while it is recent: ``_build`` is a memo of the 16
-most recently used states, keyed by the graph (its rows and label set, as
-``Graph`` compares) and the alive mask of the labels it is built on. The
-mask matters because a measured image is built on its parent's qubits.
-Every check on one (graph, vertex) pair draws on five states: the graph,
-its local complement and its z, y and x images. ``STATE_CAP`` is
-checked on every call, before the lookup.
+A check runs on label-indexed rows and builds no ``Graph``: the local
+complement and the z, y and x images come from the rows kernel (``_lc_rows``,
+``_z_rows``, ``_x_rows``), an image on its parent's qubits. ``_build`` keeps the
+16 most recently used states, keyed by rows and live mask (what ``Graph``
+equality reads) and by the alive mask of the qubits, the layout; each label's
+sign plane comes from one table per layout (``_planes``). A (graph, vertex)
+sweep draws on five states: the graph, its local complement and its three
+images. ``STATE_CAP`` is checked on every call, before the lookup.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import functools
 import math
 
 from . import cliffords
-from .graph import Graph, _bits, _x_neighbor, local_complement, measure_x, measure_y, measure_z
+from .graph import Graph, _bits, _lc_rows, _x_neighbor, _x_rows, _z_rows
 
 STATE_CAP = 12
 
@@ -68,28 +70,39 @@ def _qubit(alive: int, v: int) -> int:
     return (alive & (1 << v) - 1).bit_count()
 
 
-def _state(g: Graph, alive: int) -> int:
-    """Real part of ``g``'s state (the imaginary part is 0) on the qubits of ``alive``,
-    where a label ``g`` lacks (it was measured) has its bit clear in every nonzero
+@functools.lru_cache(maxsize=16)
+def _planes(alive: int) -> tuple[int, ...]:
+    """The sign plane of each label of ``alive``, by label: ``_masks``' ``bits`` of its qubit, 0 off ``alive``."""
+    bits, planes = _masks(alive.bit_count())[0], [0] * alive.bit_length()
+    for v in _bits(alive):
+        planes[v] = bits[_qubit(alive, v)]
+    return tuple(planes)
+
+
+def _state(rows: tuple[int, ...], live: int, alive: int) -> int:
+    """Real part (the imaginary part is 0) of the state of ``rows`` on the labels of ``live``, on the qubits
+    of ``alive``: a label of ``alive`` not in ``live`` (it was measured) has its bit clear in every nonzero
     field. The cap is checked on every call, then the state is looked up in the memo."""
     if (n := alive.bit_count()) > STATE_CAP:
         raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")
-    return _build(g, alive)
+    return _build(rows, live, alive)
 
 
 @functools.lru_cache(maxsize=16)
-def _build(g: Graph, alive: int) -> int:
-    """``_state`` on the qubits of ``alive``. Per vertex, its ``bits`` AND the XOR of
-    its larger-labelled neighbors' ``bits`` is XORed into one int of 2^n sign bits,
-    which ``_spread`` makes fields."""
-    (masks, keep, _, rows), signs = _masks(alive.bit_count()), 0
-    for v in _bits(g._alive):
-        up = 0
-        for u in _bits(g._rows[v] >> v + 1 << v + 1):
-            up ^= masks[_qubit(alive, u)]
-        signs ^= up & masks[_qubit(alive, v)]
-    for v in _bits(alive & ~g._alive):
-        keep &= ~rows[_qubit(alive, v)][0]
+def _build(rows: tuple[int, ...], live: int, alive: int) -> int:
+    """``_state`` on the qubits of ``alive``. Per vertex, its plane AND the XOR of its
+    larger-labelled neighbors' planes is XORed into one int of 2^n sign bits, which
+    ``_spread`` makes fields."""
+    planes, (_, keep, _, masks), signs = _planes(alive), _masks(alive.bit_count()), 0
+    for v in _bits(live):
+        up, mask = 0, rows[v] >> v + 1 << v + 1
+        while mask:  # ``_bits`` inline: a generator per vertex costs more than the loop
+            low = mask & -mask
+            up ^= planes[low.bit_length() - 1]
+            mask ^= low
+        signs ^= up & planes[v]
+    for v in _bits(alive & ~live):
+        keep &= ~masks[_qubit(alive, v)][0]
     return keep - 2 * (_spread(signs) & keep)
 
 
@@ -97,7 +110,7 @@ def graph_state(g: Graph) -> tuple[complex, ...]:
     """State vector of ``g``, CZ per edge on the plus state: every amplitude is
     ``+-2^(-n/2)``, negative iff an odd number of edges have both endpoint bits set."""
     n, amp = g.n, 1 / math.sqrt(1 << g.n)
-    fields = (_state(g, g._alive) + _masks(n)[2]).to_bytes(1 << n, "little")
+    fields = (_state(g._rows, g._alive, g._alive) + _masks(n)[2]).to_bytes(1 << n, "little")
     return tuple([complex((byte - 128) * amp) for byte in fields])
 
 
@@ -115,11 +128,12 @@ def _apply(state: tuple[int, int], n: int, i: int, gate) -> tuple[int, int]:
     _, _, bias, rows = _masks(n)
     high, high_bias = rows[i]
     re1 = (re + bias & high) - high_bias
+    if ar == 1 and ai == br == bi == cr == ci == 0:  # diag(1, d): d - 1 on the set half, no unit or zero product
+        if not im:  # a real state: only Im(d) times the set half is imaginary
+            return re + (dr - 1) * re1, di * re1
+        im1 = (im + bias & high) - high_bias
+        return re + (dr - 1) * re1 - di * im1, im + (dr - 1) * im1 + di * re1
     im1 = (im + bias & high) - high_bias if im else 0
-    if br == bi == cr == ci == 0:  # a on the whole state, then d - a on the set half
-        dr, di = dr - ar, di - ai
-        return (ar * re - ai * im + dr * re1 - di * im1,
-                ar * im + ai * re + dr * im1 + di * re1)
     re0, im0 = re - re1, im - im1
     lift = 8 << n - 1 - i
     re1, im1 = re1 >> lift, im1 >> lift  # exact: the set half sits at least ``lift`` bits up
@@ -127,13 +141,16 @@ def _apply(state: tuple[int, int], n: int, i: int, gate) -> tuple[int, int]:
             ar * im0 + ai * re0 + br * im1 + bi * re1 + (cr * im0 + ci * re0 + dr * im1 + di * re1 << lift))
 
 
-def _same_ray(u: tuple[int, int], v: tuple[int, int], n: int) -> bool:
+def _same_ray(u: tuple[int, int], v: tuple[int, int]) -> bool:
     """Whether ``v`` is a multiple of the nonzero ``u`` over Z[i]: ``u * v_f == v * u_f``
-    at the first nonzero field ``f`` of ``u``."""
+    at the first nonzero field ``f`` of ``u``, each part cut to fields 0..f and read with no
+    bias. ``u`` is 0 below ``f``; a ``v`` that is not may read ``v_f`` one low, but is off the ray."""
     (ur, ui), (vr, vi) = u, v
-    low, bias = ur | ui, _masks(n)[2]
+    low = ur | ui
     shift = (low & -low).bit_length() - 1 & ~7
-    ufr, ufi, vfr, vfi = ((part + bias >> shift & 0xFF) - 128 for part in (ur, ui, vr, vi))
+    top = (256 << shift) - 1
+    ufr, ufi = ((ur & top) >> shift ^ 128) - 128, ((ui & top) >> shift ^ 128) - 128
+    vfr, vfi = ((vr & top) >> shift ^ 128) - 128, ((vi & top) >> shift ^ 128) - 128
     return (ur * vfr - ui * vfi == vr * ufr - vi * ufi
             and ur * vfi + ui * vfr == vr * ufi + vi * ufr)
 
@@ -146,11 +163,11 @@ def verify_lc_unitary(g: Graph, a: int) -> bool:
     complemented graph, up to global phase.
     """
     g._require(a)
-    n, alive = g.n, g._alive
-    psi = _apply((_state(g, alive), 0), n, _qubit(alive, a), cliffords.LC_AT_VERTEX)
-    for b in _bits(g._rows[a]):
+    n, alive, rows = g.n, g._alive, g._rows
+    psi = _apply((_state(rows, alive, alive), 0), n, _qubit(alive, a), cliffords.LC_AT_VERTEX)
+    for b in _bits(rows[a]):
         psi = _apply(psi, n, _qubit(alive, b), cliffords.LC_AT_NEIGHBOR)
-    return _same_ray(psi, (_state(local_complement(g, a), alive), 0), n)
+    return _same_ray(psi, (_state(_lc_rows(rows, a), alive, alive), 0))
 
 
 # |0><e| for the eigenvector e of each outcome: the measured qubit's bit stays 0
@@ -180,21 +197,21 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
     special = _x_neighbor(rows[a], a, None, alive) if basis == "x" else None  # x routes through it
     special_nbrs = () if special is None else tuple(_bits(rows[special] & ~(1 << a)))
 
-    psi = (_state(g, alive), 0)
+    psi = (_state(rows, alive, alive), 0)
     posts = [_apply(psi, n, _qubit(alive, a), _PROJECTORS[basis, outcome]) for outcome in outcomes]
     posts = [None if post == (0, 0) else post for post in posts]
     if all(post is None for post in posts):
         return posts
 
-    image = measure_x(g, a, special) if basis == "x" else measure_y(g, a) if basis == "y" else measure_z(g, a)
-    target = (_state(image, alive), 0)
+    image = _z_rows(rows, a, basis == "y") if special is None else _x_rows(rows, a, special)  # isolated x: z
+    target = (_state(image, alive ^ 1 << a, alive), 0)
 
     def correction(post: tuple[int, int], outcome: int) -> dict[int, str]:
         byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors, special, special_nbrs)
         phi = target
         for v, (_, gate) in byproduct.items():
             phi = _apply(phi, n, _qubit(alive, v), gate)
-        if not _same_ray(post, phi, n):
+        if not _same_ray(post, phi):
             raise CorrectionSearchExhausted(f"the closed-form byproduct does not match the "
                                             f"{basis}{'+' if outcome > 0 else '-'} outcome at vertex {a}")
         return {v: word for v, (word, _) in byproduct.items()}

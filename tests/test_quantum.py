@@ -21,7 +21,7 @@ from graphmin import (
     verify_lc_unitary,
     verify_measurement,
 )
-from graphmin import quantum
+from graphmin import graph, quantum
 from graphmin.quantum import CorrectionSearchExhausted, StateCapError, find_measurement_correction
 
 from conftest import all_graphs, fig2, random_graph
@@ -42,6 +42,11 @@ def per_edge_graph_state(g):
 def assert_bit_identical(g):
     psi, ref = np.array(graph_state(g)), per_edge_graph_state(g)
     assert psi.dtype == ref.dtype and np.array_equal(psi, ref), g.edges()
+
+
+def state(g, alive):
+    """The real part of ``g``'s state on the qubits of ``alive``, through the oracle's memo."""
+    return quantum._state(g._rows, g._alive, alive)
 
 
 def _relabel(g, labels):
@@ -277,7 +282,8 @@ def pack(vector, n):
 
 # every matrix the oracle applies: the local-complement roots, the closed-form
 # byproducts and the projections onto the measured qubit's eigenvectors, plus
-# the Paulis X and Y, so that each shape of matrix has members
+# the Paulis X and Y, so that each shape of matrix has members, and a diagonal
+# whose first entry is not 1, which takes the general formula, not diag(1, d)'s
 KERNEL_MATRICES = {
     "LC_AT_VERTEX": cliffords.LC_AT_VERTEX,
     "LC_AT_NEIGHBOR": cliffords.LC_AT_NEIGHBOR,
@@ -286,6 +292,7 @@ KERNEL_MATRICES = {
     **{f"project {basis}{outcome:+d}": m for (basis, outcome), m in quantum._PROJECTORS.items()},
     "X": ((0, 1), (1, 0)),
     "Y": ((0, -1j), (1j, 0)),
+    "diag(i, -1)": ((1j, 0), (0, -1)),
 }
 
 
@@ -318,6 +325,68 @@ class TestGateKernel:
                     full = np.kron(np.kron(np.eye(1 << i), gate), np.eye(1 << (n - 1 - i)))
                     got = unpack(quantum._apply(pack(psi, n), n, i, m), n)
                     np.testing.assert_array_equal(got, full @ psi, err_msg=f"{name} on row {i} of {n}")
+
+    @pytest.mark.parametrize("name", [name for name, m in KERNEL_MATRICES.items() if _shape(m) == "diagonal"])
+    def test_diagonal_on_a_real_state_matches_kronecker_operator_at_every_bit(self, name):
+        # graph states are real, so most diagonal gates of a check meet an imaginary part of exactly 0
+        m, rng = KERNEL_MATRICES[name], np.random.default_rng(11)
+        gate = np.array(m, dtype=complex)
+        for n in range(1, 8):
+            for i in range(n):
+                psi = rng.integers(-3, 4, 1 << n).astype(complex)
+                packed = pack(psi, n)
+                assert packed[1] == 0
+                full = np.kron(np.kron(np.eye(1 << i), gate), np.eye(1 << (n - 1 - i)))
+                got = quantum._apply(packed, n, i, m)
+                np.testing.assert_array_equal(unpack(got, n), full @ psi, err_msg=f"{name} on row {i} of {n}")
+                if not gate.imag.any():
+                    assert got[1] == 0  # a real gate keeps the state real
+
+
+def rank_one(u, v):
+    """Whether ``v`` is a multiple of the nonzero ``u``: every 2x2 minor ``u_x v_y - u_y v_x`` is 0."""
+    return bool(np.all(np.outer(u, v) == np.outer(v, u)))
+
+
+class TestSameRay:
+    """``quantum._same_ray`` against the rank of the two states stacked, with NumPy."""
+
+    # u is 0 below its first nonzero field, which is negative (field 2) or purely imaginary (field 1)
+    U = {"negative first field": [0, 0, -1, 2j, 1 - 1j, 0, -3, 1],
+         "imaginary first field": [0, -1j, 1, 0, 2, -1 + 1j, 0, -2j]}
+    LAMBDAS = (1, -1, 1j, -1j, 1 + 1j)
+
+    @pytest.mark.parametrize("name", U)
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_a_multiple_is_on_the_ray(self, name, lam):
+        u = np.array(self.U[name])
+        v = lam * u
+        assert rank_one(u, v)
+        assert quantum._same_ray(pack(u, 3), pack(v, 3))
+
+    @pytest.mark.parametrize("name", U)
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_a_negative_field_below_the_first_field_of_u_is_off_the_ray(self, name, lam):
+        u = np.array(self.U[name])
+        v = lam * u
+        v[0] = -1  # u is 0 there, so v leaves the ray, and the field borrows from the ones above
+        assert not rank_one(u, v)
+        assert not quantum._same_ray(pack(u, 3), pack(v, 3))
+
+    def test_random_pairs_match_the_rank(self):
+        rng, hits = np.random.default_rng(29), 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            u = rng.integers(-3, 4, 1 << n) + 1j * rng.integers(-3, 4, 1 << n)
+            u[:rng.integers(0, 1 << n)] = 0  # u's first nonzero field anywhere
+            if not u.any():
+                continue
+            lam = complex(*rng.integers(-1, 2, 2))
+            v = lam * u
+            v[rng.integers(0, 1 << n)] += complex(*rng.integers(-1, 2, 2)) * rng.integers(0, 2)
+            assert quantum._same_ray(pack(u, n), pack(v, n)) is rank_one(u, v), (u, v)
+            hits += rank_one(u, v)
+        assert 1000 < hits < 2500
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -370,10 +439,9 @@ class TestByproductRule:
         g = path_graph(3)
         assert find_measurement_correction(g, 2, "x", +1) == {1: "SSH", 3: "SS"}
         # H on vertex 1 alone also maps the measured graph's state to the projection
-        post = quantum._apply((quantum._state(g, g._alive), 0), 3, quantum._qubit(g._alive, 2),
-                              quantum._PROJECTORS["x", +1])
-        image = (quantum._state(measure_x(g, 2, 1), g._alive), 0)
-        assert quantum._same_ray(post, quantum._apply(image, 3, quantum._qubit(g._alive, 1), ((1, 1), (1, -1))), 3)
+        post = quantum._apply((state(g, g._alive), 0), 3, quantum._qubit(g._alive, 2), quantum._PROJECTORS["x", +1])
+        image = (state(measure_x(g, 2, 1), g._alive), 0)
+        assert quantum._same_ray(post, quantum._apply(image, 3, quantum._qubit(g._alive, 1), ((1, 1), (1, -1))))
 
     def test_no_match_raises(self, monkeypatch):
         monkeypatch.setattr(cliffords, "measurement_byproduct", lambda *args: {})
@@ -398,7 +466,7 @@ class TestByproductRule:
         checked = nonempty = 0
         for n in range(1, 6):
             for g in all_graphs(n):
-                psi = (quantum._state(g, g._alive), 0)
+                psi = (state(g, g._alive), 0)
                 for a in g.vertices:
                     neighbors = tuple(sorted(g.neighbors(a)))
                     for basis in "xyz":
@@ -406,7 +474,7 @@ class TestByproductRule:
                         special_nbrs = () if special is None else tuple(sorted(g.neighbors(special) - {a}))
                         image = (measure_x(g, a, special) if basis == "x" else measure_y(g, a) if basis == "y"
                                  else measure_z(g, a))
-                        target = (quantum._state(image, g._alive), 0)
+                        target = (state(image, g._alive), 0)
                         for outcome in (+1, -1):
                             post = quantum._apply(psi, n, quantum._qubit(g._alive, a),
                                                   quantum._PROJECTORS[basis, outcome])
@@ -414,10 +482,21 @@ class TestByproductRule:
                                 continue
                             byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors,
                                                                         special, special_nbrs)
-                            assert quantum._same_ray(post, target, n) is not bool(byproduct), (g, a, basis, outcome)
+                            assert quantum._same_ray(post, target) is not bool(byproduct), (g, a, basis, outcome)
                             checked += 1
                             nonempty += bool(byproduct)
         assert checked == 32069 and nonempty > checked // 2
+
+
+def test_a_check_builds_no_graph(monkeypatch):
+    # images are rows from the rewrite kernel, never wrapped as a ``Graph``
+    g, calls, wrap = fig2(), [], graph._graph
+    monkeypatch.setattr(graph, "_graph", lambda *args: calls.append(args) or wrap(*args))
+    assert verify_lc_unitary(g, 2)
+    for basis in "xyz":
+        for outcome in (+1, -1):
+            assert find_measurement_correction(g, 2, basis, outcome) is not None
+    assert calls == []
 
 
 class TestStatesPerCheck:
@@ -426,9 +505,9 @@ class TestStatesPerCheck:
         calls = []
         build = quantum._state
 
-        def counting(g, alive):
-            calls.append(g)
-            return build(g, alive)
+        def counting(rows, live, alive):
+            calls.append(rows)
+            return build(rows, live, alive)
 
         monkeypatch.setattr(quantum, "_state", counting)
         return calls
@@ -446,11 +525,11 @@ class TestStatesPerCheck:
 
 
 class TestStateMemo:
-    """``quantum._build`` keeps the recent states, keyed by graph and the alive mask of its qubits."""
+    """``quantum._build`` keeps the recent states, keyed by rows, live mask and the alive mask of its qubits."""
 
     @staticmethod
     def build(g, alive):
-        return quantum._build.__wrapped__(g, alive)  # the same code without the memo
+        return quantum._build.__wrapped__(g._rows, g._alive, alive)  # the same code without the memo
 
     def test_the_cap_is_checked_on_a_cached_state(self, monkeypatch):
         g = complete_graph(5)
@@ -467,19 +546,19 @@ class TestStateMemo:
 
     def test_equal_rows_on_two_label_sets_are_two_states(self):
         one, other, alive = Graph([3]), Graph([1, 3]), Graph([1, 3])._alive
-        assert one._rows == other._rows and hash(one) == hash(other)
-        assert quantum._state(one, alive) == self.build(one, alive)
-        assert quantum._state(other, alive) == self.build(other, alive)
-        assert quantum._state(one, alive) != quantum._state(other, alive)
+        assert one._rows == other._rows  # the live masks alone tell them apart
+        assert state(one, alive) == self.build(one, alive)
+        assert state(other, alive) == self.build(other, alive)
+        assert state(one, alive) != state(other, alive)
 
     def test_an_image_has_one_state_per_layout(self):
         g = path_graph(3)
         image = measure_z(g, 2)
         assert find_measurement_correction(g, 2, "z", -1) == {1: "SS", 3: "SS"}  # image on g's layout
         assert_bit_identical(image)  # image on its own layout
-        assert quantum._state(image, g._alive) == self.build(image, g._alive)
-        assert quantum._state(image, image._alive) == self.build(image, image._alive)
-        assert quantum._state(image, g._alive) != quantum._state(image, image._alive)
+        assert state(image, g._alive) == self.build(image, g._alive)
+        assert state(image, image._alive) == self.build(image, image._alive)
+        assert state(image, g._alive) != state(image, image._alive)
 
     def test_a_cached_graph_state_is_bit_identical(self):
         quantum._build.cache_clear()
@@ -544,21 +623,22 @@ def test_fields_stay_within_the_documented_bound(monkeypatch):
     """Every field a check forms is at most 4 in real and imaginary part, as
     ``quantum``'s docstring states: far inside the -128..127 that the masks
     need. The cross-multiplied fields are bounded from their factors."""
-    largest = [0]
+    largest, qubits = [0], [0]
     apply, same_ray = quantum._apply, quantum._same_ray
 
     def recording_apply(state, n, i, gate):
         out = apply(state, n, i, gate)
-        largest[0] = max(largest[0], *map(peak, offset_fields(state, n) + offset_fields(out, n)))
+        largest[0], qubits[0] = max(largest[0], *map(peak, offset_fields(state, n) + offset_fields(out, n))), n
         return out
 
-    def recording_same_ray(u, v, n):
+    def recording_same_ray(u, v):
+        n = qubits[0]  # a check compares a state it has just applied a matrix to
         uu, vv = offset_fields(u, n), offset_fields(v, n)
         f = min(len(raw) - len(raw.lstrip(b"\x80")) for raw in uu)  # u's first nonzero field
         for (ar, ai), (br, bi) in ((uu, vv), (vv, uu)):  # the fields of a * b_f
             fr, fi = abs(br[f] - 128), abs(bi[f] - 128)
             largest[0] = max(largest[0], peak(ar) * fr + peak(ai) * fi, peak(ar) * fi + peak(ai) * fr)
-        return same_ray(u, v, n)
+        return same_ray(u, v)
 
     monkeypatch.setattr(quantum, "_apply", recording_apply)
     monkeypatch.setattr(quantum, "_same_ray", recording_same_ray)

@@ -59,8 +59,15 @@ MUTANTS = (
            '    __slots__ = ("_rows", "_alive")\n\n'
            "    def __eq__(self, other):\n"
            "        return other.__class__ is self.__class__ and self._rows == other._rows\n",
-           ("tests/test_graph.py::TestLabelIndexedRows::test_equal_rows_on_two_label_sets_are_two_graphs",
-            "tests/test_quantum.py::TestStateMemo::test_equal_rows_on_two_label_sets_are_two_states")),
+           ("tests/test_graph.py::TestLabelIndexedRows::test_equal_rows_on_two_label_sets_are_two_graphs",)),
+    Mutant("_graph keeps the whole rows tuple", "src/graphmin/graph.py",
+           "rows[:alive.bit_length()]",
+           "rows",
+           ("tests/test_graph.py::TestValueSemantics::test_rewritten_graph_finds_entry_of_equal_built_graph",
+            *(f"tests/test_graph.py::TestLabelIndexedRows::test_every_rewrite_at_label_64_is_the_rewrite_at_label_4"
+              f"[{rewrite}]" for rewrite in ("delete", "z", "y", "x")),
+            *(f"tests/test_graph.py::TestLabelIndexedRows::test_removing_the_largest_label_equals_the_graph_built"
+              f"_directly[{remove}]" for remove in ("delete_vertex", "measure_y", "measure_x", "replay")))),
     Mutant("_live shifts by a negative label", "src/graphmin/graph.py",
            "and v > 0 and mask >> v & 1",
            "and mask >> v & 1",
@@ -77,6 +84,10 @@ MUTANTS = (
            ("tests/test_bell.py::TestRing::test_three_consecutive_exactly_where_the_scan_flags_a_non_crossing_placement",
             "tests/test_bell.py::TestRing::test_agrees_with_brute_force_n6",
             "tests/test_bell.py::test_decisions_match_pinned_digest")),
+    Mutant("a Bell extraction measures y along the interior in reverse", "src/graphmin/bell.py",
+           "    steps += [Step(MEASURE_Y, v) for v in interior]\n",
+           "    steps += [Step(MEASURE_Y, v) for v in reversed(interior)]\n",
+           ("tests/test_bell.py::test_decisions_match_pinned_digest",)),
     Mutant("classify_block does not test the foliage relation", "src/graphmin/foliage.py",
            "    if not _one_class(g, members):\n"
            '        raise ValueError(f"block {members} is not a valid foliage class shape")\n',
@@ -94,14 +105,26 @@ MUTANTS = (
     Mutant("the state memo is looked up before the cap check", "src/graphmin/quantum.py",
            "    if (n := alive.bit_count()) > STATE_CAP:\n"
            '        raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")\n'
-           "    return _build(g, alive)\n",
-           "    return _capped(g, alive)\n\n\n"
+           "    return _build(rows, live, alive)\n",
+           "    return _capped(rows, live, alive)\n\n\n"
            "@functools.lru_cache(maxsize=16)\n"
-           "def _capped(g, alive):\n"
+           "def _capped(rows, live, alive):\n"
            "    if (n := alive.bit_count()) > STATE_CAP:\n"
            '        raise StateCapError(f"{n} qubits exceeds the dense-state cap of {STATE_CAP}")\n'
-           "    return _build(g, alive)\n",
+           "    return _build(rows, live, alive)\n",
            ("tests/test_quantum.py::TestStateMemo::test_the_cap_is_checked_on_a_cached_state",)),
+    Mutant("the state memo key drops the live mask", "src/graphmin/quantum.py",
+           "    return _build(rows, live, alive)\n",
+           "    return _BY_ROWS.setdefault((rows, alive), _build(rows, live, alive))\n\n\n_BY_ROWS = {}\n",
+           ("tests/test_quantum.py::TestStateMemo::test_equal_rows_on_two_label_sets_are_two_states",)),
+    Mutant("the ray test reads u's first field as an unsigned byte", "src/graphmin/quantum.py",
+           "ufr, ufi = ((ur & top) >> shift ^ 128) - 128, ((ui & top) >> shift ^ 128) - 128",
+           "ufr, ufi = (ur & top) >> shift, (ui & top) >> shift",
+           ("tests/test_quantum.py::TestSameRay::test_a_multiple_is_on_the_ray",)),
+    Mutant("diag(1, d) on a complex state drops the (d - 1) * im1 term", "src/graphmin/quantum.py",
+           "im + (dr - 1) * im1 + di * re1",
+           "im + di * re1",
+           ("tests/test_quantum.py::TestGateKernel::test_matches_kronecker_operator_at_every_bit[diagonal]",)),
     Mutant("the qubit of label v is v - 1", "src/graphmin/quantum.py",
            "    return (alive & (1 << v) - 1).bit_count()\n",
            "    return v - 1\n",

@@ -18,7 +18,7 @@ always carries a witness that lands exactly on the two target edges.
 
 from __future__ import annotations
 
-from .graph import MAX_LABEL, Graph, _bits, _Record, _set, connected_components, path_graph, ring_graph
+from .graph import MAX_LABEL, Graph, _bits, _is_int, _Record, connected_components, path_graph, ring_graph
 from .ops import MEASURE_X, MEASURE_Y, MEASURE_Z, NO, YES, Decision, Step, _witness
 
 
@@ -49,7 +49,7 @@ class BellQuery(_Record):
         else:
             if size is None:
                 raise ValueError(f"{topology} topology needs a size")
-            if not isinstance(size, int) or isinstance(size, bool):  # ``True`` would be a line of 1
+            if not _is_int(size):  # ``True`` would be a line of 1
                 raise ValueError(f"{topology} size must be an integer, got {size!r}")
             if topology == "ring" and size < 4:
                 raise ValueError(f"ring queries need n >= 4, got {size}")
@@ -59,18 +59,14 @@ class BellQuery(_Record):
         if len(pair_a) != 2 or len(pair_b) != 2:
             raise ValueError(f"each pair needs exactly two endpoints, got {pair_a!r} and {pair_b!r}")
         for v in (*pair_a, *pair_b):  # ``True`` and ``1.0`` would pass as ``1`` below
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ValueError(f"endpoints must be integer labels, got {v!r}")
         marked = set(pair_a) | set(pair_b)
         if len(marked) != 4:
             raise ValueError("the four endpoints must be distinct")
         if not marked <= alive:
             raise ValueError(f"endpoints {sorted(marked - alive)} outside the graph")
-        _set(self, "topology", topology)
-        _set(self, "pair_a", pair_a)
-        _set(self, "pair_b", pair_b)
-        _set(self, "size", size)
-        _set(self, "tree", tree)
+        self._fill(topology, pair_a, pair_b, size, tree)
 
     def graph(self) -> Graph:
         if self.topology == "line":
@@ -106,10 +102,10 @@ def _require_tree(g: Graph) -> None:
 def _extraction(query: BellQuery, interior: list[int], rule: str) -> Decision:
     """Measure z off both pair paths (ascending), then y along ``interior``
     in the order given, which contracts each path onto its pair."""
-    kept = {*query.pair_a, *query.pair_b, *interior}
-    steps = [Step(MEASURE_Z, v) for v in query.graph().vertices if v not in kept]
+    g, kept = query.graph(), {*query.pair_a, *query.pair_b, *interior}
+    steps = [Step(MEASURE_Z, v) for v in g.vertices if v not in kept]
     steps += [Step(MEASURE_Y, v) for v in interior]
-    return Decision(YES, rule, _witness(query.graph(), steps, query.target()))
+    return Decision(YES, rule, _witness(g, steps, query.target()))
 
 
 # -- line ---------------------------------------------------------------------

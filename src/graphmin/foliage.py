@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable
 
-from .graph import Graph, UnknownVertexError, _bits, _graph, _Record, _set, _unknown
+from .graph import Graph, UnknownVertexError, _bits, _graph, _is_int, _Record, _unknown
 
 
 class InvalidPartitionError(ValueError):
@@ -38,19 +38,19 @@ class Partition(_Record):
             if not members:
                 raise InvalidPartitionError("empty block")
             for v in members:  # as given, before a set merges ``True`` into ``1`` or ``min`` meets "2" and 1
-                if not isinstance(v, int) or isinstance(v, bool):
+                if not _is_int(v):
                     raise _unknown(v)
             if (block := frozenset(members)) & seen:
                 raise InvalidPartitionError(f"overlapping blocks at {sorted(block & seen)}")
             seen |= block
             normalized.append(block)
-        _set(self, "blocks", tuple(sorted(normalized, key=min)))
+        self._fill(tuple(sorted(normalized, key=min)))
 
     def labels(self) -> frozenset[int]:
         return frozenset().union(*self.blocks)
 
     def block_of(self, v: int) -> frozenset[int]:
-        if not isinstance(v, int) or isinstance(v, bool):  # as given: ``True`` and ``3.0`` are found by ``in``
+        if not _is_int(v):  # as given: ``True`` and ``3.0`` are found by ``in``
             raise _unknown(v)
         for b in self.blocks:
             if v in b:
@@ -147,9 +147,7 @@ def canonical_foliage_partition(g: Graph) -> Partition:
             block = twins[v]
         placed.update(block)
         blocks.append(frozenset(block))
-    p = object.__new__(Partition)
-    _set(p, "blocks", tuple(blocks))
-    return p
+    return object.__new__(Partition)._fill(tuple(blocks))
 
 
 def _one_class(g: Graph, block) -> bool:
@@ -212,9 +210,7 @@ class FoliageGraph(_Record):
     __slots__ = ("partition", "representatives", "graph")
 
     def __init__(self, partition: Partition, representatives: tuple[int, ...], graph: Graph):
-        _set(self, "partition", partition)
-        _set(self, "representatives", representatives)
-        _set(self, "graph", graph)
+        self._fill(partition, representatives, graph)
 
 
 def _check_representatives(w: Partition, reps: Iterable[int] | None) -> tuple[int, ...]:
@@ -256,7 +252,7 @@ def nth_foliage_graph(g: Graph, depth: int) -> FoliageGraph:
     The returned blocks are flattened back to original vertices, so the
     result partitions the alive set of ``g`` no matter how deep it went.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool):  # ``True`` would run as 1
+    if not _is_int(depth):  # ``True`` would run as 1
         raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -13,9 +13,11 @@ values: every rewrite returns a new graph, so results can be shared, hashed,
 and memoized freely. Equality is "same labels and same edges": the same rows
 and the same alive mask. Each rewrite is written once, on bare rows tuples,
 by ``_lc_rows``, ``_z_rows`` (deletion, or y) and ``_x_rows`` at the end of
-this module; they zero a removed row in place. The graph rewrites,
-``ops.replay``, the orbit closure and the search's ``_measure_rows`` call
-them, and ``_graph`` wraps the result on the labels left alive.
+this module; they zero a removed row in place. ``_step`` is the one checked
+rewrite: it checks the labels, then calls one of them. The graph rewrites,
+``ops.replay`` and the oracle's images go through it; the orbit closure and
+the search's ``_measure_rows`` call the kernel bare, on labels they know are
+alive. ``_graph`` wraps the result on the labels left alive.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections.abc import Iterable
 from operator import attrgetter
 
 MAX_LABEL = 64
-_set = object.__setattr__  # how the records, ``Graph`` among them, set their fields, once
+_set = object.__setattr__  # how ``_Record._fill`` sets a record's fields, once
 
 
 class UnknownVertexError(ValueError):
@@ -44,13 +46,18 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an ``int`` and not a ``bool``: ``True`` and ``1.0`` equal ``1``, so each check asks this."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _live(mask: int, v) -> int:
-    """Whether ``v`` is an ``int`` label, not a ``bool``, with its bit in ``mask`` (``v > 0`` first: no shift < 0)."""
-    return isinstance(v, int) and not isinstance(v, bool) and v > 0 and mask >> v & 1
+    """Whether ``v`` is an ``int`` label with its bit in ``mask`` (``v > 0`` first: no shift < 0)."""
+    return _is_int(v) and v > 0 and mask >> v & 1
 
 
 class _Record:
-    """Frozen value record: fields in ``__slots__``, each set once by ``__init__`` through ``_set``.
+    """Frozen value record: fields in ``__slots__``, each set once, by ``_fill``.
 
     Like frozen dataclasses, records are equal within one class only, hash as their fields'
     tuple (a lone field as itself), print as ``Class(field=value, ...)``, refuse assignment,
@@ -62,6 +69,12 @@ class _Record:
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
         cls._values = attrgetter(*cls.__slots__)
+
+    def _fill(self, *values):
+        """Set the fields to ``values``, in ``__slots__`` order, and return the record."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+        return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -97,14 +110,14 @@ class Graph(_Record):
         not ``int`` (``bool`` and ``1.0`` among them) are rejected.
         """
         if isinstance(vertices, int):
-            if vertices < 0 or isinstance(vertices, bool):
+            if not _is_int(vertices) or vertices < 0:
                 raise ValueError(f"vertex count must be >= 0, got {vertices}")
             labels = range(1, vertices + 1)
         else:
             labels = list(vertices)
         alive = 0
         for v in labels:  # each label as given: a set would merge ``True`` or ``1.0`` into ``1``
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1 or v > MAX_LABEL:
+            if not _is_int(v) or v < 1 or v > MAX_LABEL:
                 raise ValueError(f"vertex labels must be integers in 1..{MAX_LABEL}, got {v!r}")
             alive |= 1 << v
         rows = [0] * alive.bit_length()
@@ -116,8 +129,7 @@ class Graph(_Record):
                 raise ValueError(f"self-loop on vertex {a}")
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        _set(self, "_rows", tuple(rows))
-        _set(self, "_alive", alive)
+        self._fill(tuple(rows), alive)
 
     # -- accessors ---------------------------------------------------------
 
@@ -172,10 +184,7 @@ class Graph(_Record):
 
 def _graph(rows: tuple[int, ...], alive: int) -> Graph:
     """Wrap ``rows`` as the graph on the labels of ``alive``, trusting both; cut after the largest one."""
-    g = object.__new__(Graph)
-    _set(g, "_rows", rows[:alive.bit_length()])  # the whole tuple, not a copy, when nothing went
-    _set(g, "_alive", alive)
-    return g
+    return object.__new__(Graph)._fill(rows[:alive.bit_length()], alive)  # the whole tuple when nothing went
 
 
 # -- builders and components -------------------------------------------------
@@ -224,14 +233,12 @@ def local_complement(g: Graph, a: int) -> Graph:
 
     Involutive: applying twice at the same vertex restores the graph.
     """
-    g._require(a)
-    return _graph(_lc_rows(g._rows, a), g._alive)
+    return _graph(*_step(g._rows, g._alive, a, "lc"))
 
 
 def delete_vertex(g: Graph, a: int) -> Graph:
     """Remove ``a`` and its incident edges; other labels survive unchanged."""
-    g._require(a)
-    return _graph(_z_rows(g._rows, a), g._alive ^ 1 << a)
+    return _graph(*_step(g._rows, g._alive, a, "z"))
 
 
 def measure_z(g: Graph, a: int) -> Graph:
@@ -241,8 +248,7 @@ def measure_z(g: Graph, a: int) -> Graph:
 
 def measure_y(g: Graph, a: int) -> Graph:
     """y-basis measurement rewrite: local complement at ``a``, then delete it."""
-    g._require(a)
-    return _graph(_z_rows(g._rows, a, True), g._alive ^ 1 << a)
+    return _graph(*_step(g._rows, g._alive, a, "y"))
 
 
 def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
@@ -251,8 +257,20 @@ def measure_x(g: Graph, a: int, b: int | None = None) -> Graph:
     ``b`` defaults to the smallest neighbor of ``a``; all neighbor choices
     give LC-equivalent results. An isolated ``a`` measures like z.
     """
-    b = _x_neighbor(g.neighbor_mask(a), a, b, g._alive)
-    return delete_vertex(g, a) if b is None else _graph(_x_rows(g._rows, a, b), g._alive ^ 1 << a)
+    return _graph(*_step(g._rows, g._alive, a, "x", b))
+
+
+def _step(rows: tuple[int, ...], alive: int, a: int, kind: str, b: int | None = None) -> tuple[tuple[int, ...], int]:
+    """The one checked rewrite: ``kind`` ("lc", "z", "y" or "x" through ``b``) at ``a`` on the graph of
+    ``rows`` and ``alive``, as its new ``(rows, alive)``. A label that is not alive is unknown, and an x
+    goes through ``_x_neighbor``; every kind but "lc" removes ``a``."""
+    if not _live(alive, a):
+        raise _unknown(a)
+    if kind == "lc":
+        return _lc_rows(rows, a), alive
+    if kind == "x":
+        return _x_rows(rows, a, _x_neighbor(rows[a], a, b, alive)), alive ^ 1 << a
+    return _z_rows(rows, a, kind == "y"), alive ^ 1 << a
 
 
 def _x_neighbor(nbrs: int, a: int, b: int | None, alive: int) -> int | None:
@@ -271,8 +289,8 @@ def _x_neighbor(nbrs: int, a: int, b: int | None, alive: int) -> int | None:
     return b
 
 
-# -- the rows kernel: a ``Graph``'s ``_rows`` without the wrapper, for the rewrites above,
-# the orbit closure, the search and ``ops.replay``. On one label set, equal tuples are
+# -- the rows kernel: a ``Graph``'s ``_rows`` without the wrapper, for ``_step``, the
+# orbit closure and the search. On one label set, equal tuples are
 # equal graphs. A measured or deleted row is zeroed in place, the tuple kept at its length.
 
 
@@ -298,13 +316,16 @@ def _z_rows(rows: tuple[int, ...], a: int, y: bool = False) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _x_rows(rows: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """x-measurement of ``a`` through its neighbor ``b``, ``a``'s row zeroed in place.
+def _x_rows(rows: tuple[int, ...], a: int, b: int | None) -> tuple[int, ...]:
+    """x-measurement of ``a`` through its neighbor ``b``, ``a``'s row zeroed in place;
+    ``rows`` itself when ``b`` is None, as an isolated ``a``'s row is zero already.
 
     With Na = N(a) - {b} and Nb = N(b) - {a}, edges between two different sets
     of Na - Nb, Nb - Na and Na & Nb toggle; then each other vertex is adjacent
     to ``b`` iff it was adjacent to ``a``, ``b``'s row becomes Na, ``a`` goes.
     """
+    if b is None:
+        return rows
     bit_a, bit_b = 1 << a, 1 << b
     na, nb = rows[a] ^ bit_b, rows[b] ^ bit_a
     out = list(rows)

@@ -4,14 +4,15 @@ A witness for a graph reduction is an ordered list of steps, each a local
 complementation, a deletion, or a Pauli-measurement rewrite. Replaying the
 list on the source graph must be defined at every step: targets alive, and
 an x-measurement's recorded neighbor alive and adjacent (the neighbor is
-omitted only when the measured vertex is isolated). ``replay`` is the one
-checked path: it rewrites the source's label-indexed bitmask rows and alive
-mask and builds one graph, at the end.
+omitted only when the measured vertex is isolated). ``replay`` checks only that
+last rule itself; every other check is ``graph._step``'s, the one checked
+rewrite, which it runs on the source's label-indexed bitmask rows and alive
+mask, building one graph at the end.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, _graph, _lc_rows, _live, _Record, _set, _unknown, _x_neighbor, _x_rows, _z_rows
+from .graph import Graph, _graph, _is_int, _Record, _step
 
 LC = "lc"
 DELETE = "delete"
@@ -19,7 +20,8 @@ MEASURE_Z = "measure_z"
 MEASURE_Y = "measure_y"
 MEASURE_X = "measure_x"
 
-_KINDS = (LC, DELETE, MEASURE_Z, MEASURE_Y, MEASURE_X)
+_KINDS = (LC, DELETE, MEASURE_Z, MEASURE_Y, MEASURE_X)  # a tuple: a list op is not in it, not a TypeError
+_REWRITE = {LC: "lc", DELETE: "z", MEASURE_Z: "z", MEASURE_Y: "y", MEASURE_X: "x"}  # the kind of ``_step``
 
 YES = "yes"
 NO = "no"
@@ -34,9 +36,7 @@ class Step(_Record):
             raise ValueError(f"unknown op kind {op!r}")
         if neighbor is not None and op != MEASURE_X:
             raise ValueError(f"{op} takes no neighbor")
-        _set(self, "op", op)
-        _set(self, "vertex", vertex)
-        _set(self, "neighbor", neighbor)
+        self._fill(op, vertex, neighbor)
 
 
 class Decision(_Record):
@@ -47,9 +47,7 @@ class Decision(_Record):
     def __init__(self, answer: str, rule: str, witness: tuple[Step, ...] | None = None):
         if (answer == YES) != (witness is not None):
             raise ValueError("witness present iff the answer is yes")
-        _set(self, "answer", answer)
-        _set(self, "rule", rule)
-        _set(self, "witness", witness)
+        self._fill(answer, rule, witness)
 
 
 def apply_step(g: Graph, step: Step) -> Graph:
@@ -57,26 +55,14 @@ def apply_step(g: Graph, step: Step) -> Graph:
 
 
 def replay(g: Graph, steps) -> Graph:
-    """Apply ``steps`` in order; each raises what its ``graph`` rewrite would raise there.
-
-    As in the search, a deleted or measured row is zeroed in place and its label's
-    bit cleared in ``alive``; ``_graph`` wraps the rows at the end."""
+    """Apply ``steps`` in order through ``_step``, each raising what its ``graph`` rewrite would raise there;
+    an x-measurement of a vertex with neighbors must also have recorded one. ``_graph`` wraps the rows at the end."""
     rows, alive = g._rows, g._alive
     for step in steps:
-        op, a = step.op, step.vertex
-        if not _live(alive, a):
-            raise _unknown(a)
-        if op == LC:
-            rows = _lc_rows(rows, a)
-        elif op == MEASURE_X:
-            nbrs = rows[a]
-            if step.neighbor is None and nbrs:
-                raise ValueError(f"x-measurement of non-isolated vertex {a} needs its neighbor recorded")
-            b = _x_neighbor(nbrs, a, step.neighbor, alive)
-            rows = rows if b is None else _x_rows(rows, a, b)  # an isolated row is zero already
-        else:
-            rows = _z_rows(rows, a, op == MEASURE_Y)
-        alive ^= (op != LC) << a  # every step but a local complement removes its label
+        new = _step(rows, alive, step.vertex, _REWRITE[step.op], step.neighbor)
+        if step.op == MEASURE_X and step.neighbor is None and rows[step.vertex]:  # ``_step`` found it alive
+            raise ValueError(f"x-measurement of non-isolated vertex {step.vertex} needs its neighbor recorded")
+        rows, alive = new
     return _graph(rows, alive)
 
 
@@ -109,7 +95,7 @@ def steps_from_json(objs) -> tuple[Step, ...]:
         fields = ["vertex"] + (["neighbor"] if "neighbor" in obj else [])
         for field in fields:
             value = obj.get(field)
-            if type(value) is not int:  # rejects bools, strings, floats and null
+            if not _is_int(value):  # rejects bools, strings, floats and null
                 raise ValueError(f"witness step {i}: {field} must be an integer, got {value!r}")
         steps.append(Step(obj.get("op"), obj["vertex"], obj.get("neighbor")))
     return tuple(steps)

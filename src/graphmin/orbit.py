@@ -19,7 +19,7 @@ reproducible. A node budget comes only from the caller, else 2^20.
 
 from __future__ import annotations
 
-from .graph import MAX_LABEL, Graph, _bits, _components, _graph, _lc_rows, _pair_ranks
+from .graph import MAX_LABEL, Graph, _bits, _components, _graph, _is_int, _lc_rows, _pair_ranks
 
 DEFAULT_NODE_BUDGET = 1 << 20
 _SPAN = MAX_LABEL + 1  # bits per coefficient block of ``_lc_equivalent_rows``' unknowns
@@ -36,7 +36,7 @@ def _budget(node_budget: int | None) -> int:
         return DEFAULT_NODE_BUDGET
     if not isinstance(node_budget, int):
         raise ValueError(f"node budget must be an integer, got {node_budget!r}")
-    if isinstance(node_budget, bool) or node_budget < 1:
+    if not _is_int(node_budget) or node_budget < 1:
         raise ValueError(f"node budget must be positive, got {node_budget!r}")
     return node_budget
 

@@ -21,8 +21,8 @@ outcome is exactly zero. The qubit of label ``v`` is the number of alive labels
 below it (``_qubit``), so the smallest label is the index's most significant bit.
 
 A check runs on label-indexed rows and builds no ``Graph``: the local
-complement and the z, y and x images come from the rows kernel (``_lc_rows``,
-``_z_rows``, ``_x_rows``), an image on its parent's qubits. ``_build`` keeps the
+complement comes from the rows kernel (``_lc_rows``), the z, y and x images from
+``graph._step``, the checked rewrite, each on its parent's qubits. ``_build`` keeps the
 16 most recently used states, keyed by rows and live mask (what ``Graph``
 equality reads) and by the alive mask of the qubits, the layout; each label's
 sign plane comes from one table per layout (``_planes``). A (graph, vertex)
@@ -36,7 +36,7 @@ import functools
 import math
 
 from . import cliffords
-from .graph import Graph, _bits, _lc_rows, _x_neighbor, _x_rows, _z_rows
+from .graph import Graph, _bits, _is_int, _lc_rows, _step, _x_neighbor
 
 STATE_CAP = 12
 
@@ -189,7 +189,7 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
     if basis not in ("x", "y", "z"):
         raise ValueError(f"unknown basis {basis!r}")
     for outcome in outcomes:  # an ``int`` only: ``True`` and ``1.0`` equal ``1``
-        if not isinstance(outcome, int) or isinstance(outcome, bool) or outcome not in (+1, -1):
+        if not _is_int(outcome) or outcome not in (+1, -1):
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     g._require(a)
     n, alive, rows = g.n, g._alive, g._rows
@@ -203,8 +203,7 @@ def _corrections(g: Graph, a: int, basis: str, outcomes: tuple[int, ...]) -> lis
     if all(post is None for post in posts):
         return posts
 
-    image = _z_rows(rows, a, basis == "y") if special is None else _x_rows(rows, a, special)  # isolated x: z
-    target = (_state(image, alive ^ 1 << a, alive), 0)
+    target = (_state(*_step(rows, alive, a, basis, special), alive), 0)  # the image on the same qubits
 
     def correction(post: tuple[int, int], outcome: int) -> dict[int, str]:
         byproduct = cliffords.measurement_byproduct(basis, outcome, neighbors, special, special_nbrs)

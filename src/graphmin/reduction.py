@@ -7,7 +7,7 @@
 from __future__ import annotations
 
 from .foliage import Partition, _row_groups, _star_centers, foliage_equivalent, foliage_graph
-from .graph import Graph
+from .graph import Graph, _is_int
 from .ops import DELETE, LC, Step, _witness, replay
 
 
@@ -34,7 +34,7 @@ def source_reduce(g: Graph, protected: set[int] | frozenset[int]) -> tuple[Graph
     """
     protected = list(protected)
     for v in protected:  # as given, before a set merges ``True`` and ``1.0`` into ``1``
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ValueError(f"protected labels must be integers, got {v!r}")
     protected = set(protected)
     unknown = protected - set(g.vertices)

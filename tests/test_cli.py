@@ -267,6 +267,15 @@ class TestReduceCommand:
         code, out, err = run(capsys, "reduce", FIXTURES / "fig9.edges", "--replay", witness_file)
         assert (code, out, err) == (1, "", "error: unknown vertex label -1\n")
 
+    @pytest.mark.parametrize("op", ['["lc"]', '{"lc": 1}'], ids=["list", "object"])
+    def test_replay_names_an_op_that_is_not_a_string(self, capsys, tmp_path, op):
+        # a kind table keyed by op would raise TypeError (unhashable) instead of the op check's error
+        witness_file = tmp_path / "bad.json"
+        witness_file.write_text(f'[{{"op": {op}, "vertex": 1}}]')
+        code, out, err = run(capsys, "reduce", FIXTURES / "fig2.edges", "--replay", witness_file)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("error: unknown op kind ")
+
     def test_replay_names_a_missing_witness_key(self, capsys, tmp_path):
         witness_file = tmp_path / "doc.json"
         witness_file.write_text('{"schema": 1, "result": {}}')

@@ -143,7 +143,7 @@ def test_rows_rewrites_match_apply_step():
             op = rng.choice(("lc", "delete", "measure_z", "measure_y", "measure_x"))
             nbrs = sorted(g.neighbors(v))
             step = Step(op, v, rng.choice(nbrs) if op == "measure_x" and nbrs else None)
-            named = reference_apply_step(g, step)  # the ``graph`` rewrite the step names
+            named = graph_rewrite(g, step)
             g = apply_step(g, step)
             adj = _reference_step(adj, step)
             rows = _kernel_step(rows, alive, step)
@@ -155,19 +155,40 @@ def test_rows_rewrites_match_apply_step():
     assert len(kinds) == 6  # x through a neighbor and x of an isolated vertex among them
 
 
-# -- ``replay`` on fixed row positions against one ``graph`` rewrite per step ----
+# -- ``replay`` on fixed row positions against the definitions, one step at a time ----
 
 _ONE_VERTEX = {"lc": local_complement, "delete": delete_vertex, "measure_z": measure_z, "measure_y": measure_y}
 
 
+def graph_rewrite(g, step):
+    """The ``graph`` rewrite that a good ``step`` names."""
+    if step.op == "measure_x":
+        return measure_x(g, step.vertex, step.neighbor)
+    return _ONE_VERTEX[step.op](g, step.vertex)
+
+
 def reference_apply_step(g, step):
-    """One step as ``apply_step`` ran it before ``replay`` kept fixed row
-    positions: the ``graph`` rewrite it names, on a graph built per step."""
-    if step.op in _ONE_VERTEX:
-        return _ONE_VERTEX[step.op](g, step.vertex)
-    if step.neighbor is None and g.neighbors(step.vertex):
-        raise ValueError(f"x-measurement of non-isolated vertex {step.vertex} needs its neighbor recorded")
-    return measure_x(g, step.vertex, step.neighbor)
+    """One step on ``g``'s edges by ``_reference_step``, calling no graph rewrite, with
+    the checks and error texts of a replayed step written out here."""
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    a, b = step.vertex, step.neighbor
+
+    def unknown(v):
+        return type(v) is not int or v not in adj  # ``True`` and ``2.0`` are found by ``in``
+
+    if unknown(a):
+        raise UnknownVertexError(f"unknown vertex label {a!r}")
+    if step.op == "measure_x":
+        if not adj[a] and b is not None:
+            raise ValueError(f"vertex {a} is isolated; no neighbor {b} to route through")
+        if adj[a] and b is None:
+            raise ValueError(f"x-measurement of non-isolated vertex {a} needs its neighbor recorded")
+        if b is not None and unknown(b):
+            raise UnknownVertexError(f"unknown vertex label {b!r}")
+        if b is not None and b not in adj[a]:
+            raise ValueError(f"vertex {b} is not a neighbor of {a}")
+    adj = _reference_step(adj, step)
+    return Graph(sorted(adj), [(u, v) for u in adj for v in adj[u] if u < v])
 
 
 def _random_step(rng, g, dead):

@@ -78,6 +78,25 @@ MUTANTS = (
             "tests/test_graph.py::TestConstruction::test_an_unknown_label_reads_as_its_repr[negative-replay]",
             "tests/test_graph.py::TestLabelIndexedRows::test_has_vertex_is_false_outside_the_labels[-1]",
             "tests/test_graph.py::TestLabelIndexedRows::test_a_negative_label_is_unknown")),
+    Mutant("_is_int takes a bool for an int", "src/graphmin/graph.py",
+           "    return isinstance(v, int) and not isinstance(v, bool)\n",
+           "    return isinstance(v, int)\n",
+           ("tests/test_bell.py::TestQueryValidation::test_endpoints_must_be_int_labels",
+            "tests/test_quantum.py::TestMeasurements::test_rejects_an_outcome_that_is_not_an_int_of_plus_or_minus_one",
+            "tests/test_minor.py::TestSourceReduce::test_non_integer_protected_label_raises",
+            "tests/test_graph.py::TestConstruction::test_rejects_bool_label")),
+    Mutant("_step rewrites at a label that is not alive", "src/graphmin/graph.py",
+           "    if not _live(alive, a):\n"
+           "        raise _unknown(a)\n"
+           '    if kind == "lc":\n',
+           '    if kind == "lc":\n',
+           ("tests/test_ops.py::test_replay_rejects_dead_target",
+            "tests/test_graph.py::TestLocalComplement::test_unknown_vertex",
+            "tests/test_graph.py::TestDeletion::test_unknown_vertex")),
+    Mutant("replay takes an x step of a non-isolated vertex without its neighbor", "src/graphmin/ops.py",
+           "        if step.op == MEASURE_X and step.neighbor is None and rows[step.vertex]:",
+           "        if False:",
+           ("tests/test_ops.py::test_replay_errors_name_the_bad_step[no-neighbor]",)),
     Mutant("decide_bell_ring skips the gap pair (wrap, arc_p)", "src/graphmin/bell.py",
            "for g in range(4))",
            "for g in range(1, 4))",
@@ -95,8 +114,7 @@ MUTANTS = (
            ("tests/test_foliage.py::TestClassifyBlock::test_invalid_block_raises",
             "tests/test_foliage.py::TestClassifyBlock::test_inequivalent_independent_set_raises")),
     Mutant("Partition.block_of finds a label by in, unchecked", "src/graphmin/foliage.py",
-           "        if not isinstance(v, int) or isinstance(v, bool):"
-           "  # as given: ``True`` and ``3.0`` are found by ``in``\n"
+           "        if not _is_int(v):  # as given: ``True`` and ``3.0`` are found by ``in``\n"
            "            raise _unknown(v)\n",
            "",
            (f"{AS_GIVEN}[block_of-True]", f"{AS_GIVEN}[block_of-1.0]",

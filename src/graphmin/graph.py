@@ -26,7 +26,6 @@ from collections.abc import Iterable
 from operator import attrgetter
 
 MAX_LABEL = 64
-_set = object.__setattr__  # how ``_Record._fill`` sets a record's fields, once
 
 
 class UnknownVertexError(ValueError):
@@ -69,11 +68,12 @@ class _Record:
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
         cls._values = attrgetter(*cls.__slots__)
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])  # the slot descriptors
 
     def _fill(self, *values):
         """Set the fields to ``values``, in ``__slots__`` order, and return the record."""
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
         return self
 
     def __setattr__(self, name, value=None):

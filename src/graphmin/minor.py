@@ -44,15 +44,20 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     foliage class of that graph, cut down to the labels of ``h``, lies inside
     one class of ``h``, is all isolated in ``h``, or is gone. A graph in which
     two target labels are foliage-equivalent, while ``h`` puts them in
-    different classes and does not isolate both, has no hit below it: ``g``
-    is then a "no" before the orbit is drawn, and a graph in the search is
-    remembered as failed. Only failures are remembered or pruned, so the
-    first hit, and the witness, are those of enumerating all 3^k assignments.
+    different classes and does not isolate both, has no hit below it. Nor
+    has a graph in which a label with neighbours in ``h`` is isolated: a
+    local complement toggles edges only inside a neighbourhood and every
+    measurement ends in a deletion, so it stays isolated (the one-vertex case
+    of cut-rank monotonicity, Oum). A ``g`` refuted either way is a "no"
+    before the orbit is drawn; a graph in the search is refuted in its
+    parent's loop, unmeasured, and remembered as failed. Only failures are
+    remembered or pruned, so the first hit, and the witness, are those of
+    enumerating all 3^k assignments.
 
     ``node_budget`` (default 2^20) bounds the number of the target's orbit
     members generated and, separately, the number of distinct graphs the
-    search measures or prunes. Running out of either yields "unknown", never
-    a wrong no.
+    search measures or refutes, by either rule. Running out of either yields
+    "unknown", never a wrong no.
     """
     if h._alive & ~g._alive:
         raise ValueError(f"target labels {[*_bits(h._alive & ~g._alive)]} not in source")
@@ -60,13 +65,22 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     labels = h.vertices
     ranks = _pair_ranks(h._rows, labels)
     conflicts = _conflict_pairs(h, labels, ranks)
-    if _any_equivalent(g._rows, conflicts):
+    wired = [v for v in labels if h._rows[v]]  # an isolated one stays isolated below
+
+    def dead(rows: tuple[int, ...]) -> bool:
+        """Whether no hit lies below ``rows``: a label of ``wired`` is isolated, or persistence fails."""
+        for v in wired:
+            if not rows[v]:
+                return True
+        return _any_equivalent(rows, conflicts)
+
+    if dead(g._rows):
         return Decision(NO, "brute-force")
     to_measure = tuple([*_bits(g._alive & ~h._alive)])
-    # one failed set per depth: a measured row is zero, like an isolated vertex's
-    failed: list[set[tuple[int, ...]]] = [set() for _ in to_measure]
+    # one failed set per depth, None past the last: a measured row is zero, like an isolated vertex's
+    failed: list[set[tuple[int, ...]] | None] = [*(set() for _ in to_measure), None]
     spent = 0  # graphs in ``failed``
-    choices: list[tuple[str, tuple[int, ...]]] = []  # (basis, the rows it measured) down to a node
+    choices: list[tuple[str, tuple[int, ...]]] = []  # (basis, the rows it measured) from the hit up
     width = len(h._rows)  # a leaf's measured rows are zero, so its first ``width`` rows are a graph on ``labels``
     members = _closure(h._rows, budget)  # the target's orbit, drawn as leaves need it
     orbit = dict(islice(members, 2))
@@ -94,40 +108,41 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return _lc_equivalent_rows(rows, h._rows) is False
 
     def search(rows: tuple[int, ...], depth: int):
-        """Orbit path of the first hit below ``rows``; ``choices`` leads to it."""
+        """Orbit path of the first hit below ``rows``, each child tested in the loop; ``choices`` gets the way up."""
         nonlocal spent
-        if depth == len(to_measure):
-            return lookup(rows)
-        if rows in failed[depth]:
-            return None
-        if depth and _any_equivalent(rows, conflicts):  # the root was checked above
-            failed[depth].add(rows)
-            spent += 1
-            return None
-        if spent + depth >= budget:  # every failed or pruned graph, ``depth`` above this
+        if spent + depth >= budget:  # every failed or refuted graph, ``depth`` above this
             raise BudgetExceededError(f"search exceeds node budget {budget}; refusing to answer")
+        below = failed[depth + 1]
         tried = None
         for basis, child in zip(_BASES, _measure_rows(rows, to_measure[depth])):
             if child is tried:  # y is z on one neighbor, and x is too on none
                 continue
             tried = child
-            choices.append((basis, rows))
-            hit = search(child, depth + 1)
+            if below is None:
+                hit = lookup(child)
+            elif child in below:
+                continue
+            elif dead(child):
+                below.add(child)
+                spent += 1
+                continue
+            else:
+                hit = search(child, depth + 1)
             if hit is not None:
+                choices.append((basis, rows))
                 return hit
-            choices.pop()
         failed[depth].add(rows)
         spent += 1
         return None
 
     try:
-        hit = search(g._rows, 0)
+        hit = search(g._rows, 0) if to_measure else lookup(g._rows)
     except BudgetExceededError:
         return Decision(UNKNOWN, "budget-exhausted")
     if hit is None:
         return Decision(NO, "brute-force")
     steps = [Step(basis, v, _x_neighbor(rows[v], v, None, g._alive) if basis == MEASURE_X else None)
-             for v, (basis, rows) in zip(to_measure, choices)]
+             for v, (basis, rows) in zip(to_measure, reversed(choices))]
     # each local complement is an involution, so the recorded path from the
     # target reverses into a path back to it
     witness = _witness(g, (*steps, *(Step(LC, v) for v in reversed(hit))), h)

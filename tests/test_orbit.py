@@ -23,7 +23,7 @@ from graphmin import orbit
 from graphmin.graph import _graph, _pair_ranks
 from graphmin.orbit import _closure, _lc_equivalent_rows
 
-from conftest import all_graphs, fig2, random_graph
+from conftest import all_graphs, fig2, prufer_tree, random_graph
 
 
 def _graph_closure(g, node_budget):
@@ -353,6 +353,20 @@ def test_exact_test_cannot_tell_past_its_solution_space_and_the_closure_answers(
     assert lc_equivalent(star, other) and lc_path(star, other) == (1, 2)
     monkeypatch.setattr(orbit, "_closure", lambda *args: iter(()))
     assert not lc_equivalent(star, other)  # the answer did come from the closure
+
+
+def test_a_block_it_cannot_tell_keeps_the_verdict_none_after_a_solved_block():
+    # an LC-scrambled Pruefer tree on 1..32, a block past the search's cap,
+    # then the same path on 33..36 in both graphs, a block solved True: the
+    # two blocks together still cannot be told, so the verdict is None
+    rng = random.Random(11)
+    tree = prufer_tree(tuple(rng.randint(1, 32) for _ in range(30)), 32)
+    g = Graph(36, [*tree.edges(), (33, 34), (34, 35), (35, 36)])
+    h = g
+    for _ in range(30):
+        h = local_complement(h, rng.randint(1, 32))
+    assert _lc_equivalent_rows(tree._rows, h._rows[:33]) is None
+    assert _lc_equivalent_rows(g._rows, h._rows) is None
 
 
 def test_lc_equivalent_answers_without_a_closure_when_the_exact_test_decides(monkeypatch):

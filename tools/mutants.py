@@ -149,6 +149,20 @@ MUTANTS = (
            ("tests/test_quantum.py::TestScatteredLabels::test_x_at_a_vertex_of_four_scattered_labels",
             "tests/test_quantum.py::TestScatteredLabels::test_verdicts_and_corrections_match_the_graph_on_one_to_n",
             "tests/test_quantum.py::TestGraphState::test_bit_identical_on_scattered_labels")),
+    Mutant("the search does not refute a graph that isolates a target vertex", "src/graphmin/minor.py",
+           "        for v in wired:\n"
+           "            if not rows[v]:\n"
+           "                return True\n",
+           "",
+           ("tests/test_minor.py::TestMemoizedSearch::test_a_graph_that_isolates_a_target_vertex_is_not_measured",
+            "tests/test_minor.py::TestMemoizedSearch::test_a_source_that_isolates_a_target_vertex_is_a_no_at_once",
+            "tests/test_minor.py::TestMemoizedSearch::test_budgets_match_graph_keyed_search",
+            "tests/test_minor.py::TestMemoizedSearch::test_budget_never_turns_into_a_wrong_no",
+            "tests/test_minor.py::test_decisions_match_pinned_digest")),
+    Mutant("a solved block turns the exact test's None into True", "src/graphmin/orbit.py",
+           "        verdict = verdict and solved\n",
+           "        verdict = solved\n",
+           ("tests/test_orbit.py::test_a_block_it_cannot_tell_keeps_the_verdict_none_after_a_solved_block",)),
 )
 
 

@@ -4,12 +4,13 @@ Subcommands parse graphs and queries, dispatch to the library, and print
 either human-readable text or a JSON document with a stable schema
 (``{"schema": 1, "command", "input_digest", "result", "witness"?, "rule"?}``).
 Exit status: 0 for any decided query (yes or no), 2 when a budget ran out
-("unknown"), 1 for input errors, usage errors included.
+("unknown"), 1 for input errors, usage errors included. The table ``_COMMANDS``
+gives each command's handler, positionals and options (kind, default, whether
+required, metavar and help); ``_parse`` reads a command line by it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .graph import Graph
@@ -195,80 +196,169 @@ def _cmd_verify_quantum(args) -> int:
     return 0
 
 
-# -- parser -----------------------------------------------------------------------
+# -- command line -----------------------------------------------------------------
+
+_ABOUT = "graph-state rewriting, foliage partitions, and vertex-minor decisions"
+_COMMON = (  # every command's options, each (name, kind, default, required, metavar, help)
+    ("--json", "flag", False, False, None, "emit a JSON document"),
+    ("--format", ("edges", "g6"), "edges", False, None, "input graph format"),
+)
+# command: (handler, help, positionals, options as in _COMMON). A kind is "flag", "str", "int"
+# (io.parse_decimal), "pair" (two ints), "ints" (any number of ints) or a tuple of choices.
+_COMMANDS = {
+    "foliage": (_cmd_foliage, "partition blocks, shapes, and the quotient graph", ("graph",), (
+        ("--level", "int", 1, False, "LEVEL", "iterate the quotient this many times"),
+        ("--dot", "flag", False, False, None, "print the quotient as DOT text"))),
+    "orbit": (_cmd_orbit, "closure under local complementation", ("graph",), (
+        ("--budget", "int", None, False, "BUDGET", "node budget (default 2^20)"),
+        ("--list", "flag", False, False, None, "print every orbit member"))),
+    "decide": (_cmd_decide, "is the target a vertex-minor of the source?", ("source", "target"), (
+        ("--budget", "int", None, False, "BUDGET", "node budget (default 2^20)"),
+        ("--witness", "flag", False, False, None, "include the replayable witness"))),
+    "bell": (_cmd_bell, "two-Bell-pair extraction on a named topology", (), (
+        ("--topology", ("line", "ring", "tree"), None, True, None, "the graph the pairs are extracted from"),
+        ("--n", "int", None, False, "N", "size for line/ring"),
+        ("--graph", "str", None, False, "GRAPH", "tree graph file"),
+        ("--pairA", "pair", None, True, "A1 A2", "the first pair's two vertices"),
+        ("--pairB", "pair", None, True, "B1 B2", "the second pair's two vertices"),
+        ("--witness", "flag", False, False, None, "include the replayable witness"))),
+    "reduce": (_cmd_reduce, "source-reduce a graph, or replay a witness", ("source",), (
+        ("--protect", "ints", [], False, "PROTECT", "labels that must survive the reduction"),
+        ("--replay", "str", None, False, "WITNESS_JSON", "replay a stored witness instead of reducing"))),
+    "verify-quantum": (_cmd_verify_quantum, "check a rewrite against the state-vector oracle", ("graph",), (
+        ("--op", ("lc", "x", "y", "z"), None, True, None, "the rewrite to check"),
+        ("--vertex", "int", None, True, "VERTEX", "the vertex it acts on"))),
+}
+_ARITY = {"flag": 0, "pair": 2, "ints": -1}  # the values an option takes: 1 unless listed, -1 for any number
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.register("type", int, parse_decimal)  # ``type=int`` options read plain decimals only
-
-    def error(self, message):  # a usage error is an input error (exit 1); 2 means "unknown"
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+class _Args:  # the fields of a command line, read as attributes
+    def __init__(self, fields: dict):
+        self.__dict__.update(fields)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="graphmin",
-        description="graph-state rewriting, foliage partitions, and vertex-minor decisions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _invocation(option) -> str:  # "--dot", "--level LEVEL", "--format {edges,g6}", "--protect [PROTECT ...]"
+    name, kind, _, _, metavar, _ = option
+    metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else metavar
+    return name if kind == "flag" else f"{name} [{metavar} ...]" if kind == "ints" else f"{name} {metavar}"
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.add_argument("--format", choices=("edges", "g6"), default="edges",
-                       help="input graph format")
 
-    p = sub.add_parser("foliage", help="partition blocks, shapes, and the quotient graph")
-    p.add_argument("graph")
-    p.add_argument("--level", type=int, default=1, help="iterate the quotient this many times")
-    p.add_argument("--dot", action="store_true", help="print the quotient as DOT text")
-    common(p)
-    p.set_defaults(fn=_cmd_foliage)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: graphmin [-h] {%s} ..." % ",".join(_COMMANDS)
+    _, _, positionals, options = _COMMANDS[command]
+    words = [_invocation(o) if o[3] else f"[{_invocation(o)}]" for o in options + _COMMON]
+    return " ".join(["usage: graphmin", command, "[-h]", *words, *positionals])
 
-    p = sub.add_parser("orbit", help="closure under local complementation")
-    p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None, help="node budget (default 2^20)")
-    p.add_argument("--list", action="store_true", help="print every orbit member")
-    common(p)
-    p.set_defaults(fn=_cmd_orbit)
 
-    p = sub.add_parser("decide", help="is the target a vertex-minor of the source?")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--witness", action="store_true", help="include the replayable witness")
-    common(p)
-    p.set_defaults(fn=_cmd_decide)
+def _usage_error(command: str | None, message: str):
+    """Exit 1, as for any input error (2 means "unknown"), with the usage and ``message`` on stderr."""
+    prog = f"graphmin {command}" if command else "graphmin"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(1)
 
-    p = sub.add_parser("bell", help="two-Bell-pair extraction on a named topology")
-    p.add_argument("--topology", choices=("line", "ring", "tree"), required=True)
-    p.add_argument("--n", type=int, default=None, help="size for line/ring")
-    p.add_argument("--graph", default=None, help="tree graph file")
-    p.add_argument("--pairA", type=int, nargs=2, required=True, metavar=("A1", "A2"))
-    p.add_argument("--pairB", type=int, nargs=2, required=True, metavar=("B1", "B2"))
-    p.add_argument("--witness", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_bell)
 
-    p = sub.add_parser("reduce", help="source-reduce a graph, or replay a witness")
-    p.add_argument("source")
-    p.add_argument("--protect", type=int, nargs="*", default=[],
-                   help="labels that must survive the reduction")
-    p.add_argument("--replay", default=None, metavar="WITNESS_JSON",
-                   help="replay a stored witness instead of reducing")
-    common(p)
-    p.set_defaults(fn=_cmd_reduce)
+def _help(command: str | None, name: str, value: str | None):
+    """``-h``: exit 0 with the usage, then each command, or each argument of ``command``, and its help."""
+    if value is not None:
+        _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+    if command is None:
+        rows = [(c, spec[1]) for c, spec in _COMMANDS.items()]
+        about = "graph-state rewriting, foliage partitions, and vertex-minor decisions"
+    else:
+        _, about, positionals, options = _COMMANDS[command]
+        rows = [(p, "") for p in positionals] + [(_invocation(o), o[5]) for o in options + _COMMON]
+    rows.append(("-h, --help", "show this help message and exit"))
+    print(_usage(command), "", about, "", *(f"  {a:<22}  {b}".rstrip() for a, b in rows), sep="\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("verify-quantum", help="check a rewrite against the state-vector oracle")
-    p.add_argument("graph")
-    p.add_argument("--op", choices=("lc", "x", "y", "z"), required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_verify_quantum)
 
-    return parser
+def _option(word: str, names, command: str | None):
+    r"""The option ``word`` names and its ``=`` value; (None, None) if unknown, None for a value word.
+
+    An option is an exact name, a name and ``=value``, a unique prefix of a ``--`` name (an
+    ambiguous one is an error) or ``-h`` with a value stuck on. Any other word that starts with
+    ``-`` is an unknown option unless it has a space or is a negative number, which is
+    ``^-\d+$|^-\d*\.\d+$`` with ``\d`` read as ``str.isdecimal`` (``$`` allows a final newline).
+    """
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in names:
+        return word, None
+    head, eq, value = word.partition("=")
+    if eq and head in names:
+        return head, value
+    if word[1] == "-":
+        hits = [name for name in names if name.startswith(head)]
+        if len(hits) > 1:
+            _usage_error(command, f"ambiguous option: {word} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif word.startswith("-h"):
+        return "-h", word[2:]
+    whole, dot, fraction = word[1:].removesuffix("\n").partition(".")
+    negative = fraction.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return None if negative or " " in word else (None, None)
+
+
+def _parse(argv: list[str]) -> _Args:
+    """Read a command line by the table: ``--opt value`` or ``--opt=value``, options and
+    positionals in any order (the last repeat wins), ``--`` ending the options."""
+    extras, at = [], 0  # unknown options, before the command and in it
+    while at < len(argv) and argv[at] != "--" and (hit := _option(argv[at], ("-h", "--help"), None)):
+        if hit[0] is not None:
+            _help(None, *hit)
+        extras.append(argv[at])
+        at += 1
+    if at == len(argv):
+        _usage_error(None, "the following arguments are required: command")
+    command, words = argv[at], argv[at + 1:]
+    if command not in _COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {command!r} "
+                           f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    handler, _, positionals, options = _COMMANDS[command]
+    specs = {option[0]: option for option in options + _COMMON}
+    end = words.index("--") if "--" in words else len(words)
+    found = [_option(word, ("-h", "--help", *specs), command) for word in words[:end]]
+    fields = {"command": command, "fn": handler, **{name[2:]: spec[2] for name, spec in specs.items()}}
+    seen, free, at = set(), [], 0
+    while at < end:
+        word, hit = words[at], found[at]
+        at += 1
+        if hit is None or hit[0] is None:
+            (free if hit is None else extras).append(word)
+            continue
+        name, value = hit
+        if name not in specs:
+            _help(command, name, value)
+        kind, arity = specs[name][1], _ARITY.get(specs[name][1], 1)
+        if value is not None and arity == 0:
+            _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+        stop = at
+        while value is None and stop < end and found[stop] is None and stop - at != arity:
+            stop += 1
+        got, at = [value] if value is not None else words[at:stop], stop
+        if len(got) < arity:
+            _usage_error(command, f"argument {name}: expected {'one argument' if arity == 1 else '2 arguments'}")
+        values = []
+        for word in got:
+            if isinstance(kind, tuple) and word not in kind:
+                _usage_error(command, f"argument {name}: invalid choice: {word!r} "
+                                      f"(choose from {', '.join(map(repr, kind))})")
+            try:
+                values.append(parse_decimal(word) if kind in ("int", "pair", "ints") else word)
+            except ValueError:
+                _usage_error(command, f"argument {name}: invalid int value: {word!r}")
+        fields[name[2:]] = True if kind == "flag" else values if kind in ("pair", "ints") else values[0]
+        seen.add(name)
+    free += words[end + 1:]
+    missing = [*positionals[len(free):], *(o[0] for o in options if o[3] and o[0] not in seen)]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    extras += free[len(positionals):]
+    if extras:
+        _usage_error(None, "unrecognized arguments: " + " ".join(extras))
+    return _Args({**fields, **dict(zip(positionals, free))})
 
 
 def _check_ranges(args) -> None:
@@ -280,8 +370,7 @@ def _check_ranges(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_ranges(args)
         return args.fn(args)

@@ -8,8 +8,6 @@ graph6 subset accepted, live in docs/formats.md.
 
 from __future__ import annotations
 
-import re
-
 from .graph import MAX_LABEL, Graph
 
 
@@ -27,8 +25,7 @@ def parse_edge_list(text: str) -> Graph:
     labels: Graph | None = None  # the header's vertices, without edges
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # each significant field with its 1-based column
-        fields = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        fields = _fields(raw)
         if not fields:
             continue
         if labels is None:
@@ -57,6 +54,16 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(labels.vertices, edges)
 
 
+def _fields(line: str) -> list[tuple[int, str]]:
+    """Each significant field of ``line`` (the text before any ``#``) with its 1-based column."""
+    fields, column = [], 0
+    for field in line.split("#", 1)[0].split():  # ``str.split`` breaks where ``str.isspace``: ``re``'s ``\s``
+        column = line.find(field, column)
+        fields.append((column + 1, field))
+        column += len(field)
+    return fields
+
+
 def _int_fields(fields, lineno: int, what: str) -> list[int]:
     out = []
     for column, field in fields:
@@ -69,7 +76,8 @@ def _int_fields(fields, lineno: int, what: str) -> list[int]:
 
 def parse_decimal(text: str) -> int:
     """``int`` for plain decimals (an optional ``-`` and ASCII digits); ``1_000`` or ``+3`` raise."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid decimal integer {text!r}")
     return int(text)
 

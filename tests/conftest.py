@@ -140,3 +140,71 @@ def random_refinement(rng: random.Random, partition):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def reference_parser():
+    """The argparse parser the CLI used before its table: the reference for ``graphmin.cli._parse``."""
+    import argparse
+    import sys
+
+    from graphmin import cli
+    from graphmin.io import parse_decimal
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.register("type", int, parse_decimal)  # ``type=int`` options read plain decimals only
+
+        def error(self, message):  # a usage error is an input error (exit 1); 2 means "unknown"
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(prog="graphmin",
+                     description="graph-state rewriting, foliage partitions, and vertex-minor decisions")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+        p.add_argument("--format", choices=("edges", "g6"), default="edges", help="input graph format")
+
+    p = sub.add_parser("foliage")
+    p.add_argument("graph")
+    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--dot", action="store_true")
+    common(p)
+    p.set_defaults(fn=cli._cmd_foliage)
+    p = sub.add_parser("orbit")
+    p.add_argument("graph")
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--list", action="store_true")
+    common(p)
+    p.set_defaults(fn=cli._cmd_orbit)
+    p = sub.add_parser("decide")
+    p.add_argument("source")
+    p.add_argument("target")
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--witness", action="store_true")
+    common(p)
+    p.set_defaults(fn=cli._cmd_decide)
+    p = sub.add_parser("bell")
+    p.add_argument("--topology", choices=("line", "ring", "tree"), required=True)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--graph", default=None)
+    p.add_argument("--pairA", type=int, nargs=2, required=True, metavar=("A1", "A2"))
+    p.add_argument("--pairB", type=int, nargs=2, required=True, metavar=("B1", "B2"))
+    p.add_argument("--witness", action="store_true")
+    common(p)
+    p.set_defaults(fn=cli._cmd_bell)
+    p = sub.add_parser("reduce")
+    p.add_argument("source")
+    p.add_argument("--protect", type=int, nargs="*", default=[])
+    p.add_argument("--replay", default=None, metavar="WITNESS_JSON")
+    common(p)
+    p.set_defaults(fn=cli._cmd_reduce)
+    p = sub.add_parser("verify-quantum")
+    p.add_argument("graph")
+    p.add_argument("--op", choices=("lc", "x", "y", "z"), required=True)
+    p.add_argument("--vertex", type=int, required=True)
+    common(p)
+    p.set_defaults(fn=cli._cmd_verify_quantum)
+    return parser

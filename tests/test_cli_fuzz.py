@@ -3,7 +3,7 @@
 Edge-list text, graph6 strings, witness JSON and option values are drawn
 for every subcommand. Whatever the input, ``main`` exits 0, 1 or 2 and
 raises nothing; an exit 1 prints nothing on stdout and one error line on
-stderr (after argparse's usage text for a malformed command line).
+stderr (after the usage line for a malformed command line).
 """
 
 import contextlib
@@ -121,7 +121,7 @@ def test_every_input_exits_0_1_or_2_with_one_error_line(workdir, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage error
+        except SystemExit as exc:  # a usage error
             code, usage = exc.code, True
     assert code in (0, 1, 2), (argv, err.getvalue())
     if code == 1:

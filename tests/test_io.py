@@ -1,4 +1,10 @@
+import re
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
+
+import graphmin.io as graphmin_io
 
 from graphmin import (
     FormatError,
@@ -130,3 +136,50 @@ class TestGraph6:
         assert read_graph("2\n1 2\n", "edges") == Graph(2, [(1, 2)])
         with pytest.raises(ValueError):
             read_graph("A_", "gml")
+
+
+class TestAgainstRegexReferences:
+    """The str-method field split and ``parse_decimal`` against the ``re`` forms they replaced."""
+
+    @staticmethod
+    def reference_fields(line):
+        return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+
+    @staticmethod
+    def reference_decimal(text):
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError(f"invalid decimal integer {text!r}")
+        return int(text)
+
+    def test_isspace_is_the_regex_whitespace_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        kept = "".join(c for c in every if not c.isspace())
+        assert re.sub(r"\s", "", every) == kept == "".join(every.split())
+
+    @given(st.text(alphabet="12 -#x\t\x1c\x1d\x1e\x1f\x85　 ٦２_+vertices\n", max_size=40))
+    def test_fields_columns_and_errors_match(self, text):
+        for line in text.splitlines():
+            assert graphmin_io._fields(line) == self.reference_fields(line)
+        for word in text.split():
+            want = got = None
+            try:
+                want = self.reference_decimal(word)
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = graphmin_io.parse_decimal(word)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want
+        with pytest.MonkeyPatch.context() as patch:
+            want = self.parsed(text)
+            patch.setattr(graphmin_io, "_fields", self.reference_fields)
+            patch.setattr(graphmin_io, "parse_decimal", self.reference_decimal)
+            assert self.parsed(text) == want
+
+    @staticmethod
+    def parsed(text):
+        try:
+            return parse_edge_list(text)
+        except FormatError as exc:
+            return str(exc)

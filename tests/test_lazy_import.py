@@ -56,6 +56,7 @@ def imported(*argv: str) -> tuple[set[str], str]:
 
 def test_readme_commands_load_only_what_they_use(tmp_path):
     startup, _ = imported("-c", "pass")  # what the interpreter loads before graphmin runs
+    by_json = imported("-c", "import json")[0] - startup  # ``json`` imports ``re`` itself
     moved = {}  # files that README commands write, moved under tmp_path
     for line in readme_commands():
         command, _, redirect = line.partition(" > ")
@@ -68,6 +69,9 @@ def test_readme_commands_load_only_what_they_use(tmp_path):
         assert "dataclasses" not in loaded, command
         assert "--json" in argv or "hashlib" not in loaded, command
         assert "numpy" not in loaded, command
+        # the command line is read from the table, and edge lists by str methods
+        unexpected = loaded - (by_json if "json" in loaded else set())
+        assert not unexpected & {"argparse", "gettext", "locale", "re"}, command
         if argv[0] in ("orbit", "bell") or "--replay" in argv:
             assert not loaded & {"graphmin.minor", "graphmin.foliage"}, command
         # only the commands that decide LC-equivalence load it, and only

@@ -163,6 +163,29 @@ MUTANTS = (
            "        verdict = verdict and solved\n",
            "        verdict = solved\n",
            ("tests/test_orbit.py::test_a_block_it_cannot_tell_keeps_the_verdict_none_after_a_solved_block",)),
+    Mutant("a negative-number word is read as an option", "src/graphmin/cli.py",
+           '    return None if negative or " " in word else (None, None)\n',
+           '    return None if " " in word else (None, None)\n',
+           ("tests/test_cli_args.py::test_a_negative_number_is_a_value",)),
+    Mutant("an ambiguous option prefix is read as its first match", "src/graphmin/cli.py",
+           "        if len(hits) > 1:\n"
+           "            _usage_error(command, f\"ambiguous option: {word} could match {', '.join(hits)}\")\n",
+           "",
+           ("tests/test_cli_args.py::test_an_ambiguous_prefix_is_a_usage_error",
+            "tests/test_cli_args.py::test_documented_errors_keep_their_text")),
+    Mutant("parse_decimal accepts a non-ASCII digit", "src/graphmin/io.py",
+           "    if not (digits.isascii() and digits.isdigit()):\n",
+           "    if not digits.isdigit():\n",
+           ("tests/test_io.py::TestEdgeList::test_graph_errors_report_their_own_line_and_column[arabic-indic-label]",
+            "tests/test_io.py::TestEdgeList::test_graph_errors_report_their_own_line_and_column"
+            "[fullwidth-header-label]",
+            "tests/test_cli.py::TestUsageErrors::test_exit_1_with_usage_on_stderr[arabic-indic-pair]",
+            "tests/test_cli.py::TestUsageErrors::test_exit_1_with_usage_on_stderr[fullwidth-vertex]")),
+    Mutant("the edge-list field split breaks only on ASCII space", "src/graphmin/io.py",
+           '    for field in line.split("#", 1)[0].split():',
+           '    for field in line.split("#", 1)[0].split(" "):',
+           ("tests/test_io.py::TestAgainstRegexReferences::test_fields_columns_and_errors_match",
+            "tests/test_io.py::TestEdgeList::test_comments_and_blank_lines")),
 )
 
 

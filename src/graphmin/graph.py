@@ -17,7 +17,8 @@ this module; they zero a removed row in place. ``_step`` is the one checked
 rewrite: it checks the labels, then calls one of them. The graph rewrites,
 ``ops.replay`` and the oracle's images go through it; the orbit closure and
 the search's ``_measure_rows`` call the kernel bare, on labels they know are
-alive. ``_graph`` wraps the result on the labels left alive.
+alive, ``_measure_rows`` building a child only when the search visits it.
+``_graph`` wraps the result on the labels left alive.
 """
 
 from __future__ import annotations
@@ -344,17 +345,15 @@ def _x_rows(rows: tuple[int, ...], a: int, b: int | None) -> tuple[int, ...]:
 
 
 def _measure_rows(rows: tuple[int, ...], a: int):
-    """The z, y and x children of measuring ``a`` (x through ``_x_neighbor``):
-    ``_z_rows``, ``_z_rows`` with ``y`` and ``_x_rows``.
-
-    y is z itself when ``a`` has one neighbor, and all three are ``rows``
-    itself when it has none; the search skips a child that ``is`` one tried.
-    """
+    """Yield ``(kind, child)`` for each distinct child of measuring ``a``, built when asked for:
+    "z", then "y" if ``a`` has two or more neighbors (on one, y is z), then "x" through
+    ``_x_neighbor`` if it has one or more (on none, x is z, which is ``rows`` itself)."""
     nbrs = rows[a]
-    if not nbrs:
-        return rows, rows, rows
-    z, b = _z_rows(rows, a), _x_neighbor(nbrs, a, None, 0)
-    return z, z if nbrs == 1 << b else _z_rows(rows, a, True), _x_rows(rows, a, b)
+    yield "z", _z_rows(rows, a) if nbrs else rows
+    if nbrs & nbrs - 1:
+        yield "y", _z_rows(rows, a, True)
+    if nbrs:
+        yield "x", _x_rows(rows, a, _x_neighbor(nbrs, a, None, 0))
 
 
 def _pair_ranks(rows: tuple[int, ...], labels: tuple[int, ...]) -> list[int]:

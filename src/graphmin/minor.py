@@ -28,17 +28,21 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     order, each in bases z, y, x (x through its smallest neighbor); the first
     measured graph in the target's LC-orbit wins, and the witness is those
     measurements plus the local complements back to ``h``. The search runs
-    on bare rows tuples, a measured row zeroed (``graph._measure_rows``),
-    and builds steps only for the witness. What
-    lies below a graph depends on it alone, so one whose three measurements
-    all failed is remembered and skipped when reached again. The target's
-    orbit is generated only as far as leaves need it: a leaf not among the
-    members drawn is a miss when its pair cut-ranks (LC-invariant) differ
-    from the target's. Otherwise the orbit's closure advances until the
-    leaf appears or ``_SHORT_DRAW`` members are drawn; then a leaf that the
-    exact GF(2) test (``orbit._lc_equivalent_rows``) refutes is a miss, and
-    the closure goes on until the leaf appears or, where that test cannot
-    tell, until the orbit ends.
+    on bare rows tuples, a measured row zeroed, and builds steps only for
+    the witness; ``graph._measure_rows`` builds a child only as the search
+    visits it. What lies below a graph depends on it alone, so one whose
+    children all failed is remembered and skipped when reached again. The
+    target's orbit is generated only as far as leaves need it, and not at
+    all when no target vertex has two neighbors (every Bell target): a local
+    complement toggles only pairs of a neighborhood, so it changes nothing.
+    Otherwise the root and one more member are drawn first, and a leaf not
+    among the members drawn is a miss when it is refuted as a graph in the
+    search is (below), or when its pair cut-ranks (LC-invariant) differ from
+    the target's. Otherwise the orbit's closure advances until the leaf
+    appears or ``_SHORT_DRAW`` members are drawn; then a leaf that the exact
+    GF(2) test (``orbit._lc_equivalent_rows``) refutes is a miss, and the
+    closure goes on until the leaf appears or, where that test cannot tell,
+    until the orbit ends.
 
     Foliage persistence prunes: if ``h`` is a vertex-minor of a graph, each
     foliage class of that graph, cut down to the labels of ``h``, lies inside
@@ -63,8 +67,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         raise ValueError(f"target labels {[*_bits(h._alive & ~g._alive)]} not in source")
     budget = _budget(node_budget)
     labels = h.vertices
-    ranks = _pair_ranks(h._rows, labels)
-    conflicts = _conflict_pairs(h, labels, ranks)
+    conflicts = _conflict_pairs(h)
     wired = [v for v in labels if h._rows[v]]  # an isolated one stays isolated below
 
     def dead(rows: tuple[int, ...]) -> bool:
@@ -80,19 +83,22 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
     # one failed set per depth, None past the last: a measured row is zero, like an isolated vertex's
     failed: list[set[tuple[int, ...]] | None] = [*(set() for _ in to_measure), None]
     spent = 0  # graphs in ``failed``
-    choices: list[tuple[str, tuple[int, ...]]] = []  # (basis, the rows it measured) from the hit up
+    choices: list[tuple[str, tuple[int, ...]]] = []  # (kind, the rows it measured) from the hit up
     width = len(h._rows)  # a leaf's measured rows are zero, so its first ``width`` rows are a graph on ``labels``
-    members = _closure(h._rows, budget)  # the target's orbit, drawn as leaves need it
-    orbit = dict(islice(members, 2))
-    members = members if len(orbit) == 2 else None  # one member (every Bell target): finished
+    ranks = None  # the target's pair cut-ranks, at the first leaf that needs them
+    # the target's orbit, drawn as leaves need it; with no vertex of two neighbors, ``h`` alone
+    members = _closure(h._rows, budget) if any(row & row - 1 for row in h._rows) else None
+    orbit = dict(islice(members, 2)) if members else {h._rows: ()}
 
     def lookup(rows: tuple[int, ...]):
         """Orbit path to a leaf, drawing members until it appears; None outside the orbit."""
-        nonlocal members
+        nonlocal members, ranks
         rows = rows[:width]
         path = orbit.get(rows)
-        if path is not None or members is None:
+        if path is not None or members is None or dead(rows):
             return path
+        if ranks is None:
+            ranks = _pair_ranks(h._rows, labels)
         if _pair_ranks(rows, labels) != ranks or len(orbit) >= _SHORT_DRAW and refuted(rows):
             return None
         for member, path in members:
@@ -113,11 +119,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         if spent + depth >= budget:  # every failed or refuted graph, ``depth`` above this
             raise BudgetExceededError(f"search exceeds node budget {budget}; refusing to answer")
         below = failed[depth + 1]
-        tried = None
-        for basis, child in zip(_BASES, _measure_rows(rows, to_measure[depth])):
-            if child is tried:  # y is z on one neighbor, and x is too on none
-                continue
-            tried = child
+        for kind, child in _measure_rows(rows, to_measure[depth]):
             if below is None:
                 hit = lookup(child)
             elif child in below:
@@ -129,7 +131,7 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
             else:
                 hit = search(child, depth + 1)
             if hit is not None:
-                choices.append((basis, rows))
+                choices.append((kind, rows))
                 return hit
         failed[depth].add(rows)
         spent += 1
@@ -141,29 +143,28 @@ def decide_vertex_minor(g: Graph, h: Graph, node_budget: int | None = None) -> D
         return Decision(UNKNOWN, "budget-exhausted")
     if hit is None:
         return Decision(NO, "brute-force")
-    steps = [Step(basis, v, _x_neighbor(rows[v], v, None, g._alive) if basis == MEASURE_X else None)
-             for v, (basis, rows) in zip(to_measure, reversed(choices))]
+    steps = [Step(_BASES[kind], v, _x_neighbor(rows[v], v, None, g._alive) if kind == "x" else None)
+             for v, (kind, rows) in zip(to_measure, reversed(choices))]
     # each local complement is an involution, so the recorded path from the
     # target reverses into a path back to it
     witness = _witness(g, (*steps, *(Step(LC, v) for v in reversed(hit))), h)
     return Decision(YES, "brute-force" if to_measure else "lc-equivalence", witness)
 
 
-_BASES = (MEASURE_Z, MEASURE_Y, MEASURE_X)
+_BASES = {"z": MEASURE_Z, "y": MEASURE_Y, "x": MEASURE_X}  # the step of each kind of ``_measure_rows``
 # target-orbit members drawn before the exact test is asked at a leaf: a
 # budget of at most ``_SHORT_DRAW - 2`` runs out at the same leaves as drawing
 # the orbit to its end would, so small budgets decide as without the test
 _SHORT_DRAW = 32
 
 
-def _conflict_pairs(h: Graph, labels: tuple[int, ...], ranks: list[int]) -> tuple[tuple[int, int, int, int, int], ...]:
+def _conflict_pairs(h: Graph) -> tuple[tuple[int, int, int, int, int], ...]:
     """Target label pairs that foliage persistence keeps apart.
 
-    These are the pairs u < v of ``h`` (on ``labels``) in different canonical
-    blocks, not both isolated: one end isolated, or a pair cut-rank of 2
-    (``ranks`` is ``h``'s pair cut-rank table). Each is in ``foliage._pair``
-    form, so a search node tests them on its rows.
+    These are the pairs u < v of ``h`` in different canonical blocks, not
+    both isolated: one end isolated, or neither and not foliage-equivalent
+    (``foliage._any_equivalent``, a pair cut-rank of 2). Each is in
+    ``foliage._pair`` form, so a search node tests them on its rows.
     """
-    rows, pairs = h._rows, combinations(labels, 2)  # in the order of ``ranks``
-    return tuple([_pair(u, v) for (u, v), rank in zip(pairs, ranks)
-                  if (rank == 2 if rows[u] and rows[v] else rows[u] or rows[v])])
+    pairs = [_pair(u, v) for u, v in combinations(h.vertices, 2) if h._rows[u] or h._rows[v]]
+    return tuple([pair for pair in pairs if not _any_equivalent(h._rows, (pair,))])

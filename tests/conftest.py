@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from graphmin import Graph
+from graphmin.graph import _x_neighbor, _x_rows, _z_rows
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -36,6 +37,18 @@ def all_graphs(n: int):
     pairs = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
         yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def eager_measure_rows(rows: tuple[int, ...], a: int) -> tuple[tuple[int, ...], ...]:
+    """The z, y and x children of measuring ``a`` (x through its smallest
+    neighbor), all built at once: the reference for ``graph._measure_rows``,
+    which yields the distinct ones. y is z itself when ``a`` has one
+    neighbor, and all three are ``rows`` itself when it has none."""
+    nbrs = rows[a]
+    if not nbrs:
+        return rows, rows, rows
+    z, b = _z_rows(rows, a), _x_neighbor(nbrs, a, None, 0)
+    return z, z if nbrs == 1 << b else _z_rows(rows, a, True), _x_rows(rows, a, b)
 
 
 def cut_rank(g: Graph, side) -> int:

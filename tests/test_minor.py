@@ -175,23 +175,21 @@ def _graph_keyed_decide(g, h, budget):
 
     The target's orbit is closed eagerly here, and the decider's lazy rule
     is replayed on the members' discovery ranks. The first two members are
-    drawn before the search. An orbit member not drawn yet is drawn up to,
-    which needs its rank to be at most the budget. A leaf outside the orbit
-    is a miss once the orbit is finished, or when its pair cut-ranks
-    (``conftest.cut_rank``) differ from the target's; otherwise it draws the
-    first ``_SHORT_DRAW`` members (finishing a smaller orbit, which needs the
-    orbit to hold at most the budget members), and the exact test then
-    refutes it.
+    drawn before the search, none of a one-member orbit. An orbit member not
+    drawn yet is drawn up to, which needs its rank to be at most the budget.
+    A leaf outside the orbit is a miss once the orbit is finished, when it
+    is refuted, or when its pair cut-ranks (``conftest.cut_rank``) differ
+    from the target's; otherwise it draws the first ``_SHORT_DRAW`` members
+    (finishing a smaller orbit, which needs the orbit to hold at most the
+    budget members), and the exact test then refutes it.
 
-    A graph is refuted, at the root and in the search alike, when foliage
-    persistence fails on it or when it isolates a target label that has
-    neighbours in ``h``.
+    A graph is refuted, at the root, in the search and at a leaf alike, when
+    foliage persistence fails on it or when it isolates a target label that
+    has neighbours in ``h``.
     """
-    ranks = pair_rank_table(h)
-
     def dead(graph):
         return (any(h.degree(v) and not graph.degree(v) for v in h.vertices)
-                or _any_equivalent(graph._rows, _conflict_pairs(h, h.vertices, ranks)))
+                or _any_equivalent(graph._rows, _conflict_pairs(h)))
 
     if dead(g):
         return Decision(NO, "brute-force")
@@ -206,7 +204,7 @@ def _graph_keyed_decide(g, h, budget):
         i = rank.get(graph)
         if i is not None and i < drawn:
             return orbit[graph]
-        if finished or i is None and pair_rank_table(graph) != pair_rank_table(h):
+        if finished or dead(graph) or i is None and pair_rank_table(graph) != pair_rank_table(h):
             return None
         if i is not None:  # the closure still yields the member ranked ``budget``
             if i > budget:
@@ -263,13 +261,15 @@ CROSSED_PAIRS_ON_RING_9 = Graph([1, 3, 5, 7], [(1, 5), (3, 7)])
 
 
 def _count_rewrites(monkeypatch):
-    """Record every rewrite the decider's search applies, three per measured
-    graph (its z, y and x children); returns the live list."""
+    """Record every child the decider's search builds, as (kind, measured
+    vertex); returns the live list. A measured graph builds its z child
+    first, then y and x as the search reaches them."""
     calls = []
 
     def counting(rows, v):
-        calls.extend((basis, v) for basis in ("measure_z", "measure_y", "measure_x"))
-        return _measure_rows(rows, v)
+        for kind, child in _measure_rows(rows, v):
+            calls.append((kind, v))
+            yield kind, child
 
     monkeypatch.setattr("graphmin.minor._measure_rows", counting)
     return calls
@@ -312,11 +312,14 @@ class TestMemoizedSearch:
     def test_a_graph_that_isolates_a_target_vertex_is_not_measured(self, monkeypatch):
         # a measurement that isolates 1, 3, 5 or 8 of the target leaves it
         # isolated below, so the search refutes that child unmeasured: 6
-        # graphs measured, against 23 without the rule
+        # graphs measured (each builds its z child first), against 23
+        # without the rule; they build 9 children, not 18, as the hit's
+        # ancestors stop at it and a vertex with one neighbor has no y child
         calls = _count_rewrites(monkeypatch)
         h = Graph([1, 3, 5, 8], [(1, 3), (5, 8)])
         assert decide_vertex_minor(path_graph(10), h) == _reference_decide(path_graph(10), h)
-        assert len(calls) == 3 * 6
+        assert [kind for kind, _ in calls].count("z") == 6
+        assert len(calls) == 9
 
     def test_a_source_that_isolates_a_target_vertex_is_a_no_at_once(self, monkeypatch):
         # 4 has a neighbour in the target and none in the source
@@ -370,8 +373,11 @@ class TestMemoizedSearch:
 # graph that isolates a target label with neighbours in the target: 31
 # budgeted rows that were "unknown" became their pair's default-budget
 # decision (27 "no", 4 "yes"); the 800 default-budget rows, and every other
-# budgeted row, are byte-identical.
-PINNED_DECISIONS_DIGEST = "fe7b7f2f37444dd6595dc5909da0665abdc8ea4d0429e2a2b6b9af706a2d11a5"
+# budgeted row, are byte-identical. Re-pinned when a leaf of the search came
+# to be refuted by the same rules before any orbit member is drawn for it: 1
+# budgeted row that was "unknown" became its pair's default-budget "no"; every
+# other row is byte-identical.
+PINNED_DECISIONS_DIGEST = "b61c6ab5214b6e3a2c79cf8f52e6e7636f92d66ab617df6447300579ea5cb897"
 
 
 def _decision_corpus():
@@ -444,28 +450,30 @@ CUT_RANK_NO = (Graph(6, [(1, 3), (1, 4), (1, 5), (2, 4), (2, 6), (4, 6), (5, 6)]
 
 class TestOrbitEntry:
     @pytest.mark.parametrize("g, h, answer, draws", [
-        (path_graph(3), Graph([1, 3], [(1, 3)]), YES, 1),
-        (ring_graph(9), CROSSED_PAIRS_ON_RING_9, NO, 1),
-        (path_graph(4), Graph([1, 4]), YES, 1),
+        (path_graph(3), Graph([1, 3], [(1, 3)]), YES, 0),
+        (ring_graph(9), CROSSED_PAIRS_ON_RING_9, NO, 0),
+        (path_graph(4), Graph([1, 4]), YES, 0),
         (ring_graph(7), path_graph(6), YES, 2),
         (*CUT_RANK_NO, NO, 2),
     ], ids=["yes", "no", "edgeless-target", "hit-at-the-root", "cut-rank-refuted"])
     def test_draws_only_the_members_a_leaf_needs(self, g, h, answer, draws, monkeypatch):
-        # the root and a second member are drawn before the search; a
-        # one-member orbit is then finished, a hit at the root (z on 7 gives
-        # path 6 itself) draws no more, and neither does a refuted leaf
+        # a target with no vertex of two neighbors is its own orbit and draws
+        # nothing; otherwise the root and a second member are drawn before
+        # the search, a hit at the root (z on 7 gives path 6 itself) draws
+        # no more, and neither does a refuted leaf
         drawn = _count_draws(monkeypatch)
         assert decide_vertex_minor(g, h).answer == answer
         assert len(drawn) == draws
-        assert drawn[0] == (h._rows, ())
+        assert drawn[:1] == [(h._rows, ())][:draws]
 
     def test_cut_rank_refuted_leaves_would_close_the_orbit(self, monkeypatch):
-        # the same "no" with every pair cut-rank table made equal (so
-        # persistence prunes nothing either) and the exact test unable to
-        # tell: the first leaf that misses then draws until the orbit ends,
-        # so the count above is the filter's doing
+        # the same "no" with every pair cut-rank table made equal, no
+        # conflict pairs (so persistence prunes nothing) and the exact test
+        # unable to tell: the first leaf that misses then draws until the
+        # orbit ends, so the count above is the filter's doing
         drawn = _count_draws(monkeypatch)
         monkeypatch.setattr("graphmin.minor._pair_ranks", lambda rows, labels: [])
+        monkeypatch.setattr("graphmin.minor._conflict_pairs", lambda h: ())
         monkeypatch.setattr("graphmin.minor._lc_equivalent_rows", lambda rows, other: None)
         assert decide_vertex_minor(*CUT_RANK_NO).answer == NO
         assert len(drawn) == len(lc_orbit_paths(CUT_RANK_NO[1])) == 30
@@ -481,6 +489,22 @@ class TestOrbitEntry:
         drawn = _count_draws(monkeypatch)
         assert decide_vertex_minor(path_graph(11), nested_pairs_on_path(11)).answer == NO
         assert drawn == []
+
+    def test_a_bell_target_draws_no_orbit_and_no_rank_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("asked for a target that no local complement changes")
+
+        monkeypatch.setattr("graphmin.minor._closure", refuse)
+        monkeypatch.setattr("graphmin.minor._pair_ranks", refuse)
+        answers = {decide_vertex_minor(source, h).answer
+                   for source in (path_graph(7), ring_graph(8)) for h in _two_pair_targets(source.vertices)}
+        assert answers == {YES, NO}
+
+    def test_a_target_is_its_own_orbit_iff_no_vertex_has_two_neighbors(self):
+        # the decider's test for a one-member orbit, against the closure
+        for n in range(1, 6):
+            for h in all_graphs(n):
+                assert (len(lc_orbit_paths(h)) == 1) == all(h.degree(v) < 2 for v in h.vertices), h
 
     def test_budget_resolved_once_per_decision(self, monkeypatch):
         calls = []
@@ -546,15 +570,16 @@ def _constructed_minor(rng, n):
 
 
 def test_draws_exactly_the_members_its_hits_need_on_a_vm_decide_like_corpus(monkeypatch):
-    # each decision draws the target's first two members, then up to its
-    # hit's rank; a leaf outside the orbit whose pair cut-ranks equal the
-    # target's adds the short draw (the first ``_SHORT_DRAW`` members), after
-    # which the exact test refutes it. No decision draws more, so none closes
-    # an orbit its hit does not reach
+    # a one-member orbit (a target with no vertex of two neighbors) draws
+    # nothing; any other decision draws the target's first two members, then
+    # up to its hit's rank; a leaf outside the orbit whose pair cut-ranks
+    # equal the target's adds the short draw (the first ``_SHORT_DRAW``
+    # members), after which the exact test refutes it. No decision draws
+    # more, so none closes an orbit its hit does not reach
     drawn = _count_draws(monkeypatch)
     current = {}
 
-    def filtered(rows, labels):  # the decider's one call per leaf it cannot look up
+    def filtered(rows, labels):  # the decider's call per leaf it cannot look up, and the target's
         table = _pair_ranks(rows, labels)
         if rows not in current["orbit"] and table == current["ranks"]:
             current["passed"] = True
@@ -575,7 +600,10 @@ def test_draws_exactly_the_members_its_hits_need_on_a_vm_decide_like_corpus(monk
             assert d.answer == YES
             surplus = source.n - h.n
             need = paths.index(tuple(step.vertex for step in reversed(d.witness[surplus:]))) + 1
-            need = max(need, min(2, len(orbit)), min(_SHORT_DRAW, len(orbit)) if current["passed"] else 0)
+            if len(orbit) == 1:
+                need = 0
+            else:
+                need = max(need, 2, min(_SHORT_DRAW, len(orbit)) if current["passed"] else 0)
             assert len(drawn) == need, (source, h)
             spared += current["passed"] and need < len(orbit)
     assert spared >= 20
@@ -634,7 +662,7 @@ class TestPersistencePruning:
             h = Graph(keep, [(a, b) for a, b in random_graph(rng, max(keep), p=0.3).edges()
                              if a in keep and b in keep])
             block_fates = {class_persistence_check(g, h, block) for block in canonical_foliage_partition(g)}
-            conflicts = _conflict_pairs(h, h.vertices, pair_rank_table(h))
+            conflicts = _conflict_pairs(h)
             assert _any_equivalent(g._rows, conflicts) == (ClassFate.VIOLATION in block_fates)
             fates |= block_fates
         assert fates == set(ClassFate)

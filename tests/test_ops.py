@@ -9,7 +9,7 @@ from graphmin import (Graph, Step, UnknownVertexError, apply_step, delete_vertex
 from graphmin.graph import _lc_rows, _measure_rows, _x_rows, _z_rows
 from graphmin.ops import _witness, steps_from_json, steps_to_json
 
-from conftest import all_graphs
+from conftest import all_graphs, eager_measure_rows
 
 
 def test_step_rejects_unknown_kind():
@@ -100,21 +100,29 @@ def _kernel_step(rows, alive, step):
     elif step.op == "measure_x" and step.neighbor not in (None, (mask & -mask).bit_length() - 1):
         child = _x_rows(rows, step.vertex, step.neighbor)
     else:
-        child = _measure_rows(rows, step.vertex)[("measure_z", "measure_y", "measure_x").index(step.op)]
+        children = dict(_measure_rows(rows, step.vertex))  # no y where it is z, no x where it is z too
+        child = children.get(step.op[-1], children["z"])
     assert child[i] == 0 and len(child) == len(rows)
     assert all(new == old or near >> v & 1 for v, (old, new) in enumerate(zip(rows, child)))
     return child[:(alive ^ 1 << i).bit_length()]
 
 
+def _distinct(children):
+    """``(kind, child)`` for each of the eager z, y and x children that ``is`` none before it."""
+    return [(kind, child) for i, (kind, child) in enumerate(zip("zyx", children))
+            if all(child is not before for before in children[:i])]
+
+
 def test_measure_rows_shares_children_only_where_the_search_skips_them():
-    # the search skips a child that ``is`` the one tried before it: y is z for a
-    # vertex with one neighbor, and all three are the rows themselves for an
-    # isolated vertex; otherwise each child is its own tuple
+    # the eager reference's y is its z for a vertex with one neighbor, and all
+    # three are the rows themselves for an isolated vertex; otherwise each
+    # child is its own tuple. The search's generator yields exactly the
+    # distinct ones, in z, y, x order
     for n in range(6):
         for g in all_graphs(n):
             rows = g._rows
             for a in g.vertices:
-                z, y, x = children = _measure_rows(rows, a)
+                z, y, x = children = eager_measure_rows(rows, a)
                 degree = g.degree(a)
                 assert [child is rows for child in children] == [degree == 0] * 3
                 assert (y is z) == (degree < 2) and (x is z) == (x is y) == (degree == 0)
@@ -122,6 +130,22 @@ def test_measure_rows_shares_children_only_where_the_search_skips_them():
                     smallest = min(g.neighbors(a))
                     assert (z, y, x) == (_z_rows(rows, a), _z_rows(rows, a, True),
                                          _x_rows(rows, a, smallest))
+                assert list(_measure_rows(rows, a)) == _distinct(children)
+
+
+def test_measure_rows_yields_the_distinct_eager_children_on_scattered_labels():
+    # random graphs on labels scattered in 1..64, sparse enough that many
+    # vertices are isolated or have one neighbor
+    rng = random.Random(61)
+    degrees = set()
+    for _ in range(300):
+        labels = sorted(rng.sample(range(1, 65), rng.randint(1, 10)))
+        p = rng.choice((0.1, 0.3, 0.6))
+        g = Graph(labels, [pair for pair in combinations(labels, 2) if rng.random() < p])
+        for a in labels:
+            assert list(_measure_rows(g._rows, a)) == _distinct(eager_measure_rows(g._rows, a)), (g, a)
+            degrees.add(min(g.degree(a), 2))
+    assert degrees == {0, 1, 2}
 
 
 def test_rows_rewrites_match_apply_step():

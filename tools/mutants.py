@@ -159,6 +159,30 @@ MUTANTS = (
             "tests/test_minor.py::TestMemoizedSearch::test_budgets_match_graph_keyed_search",
             "tests/test_minor.py::TestMemoizedSearch::test_budget_never_turns_into_a_wrong_no",
             "tests/test_minor.py::test_decisions_match_pinned_digest")),
+    Mutant("a vertex with one neighbor yields a y child", "src/graphmin/graph.py",
+           '    if nbrs & nbrs - 1:\n        yield "y"',
+           '    if nbrs:\n        yield "y"',
+           ("tests/test_ops.py::test_measure_rows_shares_children_only_where_the_search_skips_them",
+            "tests/test_ops.py::test_measure_rows_yields_the_distinct_eager_children_on_scattered_labels")),
+    Mutant("a vertex with one neighbor yields no x child", "src/graphmin/graph.py",
+           '    if nbrs:\n        yield "x"',
+           '    if nbrs & nbrs - 1:\n        yield "x"',
+           ("tests/test_ops.py::test_measure_rows_shares_children_only_where_the_search_skips_them",
+            "tests/test_ops.py::test_measure_rows_yields_the_distinct_eager_children_on_scattered_labels",
+            "tests/test_minor.py::TestMemoizedSearch::test_matches_plain_enumeration_on_random_instances",
+            "tests/test_minor.py::test_decisions_match_pinned_digest")),
+    Mutant("a target with a vertex of two neighbors is taken for its own orbit", "src/graphmin/minor.py",
+           "_closure(h._rows, budget) if any(row & row - 1 for row in h._rows) else None",
+           "_closure(h._rows, budget) if False else None",
+           ("tests/test_minor.py::TestOrbitEntry::test_draws_only_the_members_a_leaf_needs[hit-at-the-root]",
+            "tests/test_minor.py::TestLazyOrbit::test_matches_eager_orbit_reference_on_large_orbits",
+            "tests/test_minor.py::test_decisions_match_pinned_digest")),
+    Mutant("the conflict pairs keep a foliage-equivalent pair", "src/graphmin/minor.py",
+           "    return tuple([pair for pair in pairs if not _any_equivalent(h._rows, (pair,))])\n",
+           "    return tuple(pairs)\n",
+           ("tests/test_minor.py::TestPersistencePruning::test_conflict_check_agrees_with_class_persistence",
+            "tests/test_minor.py::TestPersistencePruning::test_decider_matches_plain_enumeration_on_two_pair_placements",
+            "tests/test_minor.py::test_decisions_match_pinned_digest")),
     Mutant("a solved block turns the exact test's None into True", "src/graphmin/orbit.py",
            "        verdict = verdict and solved\n",
            "        verdict = solved\n",
